@@ -114,6 +114,19 @@ def test_lstm_step_fwd_bwd(benchmark, impl):
 
 
 @pytest.mark.parametrize("impl", ["fused", "reference"])
+def test_lstm_layer_fwd_bwd(benchmark, impl):
+    """One layer of the paper's LSTM at the federated batch shape: the
+    whole-sequence kernel vs the per-timestep ``lstm_step`` loop."""
+    batch, seq, hidden = 32, 40, 128
+    rng = np.random.default_rng(0)
+    params = [_tensor(rng, batch, seq, hidden), _tensor(rng, 4 * hidden, hidden),
+              _tensor(rng, 4 * hidden, hidden), _tensor(rng, 4 * hidden)]
+    mask = np.arange(seq)[None, :] < rng.integers(seq // 4, seq + 1, batch)[:, None]
+    _run(benchmark, params,
+         lambda: _impl(impl).lstm_layer(*params, mask=mask)[0])
+
+
+@pytest.mark.parametrize("impl", ["fused", "reference"])
 def test_embed_layer_norm_fwd_bwd(benchmark, impl):
     rng = np.random.default_rng(0)
     params = [_tensor(rng, 200, DIM), _tensor(rng, 128, DIM),

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import backend as _backend
 from .backend import _mean_cols, _red_vec, _red_vec_cache, _sum_cols  # noqa: F401
-from .tensor import Tensor, get_default_dtype
+from .tensor import Tensor, get_default_dtype, is_grad_enabled
 
 __all__ = [
     "softmax",
@@ -48,7 +48,7 @@ __all__ = [
     "ffn_layer",
     "tanh_head",
     "lstm_step",
-    "unbind",
+    "lstm_layer",
 ]
 
 _GELU_COEFF = math.sqrt(2.0 / math.pi)
@@ -1001,31 +1001,175 @@ def lstm_step(gates_x: Tensor, h_prev: Tensor, c_prev: Tensor, weight_hh: Tensor
     return h_out, c_out
 
 
-def unbind(x: Tensor, axis: int = 1) -> list[Tensor]:
-    """Split ``x`` into per-index tensors along ``axis``.
+def lstm_layer(x: Tensor, weight_ih: Tensor, weight_hh: Tensor, bias: Tensor,
+               mask: np.ndarray | None = None, reverse: bool = False
+               ) -> tuple[Tensor, Tensor, Tensor]:
+    """One LSTM layer over a whole sequence as a single graph node (the
+    cuDNN design): the time loop runs forward *and* backward inside the node.
 
-    Unlike ``x[:, t]`` slicing (whose backward allocates a full zeros array
-    per step), each slice's backward writes its gradient directly into the
-    parent's accumulation buffer — O(slice) per step, which is what makes the
-    hoisted LSTM input projection profitable.
+    Parameters
+    ----------
+    x:
+        ``(batch, seq, input_dim)`` layer input.
+    weight_ih, weight_hh, bias:
+        ``(4*hidden, input_dim)``, ``(4*hidden, hidden)`` and ``(4*hidden,)``
+        with gate layout ``[input, forget, cell, output]``.
+    mask:
+        Optional boolean ``(batch, seq)``; False (padding) steps carry the
+        previous state through unchanged.  Leading and trailing steps that
+        are padding for the whole batch cost nothing but that copy.
+    reverse:
+        Walk ``t`` downwards (the right-to-left half of a bidirectional
+        stack); outputs stay aligned with the input positions.
+
+    Returns ``(out, h_last, c_last)``: the ``(batch, seq, hidden)`` output
+    sequence and the state after the last step walked, all from a zero
+    initial state.  ``h_last`` is a slice of ``out``; ``c_last`` is a sibling
+    node that costs a second BPTT only when something consumes it.
+
+    Forward: one time-major ``(seq*batch, 4H)`` input-projection GEMM, then a
+    loop that adds the recurrent projection and activates the gates in place.
+    Under grad the activated gates, ``tanh(c)`` and every ``h``/``c`` stay
+    stashed (time-major, one buffer each); under ``no_grad`` only the output
+    sequence outlives the call.  Backward: the gate-derivative factors are
+    formed in bulk, the loop carries ``dh``/``dc`` as plain arrays with one
+    ``dgates @ W_hh`` GEMM per step, and the three parameter gradients and
+    ``dx`` are one ``(seq*batch)``-deep GEMM each after the loop.
     """
-    n = x.shape[axis]
-    prefix = (slice(None),) * (axis % x.ndim)
+    x = _as_tensor(x)
+    batch, seq, in_dim = x.shape
+    hd = weight_hh.shape[1]
+    bk = _backend._ACTIVE
+    dtype = weight_hh.data.dtype
+    parents = (x, weight_ih, weight_hh, bias)
+    stash = is_grad_enabled() and any(p.requires_grad for p in parents)
 
-    def make(index: int) -> Tensor:
-        sl = prefix + (index,)
-        data = np.ascontiguousarray(x.data[sl])
+    # ``ragged`` marks the steps where some row is padding.  Steps outside
+    # [lo, hi) are padding for every row: the state is copied across them and
+    # no buffer below is read or written there.
+    lo, hi, ragged = 0, seq, np.zeros(seq, dtype=bool)
+    if mask is not None:
+        real = np.asarray(mask, dtype=bool).T[:, :, None]  # (seq, batch, 1)
+        pad = ~real
+        ragged = pad.any(axis=(1, 2))
+        occupied = np.flatnonzero(real.any(axis=(1, 2)))
+        lo, hi = (occupied[0], occupied[-1] + 1) if occupied.size else (0, 0)
+    window = slice(lo, hi)
+    rows = slice(lo * batch, hi * batch)
 
-        def backward(grad: np.ndarray) -> None:
-            if not x.requires_grad:
-                return
-            if x.grad is None:
-                x.grad = np.zeros_like(x.data)
-            x.grad[sl] += grad
+    # Time-major so each step's rows are contiguous; a no-op when ``x`` is
+    # the output of the layer below.
+    x2d = np.ascontiguousarray(x.data.transpose(1, 0, 2)).reshape(seq * batch, in_dim)
+    gates2d = np.empty((seq * batch, 4 * hd), dtype=np.result_type(x2d, dtype))
+    np.matmul(x2d[rows], weight_ih.data.T, out=gates2d[rows])
+    gates2d[rows] += bias.data
+    gates = gates2d.reshape(seq, batch, 4, hd)
 
-        return Tensor._make(data, (x,), f"unbind[{index}]", backward)
+    # State rows are indexed by time: step ``t`` reads row ``t + 1 - new``
+    # and writes row ``t + new``, so ``out`` is a plain slice of ``h_all``.
+    # Without a stash ``c`` ping-pongs between two rows.
+    new = 0 if reverse else 1
+    first = seq if reverse else 0
+    c_rows = seq + 1 if stash else 2
+    h_all = np.empty((seq + 1, batch, hd), dtype=dtype)
+    c_all = np.empty((c_rows, batch, hd), dtype=dtype)
+    tanh_c = np.empty((seq if stash else 1, batch, hd), dtype=dtype)
+    h_all[first] = 0.0
+    c_all[first % c_rows] = 0.0
+    w_hh_t = np.ascontiguousarray(weight_hh.data.T)  # ~1.5x the strided GEMM
+    recurrent = np.empty((batch, 4, hd), dtype=gates.dtype)
+    recurrent2d = recurrent.reshape(batch, 4 * hd)
+    scratch = np.empty((batch, hd), dtype=dtype)
+    order = range(seq - 1, -1, -1) if reverse else range(seq)
+    for t in order:
+        h_prev, h_new = h_all[t + 1 - new], h_all[t + new]
+        c_prev, c_new = c_all[(t + 1 - new) % c_rows], c_all[(t + new) % c_rows]
+        if not lo <= t < hi:
+            h_new[...] = h_prev
+            c_new[...] = c_prev
+            continue
+        gate = gates[t]
+        np.matmul(h_prev, w_hh_t, out=recurrent2d)
+        gate += recurrent
+        gate[:, :2] = bk.sigmoid(gate[:, :2])
+        bk.tanh(gate[:, 2], out=gate[:, 2])
+        gate[:, 3] = bk.sigmoid(gate[:, 3])
+        t_c = tanh_c[t % len(tanh_c)]
+        np.multiply(gate[:, 1], c_prev, out=c_new)
+        np.multiply(gate[:, 0], gate[:, 2], out=scratch)
+        c_new += scratch
+        bk.tanh(c_new, out=t_c)
+        np.multiply(gate[:, 3], t_c, out=h_new)
+        if ragged[t]:
+            np.copyto(h_new, h_prev, where=pad[t])
+            np.copyto(c_new, c_prev, where=pad[t])
 
-    return [make(index) for index in range(n)]
+    def bptt(dout: np.ndarray | None, dc_last: np.ndarray | None) -> None:
+        # Everything that is not the recurrence, in bulk: ``dgates`` starts
+        # as d(gate)/d(pre-activation) times the gate's partner in the cell
+        # update, and the loop scales each step's rows by dc / dh in place.
+        live = gates[window]
+        i, f, g, o = (live[:, :, k] for k in range(4))
+        t_c = tanh_c[window]
+        prev = slice(lo + 1 - new, hi + 1 - new)
+        dgates = np.empty_like(gates)
+        d_live = dgates[window]
+        di, df, dg, do = (d_live[:, :, k] for k in range(4))
+        np.subtract(1.0, live, out=d_live)
+        d_live *= live                        # s(1-s) for i, f, o
+        np.multiply(g, g, out=dg)
+        np.subtract(1.0, dg, out=dg)          # 1 - g^2
+        di *= g
+        df *= c_all[prev]
+        dg *= i
+        do *= t_c
+        dh_to_dc = np.empty_like(tanh_c)
+        live_dh_to_dc = dh_to_dc[window]
+        np.multiply(t_c, t_c, out=live_dh_to_dc)
+        np.subtract(1.0, live_dh_to_dc, out=live_dh_to_dc)
+        live_dh_to_dc *= o                    # o (1 - tanh^2 c)
+
+        dout_t = None if dout is None else dout.transpose(1, 0, 2)
+        dh = np.zeros((batch, hd), dtype=dgates.dtype)
+        dh_prev = np.empty_like(dh)
+        dc = np.zeros_like(dh) if dc_last is None else dc_last.astype(dh.dtype)
+        w_hh = weight_hh.data
+        for t in reversed(order):
+            if dout_t is not None:
+                dh += dout_t[t]
+            if not lo <= t < hi:
+                continue
+            # Padding rows pass dh / dc through; what the step leaves in
+            # their ``dgates`` rows is dropped after the loop.
+            rows_in = real[t] if ragged[t] else True
+            np.multiply(dh, dh_to_dc[t], out=scratch)
+            np.add(dc, scratch, out=dc, where=rows_in)
+            step = dgates[t]
+            step[:, :3] *= dc[:, None, :]
+            step[:, 3] *= dh
+            np.matmul(step.reshape(batch, 4 * hd), w_hh, out=dh_prev)
+            np.multiply(dc, gates[t, :, 1], out=dc, where=rows_in)
+            if ragged[t]:
+                np.copyto(dh_prev, dh, where=pad[t])
+            dh, dh_prev = dh_prev, dh
+
+        # One GEMM per gradient, over every real (step, row) pair at once.
+        tokens = np.flatnonzero(real[window]) if ragged.any() else slice(None)
+        dgates2d = d_live.reshape(-1, 4 * hd)[tokens]
+        weight_hh._accumulate_owned(dgates2d.T @ h_all[prev].reshape(-1, hd)[tokens])
+        weight_ih._accumulate_owned(dgates2d.T @ x2d[rows][tokens])
+        bias._accumulate_owned(dgates2d.sum(axis=0))
+        if x.requires_grad:
+            dx = np.zeros((seq * batch, in_dim), dtype=dgates.dtype)
+            dx[rows][tokens] = dgates2d @ weight_ih.data
+            x._accumulate_owned(dx.reshape(seq, batch, in_dim).transpose(1, 0, 2))
+
+    out_rows = h_all[:seq] if reverse else h_all[1:]
+    out = Tensor._make(out_rows.transpose(1, 0, 2), parents, "lstm_layer",
+                       lambda grad: bptt(grad, None))
+    c_last = Tensor._make(c_all[(seq - first) % c_rows].copy(), parents,
+                          "lstm_layer_c", lambda grad: bptt(None, grad))
+    return out, out[:, 0 if reverse else -1], c_last
 
 
 def relu(x: Tensor) -> Tensor:

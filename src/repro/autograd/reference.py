@@ -39,7 +39,7 @@ __all__ = [
     "ffn_layer",
     "tanh_head",
     "lstm_step",
-    "unbind",
+    "lstm_layer",
 ]
 
 _GELU_COEFF = math.sqrt(2.0 / math.pi)
@@ -269,7 +269,21 @@ def lstm_step(gates_x: Tensor, h_prev: Tensor, c_prev: Tensor, weight_hh: Tensor
     return h, c
 
 
-def unbind(x: Tensor, axis: int = 1) -> list[Tensor]:
-    """Per-index slices via ``__getitem__`` (full-size zeros per backward)."""
-    prefix = (slice(None),) * (axis % x.ndim)
-    return [x[prefix + (index,)] for index in range(x.shape[axis])]
+def lstm_layer(x: Tensor, weight_ih: Tensor, weight_hh: Tensor, bias: Tensor,
+               mask: np.ndarray | None = None, reverse: bool = False
+               ) -> tuple[Tensor, Tensor, Tensor]:
+    """A whole LSTM layer as a python time loop: one :func:`lstm_step`
+    composition per timestep over ``__getitem__`` slices of the input
+    projection, stacked back into ``(batch, seq, hidden)``."""
+    from .functional import linear
+
+    batch, seq, _ = x.shape
+    proj = linear(x, weight_ih, bias)
+    zeros = np.zeros((batch, weight_hh.shape[1]), dtype=weight_hh.dtype)
+    h, c = Tensor(zeros), Tensor(zeros.copy())
+    outputs: list[Tensor | None] = [None] * seq
+    for t in (range(seq - 1, -1, -1) if reverse else range(seq)):
+        h, c = lstm_step(proj[:, t], h, c, weight_hh,
+                         step_mask=None if mask is None else np.asarray(mask)[:, t])
+        outputs[t] = h
+    return Tensor.stack(outputs, axis=1), h, c

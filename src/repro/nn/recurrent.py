@@ -1,12 +1,11 @@
 """Recurrent layers: LSTM cell and multi-layer LSTM.
 
 The paper's "recursive" model is a 3-layer LSTM classifier with hidden
-dimension 128 (Table II).  The time loop is explicit Python, but the hot
-path is batched: the input projection ``x @ W_ih^T + b`` for a whole layer
-is hoisted out of the loop as one ``(batch*seq, 4H)`` matmul (the cuDNN
-trick), and each step then runs as a single fused
-:func:`repro.autograd.functional.lstm_step` graph node instead of ~15
-primitive ops.
+dimension 128 (Table II).  :class:`LSTM` runs each layer and direction as
+one :func:`repro.autograd.functional.lstm_layer` graph node — the time loop,
+forward and backward, lives inside that kernel.  :class:`LSTMCell` holds a
+layer's parameters and is the public one-step API on top of
+:func:`repro.autograd.functional.lstm_step`.
 """
 
 from __future__ import annotations
@@ -44,24 +43,13 @@ class LSTMCell(Module):
 
     def forward(self, x: Tensor, state: tuple[Tensor, Tensor]) -> tuple[Tensor, Tensor]:
         """Advance one step: ``x`` is ``(batch, input_dim)``; returns ``(h, c)``."""
-        gates_x = F.linear(x, self.weight_ih, self.bias)
-        return self.step(gates_x, state)
-
-    def step(self, gates_x: Tensor, state: tuple[Tensor, Tensor],
-             step_mask: np.ndarray | None = None) -> tuple[Tensor, Tensor]:
-        """Advance one step from a precomputed input projection.
-
-        ``gates_x`` is ``x_t @ W_ih^T + b`` — hoisting that matmul out of the
-        time loop (one ``(batch*seq, 4H)`` product per layer) is what the
-        :class:`LSTM` wrapper does.
-        """
         h_prev, c_prev = state
-        return F.lstm_step(gates_x, h_prev, c_prev, self.weight_hh,
-                           step_mask=step_mask)
+        return F.lstm_step(F.linear(x, self.weight_ih, self.bias), h_prev, c_prev,
+                           self.weight_hh)
 
     def initial_state(self, batch: int) -> tuple[Tensor, Tensor]:
-        zeros = np.zeros((batch, self.hidden_dim), dtype=np.float32)
-        return Tensor(zeros.copy()), Tensor(zeros.copy())
+        zeros = np.zeros((batch, self.hidden_dim), dtype=self.weight_hh.dtype)
+        return Tensor(zeros), Tensor(zeros.copy())
 
 
 class LSTM(Module):
@@ -122,36 +110,21 @@ class LSTM(Module):
             if mask.shape != (batch, seq):
                 raise ValueError(f"mask shape {mask.shape} != {(batch, seq)}")
 
-        def run_direction(cell, layer_input: Tensor, time_order) -> tuple[list[Tensor], Tensor, Tensor]:
-            # Batch the input projection over the whole sequence: one
-            # (batch*seq, 4H) matmul instead of `seq` small ones.
-            proj = F.linear(layer_input, cell.weight_ih, cell.bias)
-            gates_per_step = F.unbind(proj, axis=1)
-            h, c = cell.initial_state(batch)
-            outputs: list[Tensor | None] = [None] * seq
-            for t in time_order:
-                step_mask = mask[:, t] if mask is not None else None
-                h, c = cell.step(gates_per_step[t], (h, c), step_mask=step_mask)
-                outputs[t] = h
-            return outputs, h, c  # type: ignore[return-value]
+        def run(cell: LSTMCell, layer_input: Tensor, reverse: bool = False):
+            return F.lstm_layer(layer_input, cell.weight_ih, cell.weight_hh,
+                                cell.bias, mask=mask, reverse=reverse)
 
         layer_input = x
         final_states: list[tuple[Tensor, Tensor]] = []
         for layer_index in range(self.num_layers):
-            forward_out, h, c = run_direction(self.cells[layer_index], layer_input,
-                                              range(seq))
+            layer_output, h, c = run(self.cells[layer_index], layer_input)
             if self.cells_reverse is not None:
-                reverse_out, h_r, c_r = run_direction(
-                    self.cells_reverse[layer_index], layer_input,
-                    range(seq - 1, -1, -1))
-                per_step = [Tensor.concatenate([f, r], axis=1)
-                            for f, r in zip(forward_out, reverse_out)]
-                layer_output = Tensor.stack(per_step, axis=1)
-                final_states.append((Tensor.concatenate([h, h_r], axis=1),
-                                     Tensor.concatenate([c, c_r], axis=1)))
-            else:
-                layer_output = Tensor.stack(forward_out, axis=1)
-                final_states.append((h, c))
+                reverse_output, h_r, c_r = run(self.cells_reverse[layer_index],
+                                               layer_input, reverse=True)
+                layer_output = Tensor.concatenate([layer_output, reverse_output], axis=2)
+                h = Tensor.concatenate([h, h_r], axis=1)
+                c = Tensor.concatenate([c, c_r], axis=1)
+            final_states.append((h, c))
             if self.inter_dropout is not None and layer_index < self.num_layers - 1:
                 layer_output = self.inter_dropout(layer_output)
             layer_input = layer_output

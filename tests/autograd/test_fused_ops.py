@@ -23,8 +23,13 @@ tanh-based sigmoid.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.autograd import (
     SGD,
@@ -33,6 +38,7 @@ from repro.autograd import (
     check_gradients,
     functional as F,
     get_default_dtype,
+    no_grad,
     reference as R,
     set_default_dtype,
     use_backend,
@@ -359,16 +365,143 @@ class TestLstmStep:
         check_gradients(loss, params)
 
 
-class TestSmallOps:
-    def test_unbind_matches_reference(self, rng):
-        x = t(rng, 3, 4, 5)
-        xr = clones([x])[0]
-        fused = F.unbind(x, axis=1)
-        ref = R.unbind(xr, axis=1)
-        total_f = sum((s * s).sum() for s in fused)
-        total_r = sum((s * s).sum() for s in ref)
-        assert_parity(rng, total_f, total_r, [x], [xr])
+def _lstm_masks(batch, seq):
+    """Named padding patterns for a ``(batch, seq)`` LSTM input."""
+    rng = np.random.default_rng(5)
+    right = np.arange(seq)[None, :] < rng.integers(1, max(seq - 1, 2), batch)[:, None]
+    empty_row = rng.random((batch, seq)) > 0.4
+    empty_row[0] = False  # an all-padding sequence never leaves the zero state
+    return {"none": None,
+            "right": right,                       # trailing steps padded for every row
+            "left": right[:, ::-1].copy(),
+            "scattered": rng.random((batch, seq)) > 0.4,
+            "empty_row": empty_row,
+            "all_padding": np.zeros((batch, seq), dtype=bool)}
 
+
+class TestLstmLayer:
+    """The whole-sequence kernel against a time loop of ``R.lstm_step``."""
+
+    @staticmethod
+    def _params(rng, batch=3, seq=6, in_dim=4, hd=5):
+        return [t(rng, batch, seq, in_dim), t(rng, 4 * hd, in_dim),
+                t(rng, 4 * hd, hd), t(rng, 4 * hd)]
+
+    @staticmethod
+    def _joined(out, h_last, c_last):
+        """Output sequence and both final states as one tensor, so a single
+        upstream gradient reaches all three."""
+        return Tensor.concatenate(
+            [out, Tensor.stack([h_last, c_last * c_last], axis=1)], axis=1)
+
+    def _assert_parity(self, rng, params, mask, reverse):
+        refs = clones(params)
+        fused = F.lstm_layer(*params, mask=mask, reverse=reverse)
+        ref = R.lstm_layer(*refs, mask=mask, reverse=reverse)
+        assert_parity(rng, self._joined(*fused), self._joined(*ref), params, refs)
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    @pytest.mark.parametrize("mask_kind", ["none", "right", "left", "scattered",
+                                           "empty_row", "all_padding"])
+    def test_matches_reference(self, rng, mask_kind, reverse):
+        self._assert_parity(rng, self._params(rng), _lstm_masks(3, 6)[mask_kind],
+                            reverse)
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_single_step_sequence(self, rng, reverse):
+        self._assert_parity(rng, self._params(rng, seq=1),
+                            np.array([[True], [False], [True]]), reverse)
+
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(mask=hnp.arrays(np.bool_, st.tuples(st.integers(1, 4), st.integers(1, 7))),
+           reverse=st.booleans())
+    def test_random_masks(self, mask, reverse):
+        rng = np.random.default_rng(17)
+        batch, seq = mask.shape
+        self._assert_parity(rng, self._params(rng, batch=batch, seq=seq), mask, reverse)
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    @pytest.mark.parametrize("mask_kind", ["none", "scattered"])
+    def test_gradcheck(self, rng, mask_kind, reverse):
+        params = self._params(rng, batch=2, seq=4, in_dim=3, hd=3)
+        mask = _lstm_masks(2, 4)[mask_kind]
+
+        def loss():
+            joined = self._joined(*F.lstm_layer(*params, mask=mask, reverse=reverse))
+            return (joined * joined).sum()
+
+        assert loss().dtype == np.float64
+        check_gradients(loss, params, atol=1e-7, rtol=1e-5)
+
+    def test_state_buffers_follow_weight_dtype(self, rng):
+        params = [Tensor(p.data.astype(np.float32), requires_grad=True)
+                  for p in self._params(rng)]
+        out, h_last, c_last = F.lstm_layer(*params)
+        assert out.dtype == h_last.dtype == c_last.dtype == np.float32
+        out.sum().backward()
+        assert all(p.grad.dtype == np.float32 for p in params)
+
+    def test_final_states_cost_no_second_bptt_unless_consumed(self, rng):
+        from repro.obs.profiler import OpProfiler
+
+        params = self._params(rng)
+        with OpProfiler() as profiler:
+            out, h_last, c_last = F.lstm_layer(*params)
+            (out.sum() + h_last.sum()).backward()
+            out, h_last, c_last = F.lstm_layer(*params)
+            (out.sum() + c_last.sum()).backward()
+        ops = profiler.to_dict()["ops"]
+        assert ops["lstm_layer"]["fwd_calls"] == 2
+        assert ops["lstm_layer"]["bwd_calls"] == 2
+        assert ops["lstm_layer_c"]["nodes"] == 2
+        assert ops["lstm_layer_c"]["bwd_calls"] == 1
+
+    def test_no_grad_forward_retains_no_stash(self, rng):
+        batch, seq, hd = 8, 32, 16
+        params = self._params(rng, batch=batch, seq=seq, in_dim=hd, hd=hd)
+        mask = _lstm_masks(batch, seq)["right"]
+        expected = F.lstm_layer(*params, mask=mask)[0].data
+        with no_grad():
+            F.lstm_layer(*params, mask=mask)  # warm caches outside the trace
+            tracemalloc.start()
+            before = tracemalloc.get_traced_memory()[0]
+            out, h_last, c_last = F.lstm_layer(*params, mask=mask)
+            retained = tracemalloc.get_traced_memory()[0] - before
+            tracemalloc.stop()
+        np.testing.assert_array_equal(out.data, expected)
+        for node in (out, h_last, c_last):
+            assert node._backward is None and node._parents == ()
+        # the output sequence (plus its zero initial row) and the final cell
+        # state outlive the call; the (seq, batch, 4H) gate buffer, the
+        # per-step tanh(c) and the cell-state history must not
+        state_row = batch * hd * out.data.itemsize
+        assert retained < (seq + 3) * state_row + 4096
+        assert retained < seq * 4 * state_row
+
+    def test_bidirectional_stack_with_dropout_matches_reference(self, rng, monkeypatch):
+        from repro.nn import LSTM
+
+        mask = _lstm_masks(3, 6)["scattered"]
+        x = t(rng, 3, 6, 4)
+
+        def run(inputs):
+            lstm = LSTM(4, 5, num_layers=2, dropout=0.3, bidirectional=True,
+                        rng=np.random.default_rng(2))
+            for p in lstm.parameters():
+                p.data = p.data.astype(np.float64)
+            out, states = lstm(inputs, mask=mask)
+            joined = Tensor.concatenate(
+                [out] + [Tensor.stack([h, c], axis=1) for h, c in states], axis=1)
+            return joined, [inputs] + lstm.parameters()
+
+        fused, fused_params = run(x)
+        monkeypatch.setattr(F, "lstm_layer", R.lstm_layer)
+        ref, ref_params = run(clones([x])[0])
+        assert_parity(rng, fused, ref, fused_params, ref_params)
+
+
+class TestSmallOps:
     def test_linear_gradcheck(self, rng):
         x, w, b = t(rng, 3, 4, 5), t(rng, 6, 5), t(rng, 6)
         check_gradients(lambda: F.linear(x, w, b).sum(), [x, w, b])

@@ -21,6 +21,12 @@ class TestCell:
         h2, c2 = cell(Tensor(rng.normal(size=(3, 4))), (h, c))
         assert h2.shape == (3, 6) and c2.shape == (3, 6)
 
+    def test_initial_state_follows_parameter_dtype(self, rng):
+        cell = LSTMCell(4, 6, rng=rng)
+        assert {s.dtype for s in cell.initial_state(3)} == {np.dtype(np.float32)}
+        cell.weight_hh.data = cell.weight_hh.data.astype(np.float64)
+        assert {s.dtype for s in cell.initial_state(3)} == {np.dtype(np.float64)}
+
     def test_forget_bias_initialised_to_one(self, rng):
         cell = LSTMCell(4, 6, rng=rng)
         np.testing.assert_allclose(cell.bias.data[6:12], 1.0)
@@ -92,10 +98,12 @@ class TestStack:
         x = Tensor(rng.normal(size=(2, 3, 2)), requires_grad=True)
 
         def fn():
-            out, _ = lstm(x)
-            return (out * out).sum()
+            out, states = lstm(x)
+            h_last, c_last = states[-1]
+            return (out * out).sum() + (h_last * c_last).sum()
 
-        check_gradients(fn, [x] + lstm.parameters(), atol=5e-4, rtol=5e-3)
+        assert fn().dtype == np.float64  # float64 end to end, states included
+        check_gradients(fn, [x] + lstm.parameters(), atol=1e-7, rtol=1e-5)
 
     def test_bad_mask_shape(self, rng):
         lstm = LSTM(3, 4, rng=rng)

@@ -134,10 +134,13 @@ class TestTrainingTelemetry:
     def test_profiler_saw_fused_ops(self, trained_session):
         run_dir, _ = trained_session
         payload = json.loads((run_dir / "profile.json").read_text())
-        # fused forwards are timed under the functional name; the graph nodes
-        # they register carry per-output names (lstm_step -> _h/_c)
-        assert payload["ops"]["lstm_step"]["fwd_calls"] > 0
-        assert payload["ops"]["lstm_step_h"]["nodes"] > 0
-        assert payload["ops"]["lstm_step_h"]["bwd_calls"] > 0
+        # one node per LSTM layer per step: the forward call, the graph node
+        # and the single BPTT all land under the functional name, and the
+        # unconsumed final-cell-state sibling never runs a second one
+        lstm = payload["ops"]["lstm_layer"]
+        assert lstm["fwd_calls"] > 0
+        assert lstm["nodes"] == lstm["bwd_calls"] == lstm["fwd_calls"]
+        assert payload["ops"]["lstm_layer_c"]["bwd_calls"] == 0
+        assert "lstm_step" not in payload["ops"]
         assert payload["ops"]["cross_entropy"]["fwd_calls"] >= 1
         assert payload["ops"]["cross_entropy"]["bwd_seconds"] >= 0.0
