@@ -9,7 +9,7 @@ Two families of measurements, both reported into BENCH_pr9.json by
   fold is modest; the median family (which must stash updates) shows the
   tree caps peak materialized updates at O(arity * depth) instead of O(n).
 - ``test_cohort_round`` runs a full simulated federation — sync sampled
-  rounds vs the FedBuff-style async controller — and attaches wall-clock,
+  rounds vs the FedBuff-style buffered commit policy — and attaches wall-clock,
   wire traffic and the peak-materialization high-water mark.
 
 The 1,000-site gated run (bounded materialization + peak RSS + registry

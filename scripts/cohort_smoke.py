@@ -2,7 +2,7 @@
 """Massive-cohort smoke: a deterministic 1,000-client async federated run.
 
 Provisions a 1,000-site federation on the in-memory fabric and runs the
-FedBuff-style :class:`AsyncScatterAndGather` controller for a few global
+FedBuff-style ``Buffered`` commit policy of :class:`ScatterAndGather` for a few global
 commits under the sequential (``threads=False``) drive, then gates on the
 three massive-cohort guarantees:
 

@@ -2,7 +2,9 @@
 
 Provision → register (token handshake) → ScatterAndGather rounds →
 aggregate → persist, all in one process, with a real (if in-memory) signed
-message transport.  See DESIGN.md for the mapping to NVFlare concepts.
+message transport.  One round engine runs every job; a ``CommitPolicy``
+(``Barrier`` or ``Buffered``) decides when a round commits.  See DESIGN.md
+for the mapping to NVFlare concepts.
 """
 
 from .admin import AdminAPI, ClientInfo, JobStatus
@@ -15,10 +17,15 @@ from .aggregators import (
     TreeAggregator,
     TrimmedMeanAggregator,
 )
-from .async_controller import AsyncScatterAndGather, staleness_discount
 from .client import FederatedClient, session_key_from_token
 from .constants import DataKind, EventType, FLRole, ReservedKey, ReturnCode, TaskName
-from .controller import ScatterAndGather
+from .controller import (
+    Barrier,
+    Buffered,
+    CommitPolicy,
+    ScatterAndGather,
+    staleness_discount,
+)
 from .cross_site_eval import CrossSiteModelEval
 from .codec import (
     decode_tensors,
@@ -26,6 +33,7 @@ from .codec import (
     reset_wire_metrics,
     wire_totals,
 )
+from .downlink import Downlink
 from .dxo import DXO, MetaKey, get_wire_codec, set_wire_codec
 from .events import FLComponent, LogCapture, get_fl_logger, set_console_level
 from .faults import FaultInjector, FaultPlan, FaultyMessageBus
@@ -121,7 +129,8 @@ __all__ = [
     "Float16Quantize", "Float16Dequantize", "TopKSparsify", "TopKDensify",
     "Learner", "FederatedClient", "session_key_from_token",
     "FLServer", "AuthenticationError",
-    "ScatterAndGather", "AsyncScatterAndGather", "staleness_discount",
+    "ScatterAndGather", "CommitPolicy", "Barrier", "Buffered",
+    "staleness_discount", "Downlink",
     "CrossSiteModelEval",
     "FLJob", "SimulatorRunner", "SimulationResult",
     "ClientRoundRecord", "RoundRecord", "RunStats",

@@ -3,15 +3,18 @@
 NVFlare ships an admin console (list clients, check job status, abort).
 This module provides the equivalent programmatic surface over the in-process
 federation: registered-client inventory, transport counters, controller
-progress and an abort signal the controller honours between rounds.
+progress and an abort signal the controller honours between rounds (the
+console is one of the controller's event listeners).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .constants import EventType, ReservedKey
 from .controller import ScatterAndGather
 from .events import FLComponent
+from .fl_context import FLContext
 from .server import FLServer
 
 __all__ = ["AdminAPI", "ClientInfo", "JobStatus"]
@@ -48,7 +51,7 @@ class AdminAPI(FLComponent):
         self.controller = controller
         self._abort_requested = False
         if controller is not None:
-            self._install_abort_hook(controller)
+            controller.listeners.append(self)
 
     # ------------------------------------------------------------------
     # inventory
@@ -86,15 +89,8 @@ class AdminAPI(FLComponent):
         self._abort_requested = True
         self.log_warning("abort requested by admin")
 
-    # ------------------------------------------------------------------
-    def _install_abort_hook(self, controller: ScatterAndGather) -> None:
-        admin = self
-        original = controller._run_round
-
-        def abortable_run_round(round_number: int, fl_ctx) -> None:
-            if admin._abort_requested:
-                raise RuntimeError(
-                    f"job aborted by admin before round {round_number}")
-            original(round_number, fl_ctx)
-
-        controller._run_round = abortable_run_round  # type: ignore[method-assign]
+    def handle_event(self, event_type: str, fl_ctx: FLContext) -> None:
+        if event_type == EventType.ROUND_STARTED and self._abort_requested:
+            raise RuntimeError(
+                "job aborted by admin before round "
+                f"{fl_ctx.get_prop(ReservedKey.CURRENT_ROUND)}")

@@ -96,6 +96,9 @@ class FederatedClient(FLComponent):
                             client=self.name, task=task_name,
                             round=round_number) as task_span:
             reply = self._process_task_inner(task_name, shareable)
+            # echo which round's task this answers, so the controller can
+            # tell a late reply to an abandoned task from a current one
+            reply.set_header(ReservedKey.ROUND_NUMBER, round_number)
             task_span.set_attr("return_code", reply.return_code)
         return reply
 

@@ -1,15 +1,22 @@
 """ScatterAndGather: the federated workflow the paper runs.
 
-Each round (paper Sec. III-A): broadcast the global model to every client,
-wait for local training results, aggregate the weighted updates, persist the
-new global model, validate it, repeat for E communication rounds.  The log
-lines emitted here are the ones shown in the paper's Fig. 3.
+Each round (paper Sec. III-A): broadcast the global model to the clients,
+admit their local training results, aggregate the weighted updates, persist
+the new global model, validate it, repeat for E communication rounds.  The
+log lines emitted here are the ones shown in the paper's Fig. 3.
+
+One engine runs every round ("commit window").  What differs between the
+paper's round barrier and FedBuff-style buffered asynchronous aggregation
+(Nguyen et al., AISTATS 2022) is four decisions, taken by a
+:class:`CommitPolicy`: whom to task now, when the window is full, what
+happens to unanswered tasks at close, and the fold weight — tabulated in
+docs/FEDERATION_RUNTIME.md, "Massive cohorts".
 """
 
 from __future__ import annotations
 
 import time
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -17,26 +24,21 @@ from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
 from ..obs.health import HealthMonitor
 from .aggregators import Aggregator, MaterializationTracker
-from .constants import DataKind, EventType, ReservedKey, ReturnCode, TaskName
-from .dxo import DXO, MetaKey
+from .constants import EventType, ReservedKey, ReturnCode, TaskName
+from .downlink import Downlink
+from .dxo import MetaKey
 from .events import FLComponent, format_names
-from .filters import (
-    CompressionConfig,
-    DXOFilter,
-    Float16Dequantize,
-    Float16Quantize,
-    TopKDensify,
-    TopKSparsify,
-    diff_tensors,
-)
+from .filters import CompressionConfig, DXOFilter
+from .fl_context import FLContext
 from .persistor import ModelPersistor
 from .sampling import ClientSampler, UniformSampler
 from .server import FLServer
-from .shareable import Shareable, from_dxo, to_dxo
+from .shareable import Shareable, to_dxo
 from .shareable_generator import FullModelShareableGenerator
 from .stats import ClientRoundRecord, RoundRecord, RunStats
 
-__all__ = ["ScatterAndGather"]
+__all__ = ["ScatterAndGather", "CommitPolicy", "Barrier", "Buffered",
+           "staleness_discount"]
 
 Evaluator = Callable[[dict[str, np.ndarray]], dict[str, float]]
 
@@ -44,6 +46,140 @@ Evaluator = Callable[[dict[str, np.ndarray]], dict[str, float]]
 # per-round wire-traffic distribution; the registry's default buckets are
 # seconds-scaled and would lump every round into the overflow bucket.
 _BYTE_BUCKETS: tuple[float, ...] = tuple(float(1024 * 4 ** i) for i in range(16))
+
+
+def staleness_discount(staleness: int, alpha: float) -> float:
+    """FedBuff's polynomial staleness penalty: ``1 / (1 + s)**alpha``."""
+    return 1.0 / (1.0 + max(0, int(staleness))) ** alpha
+
+
+class _InFlight(NamedTuple):
+    """One outstanding task: where and when it was dispatched."""
+
+    window: int     # window index at dispatch (echoed back on the reply)
+    version: int    # commits so far at dispatch (staleness baseline)
+    clock: float    # perf_counter at dispatch (health latency)
+
+
+class CommitPolicy:
+    """The four decisions on which commit policies differ; a subclass
+    overrides the ones it takes differently from these neutral defaults.
+
+    A policy belongs to one controller, which binds it to the federation's
+    sites and sampler before the first window.
+    """
+
+    span_attrs: dict = {}    # extra attributes of the ``round`` trace span
+    carries_tasks = False    # decision 3: do unanswered tasks survive a close?
+
+    def bind(self, sites: list[str], sampler: ClientSampler,
+             min_clients: int | None) -> int:
+        """Validate against the federation; returns the quorum to enforce
+        (by default, every update a window can accept)."""
+        self.sites, self.sampler = sites, sampler
+        capacity = self.capacity(len(sites))
+        if min_clients is None:
+            return capacity
+        if min_clients > capacity:
+            raise ValueError(
+                f"min_clients={min_clients} can never be met: a window "
+                f"accepts at most {capacity} update(s)")
+        return min_clients
+
+    def capacity(self, n_sites: int) -> int:
+        """Most updates one window can accept (validates the policy's knobs)."""
+        raise NotImplementedError
+
+    def eligible(self, window: int) -> list[str]:
+        """Sites that may be tasked (and are health-monitored) this window."""
+        return list(self.sites)
+
+    def to_task(self, eligible: list[str], in_flight: dict, opening: bool,
+                wave: int) -> list[str]:
+        """Decision 1, asked at window open and before every receive."""
+        raise NotImplementedError
+
+    def full(self, accepted: int) -> bool:
+        """Decision 2: close the window although tasks are still in flight."""
+        return False
+
+    def discount(self, staleness: int) -> float | None:
+        """Decision 4: factor on the update's fold weight; None discards it."""
+        return 1.0
+
+
+class Barrier(CommitPolicy):
+    """The paper's round barrier over ``clients_per_round`` sampled sites
+    (``None`` = every site): task the cohort once, close when nothing of it
+    is in flight, abandon what did not answer."""
+
+    def __init__(self, clients_per_round: int | None = None) -> None:
+        self.clients_per_round = clients_per_round
+
+    def capacity(self, n_sites):
+        if self.clients_per_round is None:
+            return n_sites
+        if not 0 < self.clients_per_round <= n_sites:
+            raise ValueError("clients_per_round must be in [1, len(client_names)]")
+        return self.clients_per_round
+
+    def eligible(self, window):
+        # the sampler hands back everyone when asked for the whole federation
+        return self.sampler.sample(
+            self.sites, self.clients_per_round or len(self.sites), window)
+
+    def to_task(self, eligible, in_flight, opening, wave):
+        return eligible if opening else []
+
+
+class Buffered(CommitPolicy):
+    """FedBuff: commit every ``buffer_size`` accepted updates (K) while up
+    to ``concurrency`` sites (Mc) hold a task.
+
+    ``concurrency`` defaults to ``min(2 * buffer_size, n_sites)`` so the
+    buffer refills while stale stragglers are still training;
+    ``staleness_alpha`` 0 disables the discount; updates more than
+    ``max_staleness`` commits old are dropped (``None`` = fold any).
+    """
+
+    carries_tasks = True
+
+    def __init__(self, buffer_size: int = 4, concurrency: int | None = None,
+                 staleness_alpha: float = 0.5,
+                 max_staleness: int | None = None) -> None:
+        if buffer_size <= 0:
+            raise ValueError("buffer_size must be positive")
+        if staleness_alpha < 0:
+            raise ValueError("staleness_alpha must be non-negative")
+        if max_staleness is not None and max_staleness < 0:
+            raise ValueError("max_staleness must be non-negative")
+        self.buffer_size = buffer_size
+        self.concurrency = concurrency
+        self.staleness_alpha = staleness_alpha
+        self.max_staleness = max_staleness
+        self.span_attrs = {"mode": "async", "buffer_size": buffer_size}
+
+    def capacity(self, n_sites):
+        if self.concurrency is None:
+            self.concurrency = min(2 * self.buffer_size, n_sites)
+        if not 0 < self.concurrency <= n_sites:
+            raise ValueError("concurrency must be in [1, len(client_names)]")
+        return self.buffer_size
+
+    def to_task(self, eligible, in_flight, opening, wave):
+        # one sampler wave per call, so the draw is a pure function of
+        # (seed, wave); unreachable sites never entered ``in_flight``
+        idle = [site for site in eligible if site not in in_flight]
+        want = min(self.concurrency - len(in_flight), len(idle))
+        return self.sampler.sample(idle, want, wave) if want > 0 else []
+
+    def full(self, accepted):
+        return accepted >= self.buffer_size
+
+    def discount(self, staleness):
+        if self.max_staleness is not None and staleness > self.max_staleness:
+            return None
+        return staleness_discount(staleness, self.staleness_alpha)
 
 
 class ScatterAndGather(FLComponent):
@@ -60,7 +196,7 @@ class ScatterAndGather(FLComponent):
     aggregator, shareable_generator, persistor:
         Pluggable workflow components, as in an NVFlare job config.
     num_rounds:
-        E communication rounds.
+        E communication rounds (global commits under :class:`Buffered`).
     evaluator:
         Optional server-side validation run on each new global model; its
         metrics land in the run stats (key ``valid_acc`` drives best-model
@@ -68,28 +204,30 @@ class ScatterAndGather(FLComponent):
     result_filters:
         Server-side task-result filter chain.
     min_clients:
-        Quorum: a round needs at least this many OK results to aggregate.
+        Quorum: a round needs at least this many accepted results to commit.
+    result_timeout:
+        Seconds a round waits for results before closing on what arrived.
     max_failed_rounds:
-        How many *consecutive* under-quorum rounds to tolerate before
-        aborting the run.  The default 0 aborts on the first one (the
-        historical behaviour); with N > 0 an under-quorum round keeps the
-        previous global model, marks the missing sites as dropped and moves
-        on, and only the (N+1)-th consecutive failure raises.
+        *Consecutive* under-quorum rounds tolerated (each keeps the previous
+        global model and moves on) before the next one aborts the run.
+    sampler, sampling_seed:
+        Site selection (repro.flare.sampling); default: seeded uniform draw.
     compression:
-        Optional :class:`CompressionConfig` switching on the wire-efficient
-        path: the server-side decompression filters are prepended to
-        ``result_filters``, the aggregator is pointed at WEIGHT_DIFF when
-        delta encoding is on, broadcasts are fp16-quantized, and — with
-        downlink deltas enabled — each round ships only a versioned diff of
-        the global model to every site that acknowledged the previous one
-        (sites with a stale or unknown model version get the full weights).
+        Optional :class:`CompressionConfig`: its server-side decompression
+        filters are prepended to ``result_filters``, the aggregator is
+        pointed at WEIGHT_DIFF when delta encoding is on, and the
+        :class:`Downlink` ships fp16 / versioned-delta payloads.
     health:
-        Optional :class:`~repro.obs.health.HealthMonitor` evaluating every
-        round as it completes: per-client update diagnostics, anomaly
-        alerts (surfaced on ``RunStats.alerts`` and ``health.jsonl``), a
-        per-round status line through the console logger, and — when the
-        monitor's quarantine policy is armed — exclusion of persistently
-        diverging clients from aggregation for a few rounds.
+        Optional :class:`~repro.obs.health.HealthMonitor` fed every update
+        and round: diagnostics and alerts (``RunStats.alerts``,
+        ``health.jsonl``), a per-round status line, and — when its
+        quarantine policy is armed — exclusion of persistently diverging
+        clients from aggregation for a few rounds.
+    policy:
+        The :class:`CommitPolicy`; default ``Barrier()`` over every site.
+    listeners:
+        Components handed every lifecycle event after the controller itself;
+        an exception raised by one aborts the run.
     """
 
     def __init__(self, server: FLServer, client_names: list[str],
@@ -101,13 +239,14 @@ class ScatterAndGather(FLComponent):
                  evaluator: Evaluator | None = None,
                  result_filters: list[DXOFilter] | None = None,
                  min_clients: int | None = None,
-                 clients_per_round: int | None = None,
                  result_timeout: float = 600.0,
                  max_failed_rounds: int = 0,
                  sampling_seed: int = 0,
                  sampler: ClientSampler | None = None,
                  compression: CompressionConfig | None = None,
-                 health: HealthMonitor | None = None) -> None:
+                 health: HealthMonitor | None = None,
+                 policy: CommitPolicy | None = None,
+                 listeners: list[FLComponent] | None = None) -> None:
         super().__init__(name="ScatterAndGather")
         if num_rounds <= 0:
             raise ValueError("num_rounds must be positive")
@@ -125,38 +264,19 @@ class ScatterAndGather(FLComponent):
         self.num_rounds = num_rounds
         self.evaluator = evaluator
         self.result_filters = list(result_filters or [])
-        if clients_per_round is not None and not 0 < clients_per_round <= len(client_names):
-            raise ValueError("clients_per_round must be in [1, len(client_names)]")
-        self.clients_per_round = clients_per_round
         self.result_timeout = result_timeout
-        # Pluggable per-round cohort selection (repro.flare.sampling); the
-        # default reproduces the historical seeded uniform draw.
-        self.sampler = sampler if sampler is not None \
-            else UniformSampler(seed=sampling_seed)
-        default_min = clients_per_round if clients_per_round is not None else len(client_names)
-        self.min_clients = min_clients if min_clients is not None else default_min
-        if clients_per_round is not None and self.min_clients > clients_per_round:
-            raise ValueError(
-                f"min_clients={self.min_clients} can never be met when only "
-                f"clients_per_round={clients_per_round} site(s) are tasked")
         self.max_failed_rounds = max_failed_rounds
-        self._under_quorum_streak = 0
-        self.compression = compression
+        self.policy = policy if policy is not None else Barrier()
+        self.min_clients = self.policy.bind(
+            self.client_names,
+            sampler if sampler is not None else UniformSampler(seed=sampling_seed),
+            min_clients)
+        self.listeners = list(listeners or [])
         if compression is not None:
             self.result_filters = (compression.server_result_filters()
                                    + self.result_filters)
             compression.adapt_aggregator(self.aggregator)
-        # Downlink-delta bookkeeping: the model (and version) each client is
-        # known to hold, plus the last broadcast global to diff against.
-        self._downlink_delta = bool(compression is not None and compression.delta
-                                    and compression.downlink_delta)
-        self._last_broadcast: dict[str, np.ndarray] | None = None
-        self._broadcast_version = -1
-        self._client_version: dict[str, int] = {}
-        # Error feedback for sparsified downlink deltas: the part of each
-        # round's delta that top-k truncation did not ship, carried into the
-        # next round so every coordinate is eventually delivered.
-        self._downlink_residual: dict[str, np.ndarray] = {}
+        self.downlink = Downlink(compression, self.shareable_generator)
         self.health = health
         self.stats = RunStats()
         # Bounded-materialization instrumentation: every decoded client
@@ -164,148 +284,246 @@ class ScatterAndGather(FLComponent):
         # stash); the run's high-water mark lands on the stats.
         self.materialization = MaterializationTracker()
         self.aggregator.tracker = self.materialization
+        self._under_quorum_streak = 0
+        self._version = 0   # commits so far
+        self._wave = 0      # dispatch waves so far (sampler + downlink key)
+        self._in_flight: dict[str, _InFlight] = {}
+
+    def fire_event(self, event_type: str, fl_ctx: FLContext,
+                   targets: list[FLComponent] | None = None) -> None:
+        super().fire_event(event_type, fl_ctx,
+                           targets if targets is not None
+                           else [self, *self.listeners])
 
     # ------------------------------------------------------------------
     def run(self) -> RunStats:
         """Execute all rounds; returns the collected statistics."""
         fl_ctx = self.server.fl_ctx
         self.fire_event(EventType.START_RUN, fl_ctx)
-        for round_number in range(self.num_rounds):
-            with obs_trace.span("round", round=round_number) as round_span:
-                self._run_round(round_number, fl_ctx)
-                last = self.stats.rounds[-1] if self.stats.rounds else None
-                if last is not None and last.round_number == round_number:
-                    round_span.set_attr("quorum_met", last.quorum_met)
-                    round_span.set_attr("n_clients", len(last.client_records))
+        for window in range(self.num_rounds):
+            # One span name under every policy, so round-oriented consumers
+            # (tail, dashboard, trace export) need no mode switch.
+            with obs_trace.span("round", round=window,
+                                **self.policy.span_attrs) as span:
+                self._run_window(window, fl_ctx, span)
+        self._drain_in_flight()
         self.fire_event(EventType.END_RUN, fl_ctx)
-        self.stats.messages_delivered = self.server.bus.delivered_count
-        self.stats.bytes_delivered = self.server.bus.delivered_bytes
-        self.stats.retries = self.server.bus.retry_count
-        self.stats.duplicates_dropped = self.server.bus.duplicates_dropped
+        bus = self.server.bus
+        self.stats.messages_delivered = bus.delivered_count
+        self.stats.bytes_delivered = bus.delivered_bytes
+        self.stats.retries = bus.retry_count
+        self.stats.duplicates_dropped = bus.duplicates_dropped
         self.stats.peak_materialized_updates = self.materialization.peak
         return self.stats
 
     # ------------------------------------------------------------------
-    def _run_round(self, round_number: int, fl_ctx) -> None:
-        round_started = time.perf_counter()
-        self.log_info("Round %d started.", round_number)
-        fl_ctx.set_prop(ReservedKey.CURRENT_ROUND, round_number)
-        fl_ctx.set_prop("current_round", round_number)
-        self.fire_event(EventType.ROUND_STARTED, fl_ctx)
-
-        if self.clients_per_round is not None and self.clients_per_round < len(self.client_names):
-            participants = self.sampler.sample(self.client_names,
-                                               self.clients_per_round,
-                                               round_number)
-            self.log_info("sampled %d/%d clients for round %d: %s",
-                          len(participants), len(self.client_names), round_number,
-                          format_names(participants))
-        else:
-            participants = list(self.client_names)
-
+    def _run_window(self, window: int, fl_ctx: FLContext, span) -> None:
+        """Fill one commit window and (quorum permitting) commit the global."""
+        started = time.perf_counter()
         bytes_before = self.server.bus.delivered_bytes
-        task, overrides = self._build_round_tasks(participants, round_number, fl_ctx)
-        if self.health is not None:
-            # Reference = exactly what this round broadcasts (post fp16/delta
-            # canonicalization), so client updates are measured against it.
-            self.health.begin_round(round_number, participants,
-                                    reference=self.global_weights)
-        broadcast_started = time.perf_counter()
-        unreachable = self.server.broadcast_task(TaskName.TRAIN, task, participants,
-                                                 overrides=overrides)
-        if unreachable:
-            self.log_warning("round %d: %d site(s) unreachable at broadcast: %s",
-                             round_number, len(unreachable),
-                             format_names(unreachable))
-        self.fire_event(EventType.TASKS_BROADCAST, fl_ctx)
+        self.log_info("Round %d started.", window)
+        fl_ctx.set_prop(ReservedKey.CURRENT_ROUND, window)
+        fl_ctx.set_prop("current_round", window)
+        self.fire_event(EventType.ROUND_STARTED, fl_ctx)
+        eligible = self.policy.eligible(window)
+        if len(eligible) < len(self.client_names):
+            self.log_info("sampled %d/%d clients for round %d: %s",
+                          len(eligible), len(self.client_names), window,
+                          format_names(eligible))
 
-        record = RoundRecord(round_number=round_number)
+        record = RoundRecord(round_number=window)
         self.aggregator.reset()
         accepted = 0
+        answered: set[str] = set()
         contributors: set[str] = set()
-        expected = len(participants) - len(unreachable)
+        self._dispatch(eligible, True, window, fl_ctx)
+        if self.health is not None:
+            # Reference = exactly what this window first broadcast (post
+            # fp16/delta canonicalization), so client updates are measured
+            # against it.
+            self.health.begin_round(window, eligible,
+                                    reference=self.global_weights)
+        deadline = time.monotonic() + self.result_timeout
         # Streaming aggregation: each reply is decoded, filtered and folded
         # into the aggregator's running sums the moment it arrives, then its
         # blob goes out of scope — the server holds O(1) model copies at any
         # time instead of buffering every client's full state dict.
-        for sender, reply in self.server.iter_results(expected,
-                                                      timeout=self.result_timeout):
-            if reply.return_code != ReturnCode.OK:
-                if reply.return_code == ReturnCode.EXECUTION_EXCEPTION:
-                    # the client decoded (and applied) the task data before
-                    # its training failed, so its model cache is current
-                    self._client_version[sender] = self._broadcast_version
-                self.log_warning("client %s returned %s; skipping its update",
-                                 sender, reply.return_code)
+        while self._in_flight:
+            result = self.server.next_result(timeout=deadline - time.monotonic())
+            if result is None:
+                self.log_warning(
+                    "round %d: %d task(s) unanswered at the %.1fs deadline",
+                    window, len(self._in_flight), self.result_timeout)
+                break
+            sender, reply = result
+            entry = self._in_flight.get(sender)
+            if entry is None or \
+                    reply.get_header(ReservedKey.ROUND_NUMBER) != entry.window:
+                # answers a task an earlier window abandoned: it trained on
+                # an older global and must not count toward this quorum
+                obs_metrics.counter("federation.late_results").inc()
+                self.log_warning("late result from %s discarded", sender)
                 continue
-            self._client_version[sender] = self._broadcast_version
-            dxo = to_dxo(reply)
-            del reply
-            self.materialization.acquire()  # decoded update is now live
-            for result_filter in self.result_filters:
-                with obs_trace.span("filter", stage="server_result",
-                                    filter=type(result_filter).__name__,
-                                    client=sender):
-                    dxo = result_filter.process(dxo, fl_ctx)
-            self.log_info("Contribution from %s received.", sender)
-            if self.health is not None:
-                self.health.record_update(
-                    sender, dxo.data, data_kind=dxo.data_kind, meta=dxo.meta,
-                    latency_seconds=time.perf_counter() - broadcast_started)
-            if self.health is not None and self.health.is_quarantined(
-                    sender, round_number):
-                # Responded fine but is serving a quarantine window: its
-                # diagnostics are recorded, its update is not aggregated and
-                # it is not counted toward quorum.
-                contributors.add(sender)
-                self.log_warning("client %s is quarantined; excluding its "
-                                 "update from aggregation", sender)
-            elif self.aggregator.accept(dxo, sender, fl_ctx):
+            del self._in_flight[sender]
+            answered.add(sender)
+            if self._admit(sender, reply, entry, record, contributors, fl_ctx):
                 accepted += 1
-                contributors.add(sender)
-            record.client_records.append(ClientRoundRecord(
-                client=sender,
-                round_number=round_number,
-                train_loss=float(dxo.get_meta_prop("train_loss", float("nan"))),
-                valid_acc=float(dxo.get_meta_prop("valid_acc", float("nan"))),
-                num_steps=int(dxo.get_meta_prop(MetaKey.NUM_STEPS_CURRENT_ROUND, 0)),
-                seconds=float(dxo.get_meta_prop("train_seconds", 0.0)),
-            ))
-            del dxo
-            self.materialization.release()  # folded (or stash-accounted)
-        record.dropped_clients = sorted(set(participants) - contributors)
+                if self.policy.full(accepted):
+                    break
+            self._dispatch(eligible, False, window, fl_ctx)
+
+        if self.policy.carries_tasks:
+            abandoned: set[str] = set()
+        else:
+            abandoned = set(eligible) - answered
+            self._in_flight.clear()
+        record.dropped_clients = sorted((answered | abandoned) - contributors)
         if record.dropped_clients:
-            obs_metrics.counter("federation.dropped_clients").inc(len(record.dropped_clients))
-            self.log_warning("round %d: dropped site(s): %s", round_number,
+            obs_metrics.counter("federation.dropped_clients").inc(
+                len(record.dropped_clients))
+            self.log_warning("round %d: dropped site(s): %s", window,
                              format_names(record.dropped_clients))
 
         obs_metrics.counter("federation.rounds").inc()
-        if accepted < self.min_clients:
+        record.quorum_met = accepted >= self.min_clients
+        if record.quorum_met:
+            self._under_quorum_streak = 0
+            self._commit(record, fl_ctx)
+        else:
             obs_metrics.counter("federation.under_quorum_rounds").inc()
             self._under_quorum_streak += 1
-            record.quorum_met = False
-            record.seconds = time.perf_counter() - round_started
-            record.bytes_on_wire = self.server.bus.delivered_bytes - bytes_before
-            obs_metrics.histogram("federation.round_seconds").observe(record.seconds)
-            obs_metrics.histogram("federation.round_bytes",
-                                  buckets=_BYTE_BUCKETS).observe(record.bytes_on_wire)
-            self.stats.add_round(record)
-            self._finish_health_round(record)
+
+        record.seconds = time.perf_counter() - started
+        record.bytes_on_wire = self.server.bus.delivered_bytes - bytes_before
+        obs_metrics.histogram("federation.round_seconds").observe(record.seconds)
+        obs_metrics.histogram("federation.round_bytes",
+                              buckets=_BYTE_BUCKETS).observe(record.bytes_on_wire)
+        self.stats.add_round(record)
+        if self.health is not None:
+            round_health, alerts = self.health.end_round(
+                seconds=record.seconds,
+                bytes_on_wire=record.bytes_on_wire,
+                quorum_met=record.quorum_met,
+                global_metrics=record.global_metrics,
+                # Under quorum the global model did not move; passing no new
+                # global keeps the aggregate-update norm/cosines undefined.
+                new_global=self.global_weights if record.quorum_met else None)
+            record.quarantined_clients = list(round_health.quarantined)
+            self.stats.alerts.extend(alerts)
+            self.log_info("%s", self.health.status_line(round_health, alerts))
+        span.set_attr("version", self._version)
+        span.set_attr("accepted", accepted)
+        span.set_attr("quorum_met", record.quorum_met)
+        span.set_attr("n_clients", len(record.client_records))
+        span.set_attr("staleness_max", max(
+            (client.staleness for client in record.client_records), default=0))
+
+        if not record.quorum_met:
             if self._under_quorum_streak > self.max_failed_rounds:
                 raise RuntimeError(
-                    f"round {round_number}: only {accepted} usable results "
+                    f"round {window}: only {accepted} usable results "
                     f"(min_clients={self.min_clients}) after "
                     f"{self._under_quorum_streak} consecutive under-quorum round(s)")
             self.log_warning(
                 "round %d: under quorum (%d/%d); keeping previous global model "
-                "(%d/%d tolerated failures)", round_number, accepted,
+                "(%d/%d tolerated failures)", window, accepted,
                 self.min_clients, self._under_quorum_streak, self.max_failed_rounds)
-            self.fire_event(EventType.ROUND_DONE, fl_ctx)
-            return
-        self._under_quorum_streak = 0
+        else:
+            self.log_info("Round %d finished.", window)
+        self.fire_event(EventType.ROUND_DONE, fl_ctx)
 
+    # ------------------------------------------------------------------
+    def _dispatch(self, eligible: list[str], opening: bool, window: int,
+                  fl_ctx: FLContext) -> None:
+        """Task whomever the policy names with the current global (one
+        dispatch wave)."""
+        targets = self.policy.to_task(eligible, self._in_flight, opening,
+                                      self._wave)
+        if not targets:
+            return
+        headers = {ReservedKey.ROUND_NUMBER: window,
+                   ReservedKey.TOTAL_ROUNDS: self.num_rounds}
+        self.global_weights, task, overrides = self.downlink.build(
+            self.global_weights, targets, self._wave, headers, fl_ctx)
+        clock = time.perf_counter()
+        unreachable = self.server.broadcast_task(TaskName.TRAIN, task, targets,
+                                                 overrides=overrides)
+        for site in set(targets).difference(unreachable):
+            self._in_flight[site] = _InFlight(window, self._version, clock)
+        if unreachable:
+            self.log_warning("round %d: %d site(s) unreachable at broadcast: %s",
+                             window, len(unreachable), format_names(unreachable))
+        self._wave += 1
+        # the sequential drive (threads=False) runs tasked clients off this
+        # event, so every wave must fire it — not just round boundaries
+        self.fire_event(EventType.TASKS_BROADCAST, fl_ctx)
+
+    def _admit(self, sender: str, reply: Shareable, entry: _InFlight,
+               record: RoundRecord, contributors: set[str],
+               fl_ctx: FLContext) -> bool:
+        """The admission pipeline for one on-time reply; True if folded."""
+        if reply.return_code in (ReturnCode.OK, ReturnCode.EXECUTION_EXCEPTION):
+            # even a client whose training failed decoded (and applied) the
+            # task data first, so its model cache is current
+            self.downlink.ack(sender)
+        if reply.return_code != ReturnCode.OK:
+            self.log_warning("client %s returned %s; skipping its update",
+                             sender, reply.return_code)
+            return False
+        dxo = to_dxo(reply)
+        del reply
+        self.materialization.acquire()  # decoded update is now live
+        for result_filter in self.result_filters:
+            with obs_trace.span("filter", stage="server_result",
+                                filter=type(result_filter).__name__,
+                                client=sender):
+                dxo = result_filter.process(dxo, fl_ctx)
+        self.log_info("Contribution from %s received.", sender)
+        steps = int(dxo.get_meta_prop(MetaKey.NUM_STEPS_CURRENT_ROUND, 0))
+        if self.health is not None:
+            self.health.record_update(
+                sender, dxo.data, data_kind=dxo.data_kind, meta=dxo.meta,
+                latency_seconds=time.perf_counter() - entry.clock)
+        staleness = self._version - entry.version
+        obs_metrics.histogram("federation.staleness").observe(staleness)
+        discount = self.policy.discount(staleness)
+        folded = False
+        if discount is None:
+            self.log_warning("update from %s is %d commit(s) stale; discarded",
+                             sender, staleness)
+        elif self.health is not None and self.health.is_quarantined(
+                sender, record.round_number):
+            # Responded fine but is serving a quarantine window: its
+            # diagnostics are recorded, its update is not aggregated and
+            # it is not counted toward quorum.
+            contributors.add(sender)
+            self.log_warning("client %s is quarantined; excluding its "
+                             "update from aggregation", sender)
+        else:
+            if discount != 1.0:
+                dxo.set_meta_prop(MetaKey.NUM_STEPS_CURRENT_ROUND, float(
+                    dxo.get_meta_prop(MetaKey.NUM_STEPS_CURRENT_ROUND, 1.0))
+                    * discount)
+            folded = self.aggregator.accept(dxo, sender, fl_ctx)
+            if folded:
+                contributors.add(sender)
+        record.client_records.append(ClientRoundRecord(
+            client=sender,
+            round_number=record.round_number,
+            train_loss=float(dxo.get_meta_prop("train_loss", float("nan"))),
+            valid_acc=float(dxo.get_meta_prop("valid_acc", float("nan"))),
+            num_steps=steps,
+            seconds=float(dxo.get_meta_prop("train_seconds", 0.0)),
+            staleness=staleness,
+        ))
+        del dxo
+        self.materialization.release()  # folded, stash-accounted or discarded
+        return folded
+
+    def _commit(self, record: RoundRecord, fl_ctx: FLContext) -> None:
+        """Aggregate the window into the next global; evaluate and persist."""
         self.fire_event(EventType.BEFORE_AGGREGATION, fl_ctx)
-        with obs_trace.span("aggregate", round=round_number):
+        with obs_trace.span("aggregate", round=record.round_number):
             aggregation_started = time.perf_counter()
             aggregated = self.aggregator.aggregate(fl_ctx)
             obs_metrics.histogram("federation.aggregation_seconds").observe(
@@ -313,169 +531,24 @@ class ScatterAndGather(FLComponent):
         self.log_info("End aggregation.")
         self.global_weights = self.shareable_generator.dxo_to_learnable(
             aggregated, self.global_weights)
+        self._version += 1
         self.fire_event(EventType.AFTER_AGGREGATION, fl_ctx)
-
         if self.evaluator is not None:
             record.global_metrics = dict(self.evaluator(self.global_weights))
         if self.persistor is not None:
             self.persistor.save(self.global_weights, fl_ctx,
                                 metric=record.global_metrics.get("valid_acc"))
-        record.seconds = time.perf_counter() - round_started
-        record.bytes_on_wire = self.server.bus.delivered_bytes - bytes_before
-        obs_metrics.histogram("federation.round_seconds").observe(record.seconds)
-        obs_metrics.histogram("federation.round_bytes",
-                              buckets=_BYTE_BUCKETS).observe(record.bytes_on_wire)
-        self.stats.add_round(record)
-        self._finish_health_round(record)
-        self.log_info("Round %d finished.", round_number)
-        self.fire_event(EventType.ROUND_DONE, fl_ctx)
 
-    # ------------------------------------------------------------------
-    def _finish_health_round(self, record: RoundRecord) -> None:
-        """Close the health monitor's round and surface its verdicts."""
-        if self.health is None:
-            return
-        round_health, alerts = self.health.end_round(
-            seconds=record.seconds,
-            bytes_on_wire=record.bytes_on_wire,
-            quorum_met=record.quorum_met,
-            global_metrics=record.global_metrics,
-            # Under quorum the global model did not move; passing no new
-            # global keeps the aggregate-update norm/cosines undefined.
-            new_global=self.global_weights if record.quorum_met else None)
-        record.quarantined_clients = list(round_health.quarantined)
-        self.stats.alerts.extend(alerts)
-        self.log_info("%s", self.health.status_line(round_health, alerts))
-
-    # ------------------------------------------------------------------
-    # downlink payload construction
-    # ------------------------------------------------------------------
-    def _build_round_tasks(self, participants: list[str], round_number: int,
-                           fl_ctx) -> tuple[Shareable, dict[str, Shareable] | None]:
-        """Build the round's task payload(s).
-
-        Without compression this is the historical path: one full-model
-        shareable for everyone.  With compression, the broadcast global is
-        (optionally) rounded through fp16 — making the canonical model
-        bit-identical on both ends of the wire — and, once a baseline has
-        been established, sites that acknowledged the previous broadcast
-        receive a small versioned WEIGHT_DIFF while stale or unknown sites
-        get the full weights.
-        """
-        if self.compression is None:
-            task = self.shareable_generator.learnable_to_shareable(
-                self.global_weights, fl_ctx)
-            task.set_header(ReservedKey.ROUND_NUMBER, round_number)
-            task.set_header(ReservedKey.TOTAL_ROUNDS, self.num_rounds)
-            return task, None
-
-        if self.compression.float16:
-            # Quantize the canonical global once per round so the base the
-            # clients diff against is exactly the model the server holds;
-            # idempotent, so unchanged (under-quorum) models are stable.
-            self.global_weights = {
-                key: value.astype(np.float16).astype(value.dtype)
-                if value.dtype in (np.float32, np.float64) else value
-                for key, value in ((k, np.asarray(v))
-                                   for k, v in self.global_weights.items())}
-
-        version = round_number
-        synced: list[str] = []
-        if (self._downlink_delta and self._last_broadcast is not None
-                and set(self._last_broadcast) == set(self.global_weights)):
-            synced = [client for client in participants
-                      if self._client_version.get(client) == self._broadcast_version]
-        payloads: dict[str, DXO] = {}
-        if synced:
-            delta = {key: diff_tensors(self.global_weights[key],
-                                       self._last_broadcast[key])
-                     for key in self.global_weights}
-            meta = {MetaKey.MODEL_VERSION: version,
-                    MetaKey.BASE_VERSION: self._broadcast_version}
-            payloads["delta"] = self._encode_downlink_delta(delta, meta, fl_ctx)
-        # built after any error-feedback truncation, so full-broadcast sites
-        # receive exactly the model the delta sites reconstruct
-        payloads["full"] = DXO(data_kind=DataKind.WEIGHTS,
-                               data=self.global_weights,
-                               meta={MetaKey.MODEL_VERSION: version})
-
-        encoded: dict[str, Shareable] = {}
-        for kind, dxo in payloads.items():
-            for task_filter in self.compression.downlink_task_filters():
-                with obs_trace.span("filter", stage="downlink",
-                                    filter=type(task_filter).__name__):
-                    dxo = task_filter.process(dxo, fl_ctx)
-            shareable = from_dxo(dxo)
-            shareable.set_header(ReservedKey.ROUND_NUMBER, round_number)
-            shareable.set_header(ReservedKey.TOTAL_ROUNDS, self.num_rounds)
-            encoded[kind] = shareable
-        if synced:
-            self.log_info(
-                "round %d: delta broadcast to %d/%d site(s), full model to the rest",
-                round_number, len(synced), len(participants))
-
-        if self._downlink_delta:
-            # base for the next round's diff: what this round put on the wire
-            # (dxo_to_learnable always builds fresh arrays, so references are
-            # stable across the coming aggregation)
-            self._last_broadcast = {key: np.asarray(value)
-                                    for key, value in self.global_weights.items()}
-        self._broadcast_version = version
-        overrides = ({client: encoded["delta"] for client in synced}
-                     if synced else None)
-        return encoded["full"], overrides
-
-    def _encode_downlink_delta(self, delta: dict[str, np.ndarray], meta: dict,
-                               fl_ctx) -> DXO:
-        """Build the delta payload, keeping server and clients bit-identical.
-
-        The payload — exactly as the clients will reconstruct it after
-        dequantization/densification — also becomes the canonical global
-        model, rebuilt with the same ``base + shipped`` arithmetic the
-        clients run, so every synced site and the server hold the same
-        weights bit for bit.  (Even the lossless f32 path needs this:
-        ``base + (g - base)`` can differ from ``g`` by an ulp.)  Whatever the
-        truncation/rounding did not deliver is carried in
-        ``_downlink_residual`` into the next round's delta: no update is
-        lost, only deferred.
-        """
-        for key, remainder in self._downlink_residual.items():
-            if key in delta and delta[key].dtype.kind == "f":
-                delta[key] = delta[key] + remainder
-        if self.compression.top_k:
-            dense = DXO(data_kind=DataKind.WEIGHT_DIFF, data=delta,
-                        meta=dict(meta))
-            payload = TopKSparsify(ratio=self.compression.top_k).process(
-                dense, fl_ctx)
-            if self.compression.float16:
-                # round the shipped values through fp16 up front so the
-                # canonical model matches what the wire actually delivers
-                payload = Float16Quantize().process(payload, fl_ctx)
-                shipped = TopKDensify().process(
-                    Float16Dequantize().process(payload, fl_ctx), fl_ctx).data
-            else:
-                shipped = TopKDensify().process(payload, fl_ctx).data
-        elif self.compression.float16:
-            # dense fp16 delta: the difference of two fp16-representable
-            # models need not be fp16-representable, so pre-round it and
-            # account the rounding in the residual
-            shipped = {key: value.astype(np.float16).astype(value.dtype)
-                       if value.dtype in (np.float32, np.float64) else value
-                       for key, value in delta.items()}
-            payload = DXO(data_kind=DataKind.WEIGHT_DIFF, data=shipped,
-                          meta=dict(meta))
-        else:
-            shipped = delta
-            payload = DXO(data_kind=DataKind.WEIGHT_DIFF, data=delta,
-                          meta=dict(meta))
-        target = self.global_weights
-        # same expression DeltaDecode evaluates, so the result is bit-equal
-        self.global_weights = {
-            key: (np.asarray(self._last_broadcast[key]) + np.asarray(shipped[key]))
-            .astype(np.asarray(target[key]).dtype, copy=False)
-            for key in target}
-        self._downlink_residual = {
-            key: delta[key] - diff_tensors(self.global_weights[key],
-                                           self._last_broadcast[key])
-            for key in delta if delta[key].dtype.kind == "f"}
-        return payload
+    def _drain_in_flight(self) -> None:
+        """Consume the replies to tasks a carrying policy left outstanding,
+        so the server inbox does not leak into whatever runs on this bus
+        next.  Under the sequential drive every reply is already queued, so
+        the drain is instant."""
+        deadline = time.monotonic() + min(self.result_timeout, 5.0)
+        while self._in_flight:
+            result = self.server.next_result(timeout=deadline - time.monotonic())
+            if result is None:
+                self.log_warning("run done: %d in-flight task(s) never answered",
+                                 len(self._in_flight))
+                break
+            self._in_flight.pop(result[0], None)

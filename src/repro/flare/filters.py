@@ -207,7 +207,7 @@ class DeltaDecode(DXOFilter):
 
     The controller broadcasts the full global model once, then versioned
     WEIGHT_DIFF payloads against the last model this client acknowledged
-    (see ``ScatterAndGather``'s downlink bookkeeping).  One instance per
+    (see :class:`~repro.flare.downlink.Downlink`).  One instance per
     client: it caches the reconstructed model between rounds.  A diff whose
     base version does not match the cache (e.g. a delayed, reordered task
     off a faulty bus) raises :class:`ValueError`, which the client surfaces

@@ -65,12 +65,13 @@ class FLJob:
         or ``None`` to let ``SimulatorRunner`` decide (its own
         ``transport=`` argument overrides this).
     mode:
-        ``"sync"`` runs the round-barrier :class:`ScatterAndGather`
-        workflow; ``"async"`` runs the FedBuff-style buffered
-        :class:`AsyncScatterAndGather`, where ``num_rounds`` counts global
-        commits and the ``buffer_size`` / ``concurrency`` /
-        ``staleness_alpha`` / ``max_staleness`` knobs below apply.
-        Async mode is incompatible with ``compression``.
+        Which commit policy :class:`ScatterAndGather` runs under:
+        ``"sync"`` is the paper's round barrier (:class:`Barrier`);
+        ``"async"`` is FedBuff-style buffered aggregation
+        (:class:`Buffered`), where ``num_rounds`` counts global commits
+        and the ``buffer_size`` / ``concurrency`` / ``staleness_alpha`` /
+        ``max_staleness`` knobs below apply.  Every fabric and
+        ``compression`` setting works under both.
     clients_per_round:
         Sync mode: how many sites to task per round (``None`` = all).
     sampler:
@@ -84,7 +85,7 @@ class FLJob:
         Seed for spec-string samplers (ignored when ``sampler`` is an
         instance, which carries its own seed).
     buffer_size / concurrency / staleness_alpha / max_staleness:
-        Async-mode knobs, passed to :class:`AsyncScatterAndGather`.
+        Async-mode knobs, passed to :class:`Buffered`.
     """
 
     name: str
@@ -119,9 +120,6 @@ class FLJob:
                              f"'shm', got {self.transport!r}")
         if self.mode not in ("sync", "async"):
             raise ValueError(f"mode must be 'sync' or 'async', got {self.mode!r}")
-        if self.mode == "async" and self.compression is not None:
-            raise ValueError("async mode is incompatible with wire compression "
-                             "(the buffered fold has no per-round delta baseline)")
         if self.buffer_size <= 0:
             raise ValueError("buffer_size must be positive")
         if self.num_rounds <= 0:

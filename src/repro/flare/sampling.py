@@ -18,7 +18,7 @@ FedBuff/FedScale literature calls it the participation schedule).  The
 Every sampler is a pure function of ``(seed, round_number)``: the per-round
 RNG is re-derived from both, so sampling is deterministic, independent of
 call history, and bit-reproducible across re-runs and resumed jobs —
-required by the async controller's reproducibility gate.
+required by the buffered policy's reproducibility gate.
 """
 
 from __future__ import annotations

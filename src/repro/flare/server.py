@@ -155,11 +155,12 @@ class FLServer(FLComponent):
     def next_result(self, timeout: float = 600.0) -> tuple[str, Shareable] | None:
         """Receive the next verified task result, or ``None`` on timeout.
 
-        The single receive path shared by the synchronous round loop
-        (:meth:`iter_results`) and the async controller's streaming fold:
-        corrupted messages (HMAC failures) are logged and skipped, and
-        streamed worker telemetry deltas are routed to ``telemetry_sink``
-        instead of being mistaken for a round contribution.
+        The server's single receive path (the round engine streams from it,
+        :meth:`collect_results` buffers it): corrupted messages (HMAC
+        failures) are logged and skipped, and streamed worker telemetry
+        deltas are routed to ``telemetry_sink`` instead of being mistaken
+        for a round contribution.  Each returned Shareable still carries its
+        own per-client return code for the caller to judge.
         """
         deadline = time.monotonic() + timeout
         while True:
@@ -181,40 +182,25 @@ class FLServer(FLComponent):
                 continue
             return sender, shareable
 
-    def iter_results(self, expected: int, timeout: float = 600.0):
-        """Yield up to ``expected`` task results as they arrive.
-
-        The streaming half of the wire path: each ``(sender, shareable)``
-        pair is handed to the caller the moment it is received and verified,
-        so the caller can fold it into a running aggregate and drop the blob
-        — the server never buffers a round's worth of model payloads.
-
-        Stops early (without raising) when ``timeout`` expires, so results
-        received before a late deadline are never lost.  Corrupted messages
-        (HMAC failures) are logged and skipped without aborting the wait;
-        each yielded Shareable still carries its own per-client return code
-        for the caller to judge.
-        """
-        yielded = 0
-        deadline = time.monotonic() + timeout
-        while yielded < expected:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                break
-            result = self.next_result(timeout=remaining)
-            if result is None:
-                break
-            yielded += 1
-            yield result
-        if yielded < expected:
-            self.log_warning("collected %d/%d result(s) before the %.1fs deadline",
-                             yielded, expected, timeout)
-
     def collect_results(self, expected: int, timeout: float = 600.0
                         ) -> list[tuple[str, Shareable]]:
-        """Buffered variant of :meth:`iter_results` (kept for callers that
-        genuinely need the whole round in memory, e.g. cross-site eval)."""
-        return list(self.iter_results(expected, timeout=timeout))
+        """Buffer up to ``expected`` task results (for callers that need a
+        whole fan-out in memory, e.g. cross-site eval).
+
+        Stops early (without raising) when ``timeout`` expires, so results
+        received before a late deadline are never lost.
+        """
+        results: list[tuple[str, Shareable]] = []
+        deadline = time.monotonic() + timeout
+        while len(results) < expected:
+            result = self.next_result(timeout=deadline - time.monotonic())
+            if result is None:
+                self.log_warning(
+                    "collected %d/%d result(s) before the %.1fs deadline",
+                    len(results), expected, timeout)
+                break
+            results.append(result)
+        return results
 
     def stop_clients(self, targets: list[str]) -> None:
         """Best-effort shutdown fan-out; unreachable sites are only logged."""

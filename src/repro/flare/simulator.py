@@ -20,11 +20,11 @@ import numpy as np
 from ..obs.health import HealthMonitor
 from ..obs.session import TelemetrySession, _sysmon_interval
 from . import codec as wire_codec_module
-from .async_controller import AsyncScatterAndGather
 from .client import FederatedClient
-from .controller import ScatterAndGather
+from .constants import EventType
+from .controller import Barrier, Buffered, ScatterAndGather
 from .dxo import set_wire_codec
-from .events import LogCapture
+from .events import FLComponent, LogCapture
 from .faults import FaultPlan, FaultyMessageBus
 from .filters import CompressionConfig
 from .fl_context import FLContext
@@ -274,57 +274,36 @@ class SimulatorRunner:
                                site_sizes=self.job.site_sizes,
                                seed=self.job.sampling_seed)
         if self.job.mode == "async":
-            if self.compression is not None:
-                raise ValueError("async mode is incompatible with wire "
-                                 "compression")
-            controller: ScatterAndGather | AsyncScatterAndGather = \
-                AsyncScatterAndGather(
-                    server=server,
-                    client_names=client_names,
-                    initial_weights=self.job.initial_weights,
-                    aggregator=self.job.aggregator_factory(),
-                    persistor=persistor,
-                    num_rounds=self.job.num_rounds,
-                    buffer_size=self.job.buffer_size,
-                    concurrency=self.job.concurrency,
-                    staleness_alpha=self.job.staleness_alpha,
-                    max_staleness=self.job.max_staleness,
-                    evaluator=self.job.evaluator,
-                    result_filters=self.job.server_result_filters,
-                    min_clients=self.job.min_clients,
-                    result_timeout=self.job.result_timeout,
-                    max_failed_rounds=self.job.max_failed_rounds,
-                    sampling_seed=self.job.sampling_seed,
-                    sampler=sampler,
-                    health=monitor,
-                )
+            policy = Buffered(self.job.buffer_size, self.job.concurrency,
+                              self.job.staleness_alpha, self.job.max_staleness)
         else:
-            controller = ScatterAndGather(
-                server=server,
-                client_names=client_names,
-                initial_weights=self.job.initial_weights,
-                aggregator=self.job.aggregator_factory(),
-                persistor=persistor,
-                num_rounds=self.job.num_rounds,
-                evaluator=self.job.evaluator,
-                result_filters=self.job.server_result_filters,
-                min_clients=self.job.min_clients,
-                clients_per_round=self.job.clients_per_round,
-                result_timeout=self.job.result_timeout,
-                max_failed_rounds=self.job.max_failed_rounds,
-                sampling_seed=self.job.sampling_seed,
-                sampler=sampler,
-                compression=self.compression,
-                health=monitor,
-            )
+            policy = Barrier(self.job.clients_per_round)
+        controller = ScatterAndGather(
+            server=server,
+            client_names=client_names,
+            initial_weights=self.job.initial_weights,
+            aggregator=self.job.aggregator_factory(),
+            persistor=persistor,
+            num_rounds=self.job.num_rounds,
+            evaluator=self.job.evaluator,
+            result_filters=self.job.server_result_filters,
+            min_clients=self.job.min_clients,
+            result_timeout=self.job.result_timeout,
+            max_failed_rounds=self.job.max_failed_rounds,
+            sampling_seed=self.job.sampling_seed,
+            sampler=sampler,
+            compression=self.compression,
+            health=monitor,
+            policy=policy,
+            # Deterministic single-thread mode: nobody serves the clients,
+            # so a listener runs their polls off each dispatch wave.
+            listeners=[] if self.threads else [_SequentialDriver(clients)],
+        )
         wire_before = wire_codec_module.wire_totals()
         worker_snapshots: dict[str, dict] = {}
 
         try:
-            if self.threads:
-                stats = controller.run()
-            else:
-                stats = self._run_sequential(controller, clients)
+            stats = controller.run()
         finally:
             if runner is not None:
                 # Stop fan-out may be partially undeliverable on a faulty
@@ -405,37 +384,23 @@ class SimulatorRunner:
             log_text=capture.text() if capture is not None else "",
         )
 
-    # ------------------------------------------------------------------
-    def _run_sequential(self, controller: "ScatterAndGather | AsyncScatterAndGather",
-                        clients: list[FederatedClient]) -> RunStats:
-        """Deterministic single-thread mode: interleave controller and clients.
 
-        The controller's collect step blocks, so in sequential mode each
-        dispatch is driven manually: broadcast happens inside the
-        controller, after which every tasked client polls exactly once per
-        TASKS_BROADCAST event (the async controller fires one per dispatch
-        wave, so in-flight sites answer deterministically in registration
-        order — the basis of the bit-reproducibility gate).
-        """
-        # Sequential execution re-uses the threaded controller by running the
-        # clients' poll loops from a round-boundary event hook.
-        from .constants import EventType
+class _SequentialDriver(FLComponent):
+    """Runs the clients on the controller's thread (``threads=False``).
 
-        class _PollClients:
-            def handle_event(self, event_type: str, fl_ctx: FLContext) -> None:
-                if event_type == EventType.TASKS_BROADCAST:
-                    for client in clients:
-                        # only clients actually tasked this round (the
-                        # controller may sample a subset) have a message
-                        if client.bus.pending(client.name):
-                            client.poll_once(timeout=5.0)
+    Every tasked client polls exactly once per TASKS_BROADCAST event — the
+    controller fires one per dispatch wave — so sites answer
+    deterministically in registration order: the basis of the
+    bit-reproducibility gates.
+    """
 
-        hook = _PollClients()
-        original_fire = controller.fire_event
+    def __init__(self, clients: list[FederatedClient]) -> None:
+        super().__init__()
+        self.clients = clients
 
-        def fire_and_poll(event_type: str, fl_ctx, targets=None) -> None:
-            original_fire(event_type, fl_ctx, targets)
-            hook.handle_event(event_type, fl_ctx)
-
-        controller.fire_event = fire_and_poll  # type: ignore[method-assign]
-        return controller.run()
+    def handle_event(self, event_type: str, fl_ctx: FLContext) -> None:
+        if event_type == EventType.TASKS_BROADCAST:
+            for client in self.clients:
+                # only clients actually tasked this wave have a message
+                if client.bus.pending(client.name):
+                    client.poll_once(timeout=5.0)

@@ -5,6 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.flare import (
+    Barrier,
+    Buffered,
     FederatedClient,
     FLServer,
     InTimeAccumulateWeightedAggregator,
@@ -36,11 +38,17 @@ def federation():
         client.stop()
 
 
-def make_controller(server, clients, rounds=3):
+both_policies = pytest.mark.parametrize(
+    "policy", [Barrier, lambda: Buffered(buffer_size=2)],
+    ids=["barrier", "buffered"])
+
+
+def make_controller(server, clients, policy, rounds=3):
     return ScatterAndGather(
         server=server, client_names=[c.name for c in clients],
         initial_weights=toy_weights(),
-        aggregator=InTimeAccumulateWeightedAggregator(), num_rounds=rounds)
+        aggregator=InTimeAccumulateWeightedAggregator(), num_rounds=rounds,
+        policy=policy())
 
 
 class TestInventory:
@@ -64,9 +72,10 @@ class TestInventory:
 
 
 class TestJobControl:
-    def test_status_progresses(self, federation):
+    @both_policies
+    def test_status_progresses(self, federation, policy):
         server, clients = federation
-        controller = make_controller(server, clients)
+        controller = make_controller(server, clients, policy)
         admin = AdminAPI(server, controller)
         before = admin.job_status()
         assert before.current_round == 0 and not before.finished
@@ -75,9 +84,10 @@ class TestJobControl:
         assert after.finished and after.current_round == 3
         assert after.messages_delivered > 0
 
-    def test_abort_stops_between_rounds(self, federation):
+    @both_policies
+    def test_abort_stops_between_rounds(self, federation, policy):
         server, clients = federation
-        controller = make_controller(server, clients, rounds=5)
+        controller = make_controller(server, clients, policy, rounds=5)
         admin = AdminAPI(server, controller)
         admin.abort_job()
         with pytest.raises(RuntimeError, match="aborted"):

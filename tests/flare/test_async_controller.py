@@ -1,4 +1,6 @@
-"""AsyncScatterAndGather: buffered async commits, staleness and reproducibility."""
+"""The round engine under ``Buffered``: async commits, staleness and
+reproducibility (behaviours shared with ``Barrier`` live in
+``test_round_engine.py``)."""
 
 from __future__ import annotations
 
@@ -81,27 +83,6 @@ class TestAsyncCommits:
 
 
 class TestAsyncFailureModes:
-    def test_failed_clients_skipped_and_window_refills(self):
-        # version-0 tasks hit the injected failure; redispatched waves (still
-        # version 0) also fail, so windows only fill once version advances —
-        # with every site failing at version 0, the first window can never
-        # fill and under-quorum streaks abort the run
-        job = async_job(learner_factory=lambda name: ToyLearner(
-            name, delta=1.0, fail_on_round=0), max_failed_rounds=0,
-            result_timeout=2.0)
-        with pytest.raises(RuntimeError, match="under-quorum"):
-            run_job(job)
-
-    def test_under_quorum_windows_tolerated(self):
-        job = async_job(num_rounds=2, max_failed_rounds=2, result_timeout=1.0,
-                        learner_factory=lambda name: ToyLearner(
-                            name, delta=1.0, fail_on_round=0))
-        result = run_job(job)
-        assert [r.quorum_met for r in result.stats.rounds] == [False, False]
-        # global never moved
-        np.testing.assert_array_equal(result.final_weights["layer.bias"],
-                                      np.zeros(2, dtype=np.float32))
-
     def test_max_staleness_discards_old_updates(self):
         # max_staleness=0: stale updates are still received and recorded,
         # but never folded — every commit is a mean of fresh (+1) updates,
@@ -117,10 +98,6 @@ class TestAsyncFailureModes:
     def test_min_clients_cannot_exceed_buffer_size(self):
         with pytest.raises(ValueError, match="can never be met"):
             run_job(async_job(min_clients=5, buffer_size=2))
-
-    def test_async_rejects_compression(self):
-        with pytest.raises(ValueError, match="incompatible"):
-            async_job(compression="delta+fp16")
 
 
 class TestAsyncStatsRoundTrip:

@@ -177,18 +177,14 @@ def test_downlink_keeps_server_and_clients_bit_identical(config):
     """The sync invariant the whole delta protocol rests on: after every
     broadcast — full or (error-feedback truncated) delta — a synced client's
     reconstruction equals the server's canonical global model bit for bit."""
-    from repro.flare import FLContext, InTimeAccumulateWeightedAggregator
-    from repro.flare.controller import ScatterAndGather
+    from repro.flare import Downlink, FLContext
     from repro.flare.shareable import to_dxo
 
     rng = np.random.default_rng(3)
-    weights = {"w": rng.normal(size=600).astype(np.float32),
-               "b": rng.normal(size=8).astype(np.float32)}
-    controller = ScatterAndGather(
-        server=object(), client_names=["site-1", "site-2"],
-        initial_weights=weights,
-        aggregator=InTimeAccumulateWeightedAggregator(),
-        num_rounds=6, compression=config)
+    global_weights = {"w": rng.normal(size=600).astype(np.float32),
+                      "b": rng.normal(size=8).astype(np.float32)}
+    sites = ["site-1", "site-2"]
+    downlink = Downlink(config)
     ctx = FLContext(identity="server")
     client_filters = config.client_task_filters()
 
@@ -198,27 +194,26 @@ def test_downlink_keeps_server_and_clients_bit_identical(config):
             dxo = task_filter.process(dxo, ctx)
         return {k: np.array(v) for k, v in dxo.data.items()}
 
-    client_model = None
-    for round_number in range(6):
-        task, overrides = controller._build_round_tasks(
-            ["site-1", "site-2"], round_number, ctx)
+    for wave in range(6):
+        global_weights, task, overrides = downlink.build(
+            global_weights, sites, wave, {}, ctx)
         payload = (overrides or {}).get("site-1", task)
         client_model = client_receive(payload)
-        assert set(client_model) == set(controller.global_weights)
+        assert set(client_model) == set(global_weights)
         for key in client_model:
-            server_side = np.asarray(controller.global_weights[key])
+            server_side = np.asarray(global_weights[key])
             assert client_model[key].dtype == server_side.dtype, key
             np.testing.assert_array_equal(client_model[key], server_side,
-                                          err_msg=f"round {round_number} {key}")
-        controller._client_version["site-1"] = round_number
-        controller._client_version["site-2"] = round_number
+                                          err_msg=f"wave {wave} {key}")
+        for site in sites:
+            downlink.ack(site)
         # simulate aggregation moving the global model
-        controller.global_weights = {
+        global_weights = {
             key: (np.asarray(value)
                   + rng.normal(0, 1e-2, size=np.asarray(value).shape)
                   ).astype(np.asarray(value).dtype)
-            for key, value in controller.global_weights.items()}
-        if round_number >= 1:
+            for key, value in global_weights.items()}
+        if wave >= 1:
             assert overrides is not None and "site-1" in overrides
 
 

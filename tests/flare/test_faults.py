@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from repro.flare import DXO, DataKind, FaultPlan, FLJob, MetaKey, SimulatorRunner
+from repro.obs import metrics as obs_metrics
 
 from .helpers import ToyLearner, toy_weights
 
@@ -120,6 +121,30 @@ class TestDuplicatesAndQuorum:
         with pytest.raises(RuntimeError, match="usable results"):
             SimulatorRunner(job, n_clients=2, seed=0, run_dir=tmp_path,
                             capture_log=False).run()
+
+
+class TestLateReplies:
+    def test_reply_to_an_abandoned_task_is_never_folded(self, tmp_path):
+        """site-3 answers every task one round late.  Its reply to round r
+        (trained on global r) used to be dequeued by round r+1, counted
+        toward quorum and FedAvg'd beside three fresh updates (final bias
+        3.3125 instead of 4)."""
+        job = chaos_job(num_rounds=4, min_clients=3, result_timeout=0.3)
+        registry = obs_metrics.MetricsRegistry()
+        previous = obs_metrics.set_registry(registry)
+        try:
+            result = SimulatorRunner(
+                job, n_clients=4, seed=0, run_dir=tmp_path, capture_log=False,
+                fault_plan=FaultPlan(stragglers={"site-3": 0.6})).run()
+        finally:
+            obs_metrics.set_registry(previous)
+        for value in result.final_weights.values():
+            assert np.array_equal(value, np.full_like(value, 4.0))
+        for record in result.stats.rounds:
+            assert record.dropped_clients == ["site-3"]
+            senders = [c.client for c in record.client_records]
+            assert len(senders) == len(set(senders))
+        assert registry.counter("federation.late_results").value >= 1
 
 
 class TestFaultPlanValidation:

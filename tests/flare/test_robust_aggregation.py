@@ -103,6 +103,7 @@ class TestClientSampling:
             return learners[name]
 
         from repro.flare import (
+            Barrier,
             FederatedClient,
             FLServer,
             InTimeAccumulateWeightedAggregator,
@@ -126,7 +127,7 @@ class TestClientSampling:
             server=server, client_names=[c.name for c in clients],
             initial_weights=toy_weights(),
             aggregator=InTimeAccumulateWeightedAggregator(),
-            num_rounds=4, clients_per_round=clients_per_round)
+            num_rounds=4, policy=Barrier(clients_per_round))
         try:
             stats = controller.run()
         finally:
@@ -151,13 +152,17 @@ class TestClientSampling:
         assert len({tuple(p) for p in participants_per_round}) > 1
 
     def test_invalid_sample_size(self, tmp_path):
-        from repro.flare import InTimeAccumulateWeightedAggregator, ScatterAndGather
+        from repro.flare import (
+            Barrier,
+            InTimeAccumulateWeightedAggregator,
+            ScatterAndGather,
+        )
 
         with pytest.raises(ValueError):
             ScatterAndGather(server=None, client_names=["a"],  # type: ignore[arg-type]
                              initial_weights=toy_weights(),
                              aggregator=InTimeAccumulateWeightedAggregator(),
-                             clients_per_round=2)
+                             policy=Barrier(clients_per_round=2))
 
 
 class TestStragglerTolerance:

@@ -19,8 +19,14 @@ import pytest
 
 from repro.autograd import get_backend, get_default_dtype
 from repro.flare import (
+    DXO,
+    DataKind,
+    DeltaDecode,
+    Downlink,
     FLJob,
     FLServer,
+    Learner,
+    MetaKey,
     ProcessClientRunner,
     Provisioner,
     Shareable,
@@ -43,11 +49,29 @@ def toy_job(num_rounds: int = 2, min_clients: int = 4) -> FLJob:
                  result_timeout=60.0)
 
 
-def run_sim(job: FLJob, transport: str, tmp_path, tag: str, **kwargs):
-    runner = SimulatorRunner(job, n_clients=4, seed=7,
+def run_sim(job: FLJob, transport: str, tmp_path, tag: str, n_clients=4,
+            **kwargs):
+    runner = SimulatorRunner(job, n_clients=n_clients, seed=7,
                              run_dir=tmp_path / f"{tag}-{transport}",
                              transport=transport, **kwargs)
     return runner.run()
+
+
+class MixLearner(Learner):
+    """An update that depends on the received weights, coordinate by
+    coordinate — a client reconstructing a wrong model shows in the result."""
+
+    def __init__(self, site_name: str) -> None:
+        super().__init__(name="MixLearner")
+        self.shift = 0.1 * int(site_name.rsplit("-", 1)[1])
+
+    def train(self, dxo: DXO, fl_ctx) -> DXO:
+        updated = {key: (0.7 * np.asarray(value) + self.shift
+                         * np.linspace(-1, 1, np.asarray(value).size,
+                                       dtype=np.float32).reshape(value.shape))
+                   for key, value in dxo.data.items()}
+        return DXO(DataKind.WEIGHTS, data=updated,
+                   meta={MetaKey.NUM_STEPS_CURRENT_ROUND: 10})
 
 
 class TestShmFabric:
@@ -127,6 +151,65 @@ class TestShmEndToEnd:
         assert memory_result.tokens == shm_result.tokens
         assert shm_result.stats.num_rounds == 2
         assert all(record.quorum_met for record in shm_result.stats.rounds)
+
+    @pytest.mark.parametrize("compression", [None, "delta+fp16+topk:0.2"],
+                             ids=["plain", "compressed"])
+    def test_serial_async_chain_bit_identical_across_all_transports(
+            self, tmp_path, monkeypatch, compression):
+        """``buffer_size=1, concurrency=1`` is a serial chain — task one
+        site, wait, commit — hence timing-independent on every fabric.  Two
+        sites, so the same one is often tasked twice running and gets a
+        delta."""
+        rng = np.random.default_rng(5)
+        job = FLJob(name="async-chain", learner_factory=MixLearner,
+                    initial_weights={
+                        "w": rng.normal(size=(20, 20)).astype(np.float32),
+                        "b": rng.normal(size=8).astype(np.float32)},
+                    num_rounds=8, mode="async", buffer_size=1, concurrency=1,
+                    result_timeout=60.0)
+
+        # memory fabric only: watch what the server ships per wave and what
+        # each client's decoder ends up holding
+        shipped: dict[int, dict] = {}
+        decoders: list[DeltaDecode] = []
+        build, init = Downlink.build, DeltaDecode.__init__
+
+        def recording_build(self, global_weights, targets, version, *rest):
+            out = build(self, global_weights, targets, version, *rest)
+            shipped[version] = out[0]
+            return out
+
+        def recording_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            decoders.append(self)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(Downlink, "build", recording_build)
+            patch.setattr(DeltaDecode, "__init__", recording_init)
+            memory_result = run_sim(job, "memory", tmp_path, "chain",
+                                    n_clients=2, compression=compression)
+        for transport in ("socket", "shm"):
+            result = run_sim(job, transport, tmp_path, "chain",
+                             n_clients=2, compression=compression)
+            for key, value in memory_result.final_weights.items():
+                np.testing.assert_array_equal(value, result.final_weights[key])
+            assert [(c.client, c.staleness) for r in result.stats.rounds
+                    for c in r.client_records] == \
+                [(c.client, c.staleness) for r in memory_result.stats.rounds
+                 for c in r.client_records]
+
+        if compression is not None:
+            # the delta path was taken, and every client's cache is, bit for
+            # bit, the server's canonical global of the version it holds
+            assert "delta broadcast" in memory_result.log_text
+            assert len(decoders) == 2
+            held = [d.cached_version for d in decoders]
+            assert any(version is not None for version in held)
+            for decoder, version in zip(decoders, held):
+                if version is not None:
+                    assert set(decoder._cache) == set(shipped[version])
+                    for key, value in decoder._cache.items():
+                        np.testing.assert_array_equal(value, shipped[version][key])
 
     def test_telemetry_covers_worker_processes(self, tmp_path):
         result = run_sim(toy_job(), "shm", tmp_path, "telemetry",
