@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import struct
 import time
 import zipfile
@@ -329,7 +330,8 @@ def decode_tensors(blob: bytes, copy: bool = False
             raise _manifest_error(f"malformed tensor entry ({error})") from error
         if dtype.hasobject:
             raise _manifest_error(f"tensor {name!r} declares an object dtype")
-        expected = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
+        count = math.prod(shape)
+        expected = count * dtype.itemsize
         if expected != nbytes:
             raise _manifest_error(f"tensor {name!r}: shape {shape} x {dtype.str} "
                                   f"needs {expected} byte(s), manifest says {nbytes}")
@@ -341,8 +343,7 @@ def decode_tensors(blob: bytes, copy: bool = False
                                          dtype.itemsize)
             array = np.frombuffer(raw_bytes, dtype=dtype).reshape(shape)
         else:
-            array = np.frombuffer(block, dtype=dtype,
-                                  count=int(np.prod(shape, dtype=np.int64)),
+            array = np.frombuffer(block, dtype=dtype, count=count,
                                   offset=offset).reshape(shape)
         arrays[name] = array.copy() if copy else array
     raw_total = sum(int(spec["nbytes"]) for spec in manifest["tensors"])

@@ -32,6 +32,7 @@ __all__ = [
     "verify",
     "Certificate",
     "CertificateAuthority",
+    "hmac_absorb",
     "hmac_sign",
     "hmac_sign_parts",
     "hmac_verify",
@@ -197,18 +198,28 @@ def hmac_sign(payload: bytes, session_key: bytes) -> str:
     return hmac.new(session_key, payload, hashlib.sha256).hexdigest()
 
 
-def hmac_sign_parts(parts, session_key: bytes) -> str:
-    """HMAC-SHA256 over concatenated buffer ``parts`` without joining them.
+def hmac_absorb(parts, session_key: bytes) -> "hmac.HMAC":
+    """HMAC-SHA256 state that has absorbed buffer ``parts``, not yet finished.
 
-    Equivalent to ``hmac_sign(b"".join(parts), key)`` but feeds each part —
-    bytes or memoryview — into the digest incrementally, so a message body
-    living in shared memory is hashed in place instead of being copied into
-    a throwaway concatenation.
+    Each part — bytes or memoryview — is fed into the digest in place, never
+    joined.  A sender signing one body under several headers keeps the state
+    that absorbed the body and finishes a ``.copy()`` of it per header, so
+    the body is hashed once however many envelopes carry it.
     """
     mac = hmac.new(session_key, digestmod=hashlib.sha256)
     for part in parts:
         mac.update(part)
-    return mac.hexdigest()
+    return mac
+
+
+def hmac_sign_parts(parts, session_key: bytes) -> str:
+    """HMAC-SHA256 over concatenated buffer ``parts`` without joining them.
+
+    Equivalent to ``hmac_sign(b"".join(parts), key)``, so a message body
+    living in shared memory or a receive buffer is hashed in place instead
+    of being copied into a throwaway concatenation.
+    """
+    return hmac_absorb(parts, session_key).hexdigest()
 
 
 def hmac_verify(payload: bytes, tag: str, session_key: bytes) -> bool:

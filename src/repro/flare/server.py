@@ -13,6 +13,7 @@ from .provision import StartupKit, make_join_token
 from .security import Certificate, verify
 from .shareable import Shareable
 from .transport import (
+    EncodedShareable,
     MessageBus,
     ReceiveTimeout,
     RetryPolicy,
@@ -111,17 +112,26 @@ class FLServer(FLComponent):
         across its attempts, so receivers deduplicate resends exactly as in
         the serial path.
 
+        Each *distinct* payload — ``shareable`` and every ``overrides``
+        object — is serialised and hashed once, as one
+        :class:`~repro.flare.transport.EncodedShareable` all its targets and
+        attempts share; an envelope costs only its own small signed header.
+
         Returns the targets that stayed unreachable after the retry budget —
         they never got the task and cannot answer, so callers should count
         them out of the expected results instead of waiting on them.
         """
         wave: list[list] = []  # [target, task, msg_id, last_error]
+        encoded: dict[int, EncodedShareable] = {}  # id(payload) -> wire form
         for target in targets:
             if target not in self.tokens:
                 raise AuthenticationError(f"client {target!r} is not registered")
             payload = shareable if overrides is None else overrides.get(target, shareable)
-            task = Shareable(payload)  # shallow copy per recipient
-            task.set_header(ReservedKey.TASK_NAME, task_name)
+            task = encoded.get(id(payload))
+            if task is None:
+                named = Shareable(payload)  # shallow copy: the caller's stays as is
+                named.set_header(ReservedKey.TASK_NAME, task_name)
+                task = encoded[id(payload)] = EncodedShareable(named)
             wave.append([target, task, self.bus.next_msg_id(self.name), None])
         for attempt in range(self.retry_policy.max_attempts):
             if not wave:

@@ -27,6 +27,19 @@ dedup happen at the *receiving endpoint's* node, exactly where the
 in-memory bus performs them, so the two fabrics share one security model
 (pinned by ``tests/flare/test_transport_conformance.py``).
 
+A body is never copied by this module.  :func:`encode_frame` — the only
+frame builder — returns the frame as parts ``[small head, body]`` and
+:func:`write_frame` hands them to ``sendmsg`` as they are, resuming after
+partial writes.  :func:`read_frame` receives a payload with ``recv_into``
+straight into one buffer and returns a read-only ``memoryview`` of it;
+``decode_data_frame``, ``receive``, the Shareable decode and the tensor
+codec all slice that view, so the arrays a learner or aggregator sees are
+views of the bytes the kernel delivered (the same in-place path the
+shared-memory fabric takes over its mmap).  The hub forwards a frame by
+writing the received view under a new prefix.  The receive buffer grows
+only as bytes arrive, so a hostile length prefix cannot make a node
+allocate what was never sent.
+
 Reliability: spokes reconnect with :class:`RetryPolicy` backoff when the
 uplink breaks, resending their endpoint announcement so the hub re-learns
 the route; an optional heartbeat thread PINGs the hub so half-open links
@@ -61,7 +74,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["SocketMessageBus", "FRAME_DATA", "FRAME_HELLO", "FRAME_PING",
            "FRAME_PONG", "FRAME_BYE", "MAX_FRAME_BYTES", "encode_frame",
-           "encode_data_frame", "decode_data_frame", "read_frame"]
+           "encode_data_frame", "decode_data_frame", "read_frame", "write_frame"]
 
 FRAME_DATA = 1
 FRAME_HELLO = 2
@@ -79,31 +92,45 @@ MAX_FRAME_BYTES = 1 << 30
 
 _LEN = struct.Struct("<I")
 
+# First allocation for an incoming frame's payload.  Every message the paper's
+# jobs exchange (a 9.9 MB BERT state) fits, so the buffer is sized once and
+# never grown; a larger frame doubles it as the bytes arrive (read_frame).
+_FIRST_ALLOC = 16 << 20
+
 
 # ---------------------------------------------------------------------------
 # frame codec (module-level so the fuzz suite can hit it directly)
 # ---------------------------------------------------------------------------
-def encode_frame(frame_type: int, rest: bytes = b"") -> bytes:
-    """``type || rest`` wrapped in the u32le length prefix."""
-    payload = bytes([frame_type]) + rest
-    if len(payload) > MAX_FRAME_BYTES:
+def encode_frame(frame_type: int, head: bytes = b"", body=b"") -> list:
+    """One frame as write-ready parts ``[prefix | type | head, body]``.
+
+    The only frame builder.  ``head`` is small and is joined to the prefix;
+    ``body`` — any buffer, possibly many megabytes — is passed through
+    untouched for :func:`write_frame` to hand to ``sendmsg`` beside it.
+    Code that wants the frame as one string joins the parts.
+    """
+    length = 1 + len(head) + len(body)
+    if length > MAX_FRAME_BYTES:
         raise TransportError(
-            f"frame of {len(payload)} bytes exceeds the {MAX_FRAME_BYTES}-byte cap")
-    return _LEN.pack(len(payload)) + payload
+            f"frame of {length} bytes exceeds the {MAX_FRAME_BYTES}-byte cap")
+    return [b"".join((_LEN.pack(length), bytes([frame_type]), head)), body]
 
 
-def encode_data_frame(message: Message) -> bytes:
-    """One signed envelope as a DATA frame."""
+def encode_data_frame(message: Message) -> list:
+    """One signed envelope as the parts of a DATA frame."""
     header = json.dumps({
         "sender": message.sender, "recipient": message.recipient,
         "topic": message.topic, "signature": message.signature,
         "headers": message.headers}).encode("utf-8")
-    return encode_frame(FRAME_DATA,
-                        _LEN.pack(len(header)) + header + message.body)
+    return encode_frame(FRAME_DATA, _LEN.pack(len(header)) + header,
+                        message.body)
 
 
-def decode_data_frame(rest: bytes) -> Message:
+def decode_data_frame(rest) -> Message:
     """DATA payload (after the type byte) → :class:`Message`.
+
+    ``rest`` is ``bytes`` or a ``memoryview``; the message body is a slice
+    of it, so a view in means a view out and nothing is copied.
 
     Every malformation — truncated header length, header overrunning the
     payload, non-JSON or non-object headers, missing/foreign-typed fields —
@@ -118,7 +145,7 @@ def decode_data_frame(rest: bytes) -> Message:
             f"truncated data frame: header of {header_len} bytes overruns "
             f"the {len(rest)}-byte payload")
     try:
-        header = json.loads(rest[_LEN.size:_LEN.size + header_len].decode("utf-8"))
+        header = json.loads(str(rest[_LEN.size:_LEN.size + header_len], "utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as error:
         raise TransportError(f"undecodable data frame header: {error}") from error
     if not isinstance(header, dict):
@@ -137,37 +164,60 @@ def decode_data_frame(rest: bytes) -> Message:
                    headers=headers)
 
 
-def _recv_exact(sock: socket.socket, n: int, at_boundary: bool) -> bytes | None:
-    """Read exactly ``n`` bytes; ``None`` on a clean EOF at a frame boundary.
+def write_frame(sock: socket.socket, parts: list) -> None:
+    """Write a frame's parts with scatter-gather ``sendmsg``, never joined.
 
-    EOF *inside* a frame — or inside its length prefix — is a mid-frame
-    disconnect and raises :class:`TransportError`.
+    A stream socket may take any prefix of what it is offered (a small send
+    buffer, a socket with a timeout), so the loop resumes wherever the
+    kernel stopped — inside the head or inside the body.
     """
-    chunks: list[bytes] = []
-    got = 0
-    while got < n:
-        try:
-            chunk = sock.recv(min(n - got, 1 << 16))
-        except OSError as error:
-            raise TransportError(f"connection lost mid-frame: {error}") from error
-        if not chunk:
-            if at_boundary and got == 0:
-                return None
-            raise TransportError(
-                f"connection closed mid-frame ({got}/{n} bytes read)")
-        chunks.append(chunk)
-        got += len(chunk)
-    return b"".join(chunks)
+    views = [memoryview(part) for part in parts if len(part)]
+    while views:
+        sent = sock.sendmsg(views)
+        while views and sent >= len(views[0]):
+            sent -= len(views.pop(0))
+        if sent:
+            views[0] = views[0][sent:]
 
 
-def read_frame(sock: socket.socket) -> tuple[int, bytes] | None:
+def _recv_into(sock: socket.socket, buffer: bytearray, got: int,
+               at_boundary: bool = False) -> bool:
+    """Fill ``buffer[got:]`` from the socket; ``False`` on a clean EOF.
+
+    A clean EOF is one at a frame boundary (``at_boundary`` and nothing read
+    yet).  EOF *inside* a frame — or inside its length prefix — is a
+    mid-frame disconnect and raises :class:`TransportError`.
+    """
+    with memoryview(buffer) as view:
+        while got < len(buffer):
+            try:
+                count = sock.recv_into(view[got:])
+            except OSError as error:
+                raise TransportError(f"connection lost mid-frame: {error}") from error
+            if not count:
+                if at_boundary and got == 0:
+                    return False
+                raise TransportError(
+                    f"connection closed mid-frame ({got}/{len(buffer)} bytes read)")
+            got += count
+    return True
+
+
+def read_frame(sock: socket.socket) -> tuple[int, memoryview] | None:
     """Read one frame; ``None`` on clean EOF between frames.
+
+    Returns the frame type and a read-only view of the rest of the payload.
+    The payload is received straight into the one buffer that view (and
+    every message body and tensor sliced from it) keeps alive.  The buffer
+    starts at ``min(length, _FIRST_ALLOC)`` and at most doubles each time it
+    has been filled, so what a peer makes this node allocate is bounded by
+    what the peer has actually sent, whatever its length prefix declares.
 
     Raises :class:`TransportError` on truncated prefixes, mid-frame
     disconnects, oversized or zero-length payloads, and unknown frame types.
     """
-    prefix = _recv_exact(sock, _LEN.size, at_boundary=True)
-    if prefix is None:
+    prefix = bytearray(_LEN.size)
+    if not _recv_into(sock, prefix, 0, at_boundary=True):
         return None
     (length,) = _LEN.unpack(prefix)
     if length == 0:
@@ -175,11 +225,18 @@ def read_frame(sock: socket.socket) -> tuple[int, bytes] | None:
     if length > MAX_FRAME_BYTES:
         raise TransportError(
             f"declared frame length {length} exceeds the {MAX_FRAME_BYTES}-byte cap")
-    payload = _recv_exact(sock, length, at_boundary=False)
+    payload = bytearray(min(length, _FIRST_ALLOC))
+    got = 0
+    while True:
+        _recv_into(sock, payload, got)
+        got = len(payload)
+        if got == length:
+            break
+        payload.extend(bytes(min(length - got, got)))
     frame_type = payload[0]
     if frame_type not in _FRAME_TYPES:
         raise TransportError(f"unknown frame type {frame_type}")
-    return frame_type, payload[1:]
+    return frame_type, memoryview(payload).toreadonly()[1:]
 
 
 # ---------------------------------------------------------------------------
@@ -187,6 +244,22 @@ def read_frame(sock: socket.socket) -> tuple[int, bytes] | None:
 # ---------------------------------------------------------------------------
 class _PeerClosed(Exception):
     """The peer announced a clean shutdown (BYE frame)."""
+
+
+def _shutdown_and_close(sock: socket.socket) -> None:
+    """Close ``sock`` so that a thread blocked on it wakes up.
+
+    Closing a socket from another thread does not wake a blocked ``recv()``
+    or — on a listener — ``accept()`` on Linux; shutting it down first does.
+    """
+    try:
+        sock.shutdown(socket.SHUT_RDWR)
+    except OSError:
+        pass
+    try:
+        sock.close()
+    except OSError:  # pragma: no cover - already closed
+        pass
 
 
 class _Link:
@@ -201,26 +274,20 @@ class _Link:
         except OSError:  # pragma: no cover - platform-dependent
             pass
 
-    def send_bytes(self, frame: bytes) -> None:
+    def send_frame(self, parts: list) -> None:
+        """Write one frame (the parts :func:`encode_frame` built) atomically."""
         with self._write_lock:
             if not self.alive:
                 raise TransportError("link is down")
             try:
-                self.sock.sendall(frame)
+                write_frame(self.sock, parts)
             except OSError as error:
                 self.alive = False
                 raise TransportError(f"socket write failed: {error}") from error
 
     def close(self) -> None:
         self.alive = False
-        try:
-            self.sock.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
-        try:
-            self.sock.close()
-        except OSError:  # pragma: no cover - already closed
-            pass
+        _shutdown_and_close(self.sock)
 
 
 class SocketMessageBus(BaseTransport):
@@ -378,9 +445,9 @@ class SocketMessageBus(BaseTransport):
         q.put(message)
         self._count_delivery(message)
 
-    def _send_link(self, link: _Link, frame: bytes, recipient: str) -> None:
+    def _send_link(self, link: _Link, frame: list, recipient: str) -> None:
         try:
-            link.send_bytes(frame)
+            link.send_frame(frame)
         except TransportError:
             # the reader notices the dead socket too; drop the claim now so
             # retries fail fast until the spoke reconnects
@@ -420,7 +487,7 @@ class SocketMessageBus(BaseTransport):
                     backlog.append(q.get_nowait())
         for message in backlog:
             try:
-                link.send_bytes(encode_data_frame(message))
+                link.send_frame(encode_data_frame(message))
             except TransportError:
                 self._routing_drops.inc()
 
@@ -441,10 +508,10 @@ class SocketMessageBus(BaseTransport):
         finally:
             self._forget_link(link)
 
-    def _handle_frame(self, link: _Link, frame_type: int, rest: bytes) -> None:
+    def _handle_frame(self, link: _Link, frame_type: int, rest: memoryview) -> None:
         if frame_type == FRAME_HELLO:
             try:
-                hello = json.loads(rest.decode("utf-8"))
+                hello = json.loads(str(rest, "utf-8"))
                 names = list(hello["endpoints"])
             except (UnicodeDecodeError, json.JSONDecodeError, KeyError,
                     TypeError) as error:
@@ -452,7 +519,7 @@ class SocketMessageBus(BaseTransport):
             self._claim_endpoints(link, [str(name) for name in names])
         elif frame_type == FRAME_PING:
             self._heartbeats["pong"].inc()
-            link.send_bytes(encode_frame(FRAME_PONG))
+            link.send_frame(encode_frame(FRAME_PONG))
         elif frame_type == FRAME_PONG:
             self._last_pong = time.monotonic()
             self._heartbeats["pong"].inc()
@@ -464,7 +531,7 @@ class SocketMessageBus(BaseTransport):
                 forward = self._links.get(message.recipient)
             if forward is not None and forward is not link:
                 try:
-                    forward.send_bytes(encode_frame(FRAME_DATA, rest))
+                    forward.send_frame(encode_frame(FRAME_DATA, body=rest))
                     self._count_delivery(message)
                 except TransportError:
                     self._forget_link(forward)
@@ -478,7 +545,7 @@ class SocketMessageBus(BaseTransport):
     def _send_hello(self, link: _Link) -> None:
         with self._lock:
             names = sorted(self._queues)
-        link.send_bytes(encode_frame(
+        link.send_frame(encode_frame(
             FRAME_HELLO, json.dumps({"endpoints": names}).encode("utf-8")))
 
     def _ensure_uplink(self) -> _Link:
@@ -511,14 +578,14 @@ class SocketMessageBus(BaseTransport):
                 f"{self.retry_policy.max_attempts} attempt(s): {last_error}"
             ) from last_error
 
-    def _send_uplink(self, frame: bytes) -> None:
+    def _send_uplink(self, frame: list) -> None:
         link = self._ensure_uplink()
         try:
-            link.send_bytes(frame)
+            link.send_frame(frame)
         except TransportError:
             link.close()
             # one reconnect-and-resend; send_with_retry owns further retries
-            self._ensure_uplink().send_bytes(frame)
+            self._ensure_uplink().send_frame(frame)
 
     def _heartbeat_loop(self) -> None:
         assert self.heartbeat_interval is not None
@@ -551,14 +618,11 @@ class SocketMessageBus(BaseTransport):
             return
         self._closed.set()
         if self._listener is not None:
-            try:
-                self._listener.close()
-            except OSError:  # pragma: no cover
-                pass
+            _shutdown_and_close(self._listener)
         with self._uplink_lock:
             if self._uplink is not None:
                 try:
-                    self._uplink.send_bytes(encode_frame(FRAME_BYE))
+                    self._uplink.send_frame(encode_frame(FRAME_BYE))
                 except TransportError:
                     pass
                 self._uplink.close()

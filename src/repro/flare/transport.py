@@ -6,24 +6,37 @@ HMAC-SHA256 tag under the session key established at registration, so the
 protocol steps — serialize, sign, dispatch, dequeue, verify, deserialize —
 all actually run.
 
-Two fabrics implement the :class:`Transport` contract:
+Three fabrics implement the :class:`Transport` contract:
 
 - :class:`MessageBus` — the in-memory fast path: per-participant queues in
   one process (the historical simulator transport).
 - :class:`~repro.flare.socket_transport.SocketMessageBus` — length-prefixed
   binary frames over TCP loopback, one node per process, used by the
   process-per-client runner (``SimulatorRunner(transport="socket")``).
+- :class:`~repro.flare.shm_transport.ShmMessageBus` — fork-inherited queues
+  plus mmap'd body segments, behind the persistent worker pool
+  (``SimulatorRunner(transport="shm")``).
 
 Everything above the seam — retry/backoff, message-id dedup, fault
 injection, compression filters, telemetry, the health monitor — is written
-against :class:`Transport` and behaves identically on both fabrics (pinned
+against :class:`Transport` and behaves identically on every fabric (pinned
 by ``tests/flare/test_transport_conformance.py``).
+
+One body, hashed once: a Shareable is serialised into a single buffer
+(:class:`EncodedShareable`) that every fabric carries as-is, and the HMAC
+covers ``body || 0x00 || header_json``.  With the body first, a sender
+keeps the HMAC state that absorbed it and finishes a copy per envelope
+header, so a fan-out of one payload to N recipients — and every resend —
+costs one pass over the body, not N.  On receive the body is whatever
+buffer the fabric delivered (``bytes``, a view of a socket receive buffer,
+a view of an mmap) and is verified and decoded in place.
 
 Reliability layer: every send carries an idempotency header
 (``ReservedKey.MSG_ID``, stable across resends) plus an attempt counter, the
 receive path deduplicates replayed/duplicated message ids after signature
 verification, and :func:`send_with_retry` adds bounded exponential backoff
-on top for lossy fabrics (see ``faults.FaultyMessageBus``).
+on top for lossy fabrics (every fabric arms the same seeded
+``faults.FaultInjector`` at its dispatch).
 """
 
 from __future__ import annotations
@@ -39,15 +52,18 @@ from typing import Any
 from ..obs import trace as obs_trace
 from ..obs.metrics import MetricsRegistry
 from .constants import ReservedKey
-from .security import hmac_sign_parts, hmac_verify_parts
+from .security import hmac_absorb, hmac_verify_parts
 from .shareable import Shareable
 
-__all__ = ["Message", "Transport", "BaseTransport", "MessageBus",
+__all__ = ["Message", "EncodedShareable", "Transport", "BaseTransport", "MessageBus",
            "TransportError", "ReceiveTimeout", "SignatureError", "RetryPolicy",
            "send_with_retry"]
 
 # How many message ids each endpoint remembers for replay/duplicate detection.
 _DEDUP_WINDOW = 4096
+
+# Between body and header in the signed string (see Message.signed_parts).
+_SEPARATOR = b"\x00"
 
 
 class TransportError(RuntimeError):
@@ -88,8 +104,9 @@ class Message:
     """One envelope on the wire.
 
     ``body`` is usually ``bytes`` but any buffer works: the shared-memory
-    fabric delivers a ``memoryview`` over an mmap so the payload is hashed
-    and decoded in place, never copied into the receiving process.
+    fabric delivers a ``memoryview`` over an mmap and the socket fabric one
+    over its receive buffer, so the payload is hashed and decoded in place,
+    never copied again in the receiving process.
     """
 
     sender: str
@@ -99,15 +116,21 @@ class Message:
     signature: str = ""
     headers: dict[str, Any] = field(default_factory=dict)
 
-    def signed_parts(self) -> tuple[bytes, bytes, bytes]:
-        """The buffers covered by the HMAC tag, in signing order."""
-        header_bytes = json.dumps(
+    def signed_header(self) -> bytes:
+        """The envelope fields the HMAC tag covers besides the body."""
+        return json.dumps(
             {"sender": self.sender, "recipient": self.recipient, "topic": self.topic,
              "headers": self.headers}, sort_keys=True).encode("utf-8")
-        return header_bytes, b"\x00", self.body
 
-    def signed_payload(self) -> bytes:
-        return b"".join(self.signed_parts())
+    def signed_parts(self) -> tuple[bytes, bytes, bytes]:
+        """The buffers covered by the HMAC tag, in signing order.
+
+        ``body || 0x00 || header_json``: the JSON never contains a raw zero
+        byte (``json.dumps`` escapes control characters), so the *last*
+        0x00 of the signed string is the separator and the split is
+        unambiguous whatever the body holds.
+        """
+        return self.body, _SEPARATOR, self.signed_header()
 
 
 @dataclass(frozen=True)
@@ -148,10 +171,11 @@ def send_with_retry(bus: "Transport", sender: str, recipient: str, topic: str,
     """
     policy = policy or RetryPolicy()
     msg_id = bus.next_msg_id(sender)
+    encoded = EncodedShareable(shareable)  # resends re-sign, never re-hash
     last_error: TransportError | None = None
     for attempt in range(policy.max_attempts):
         try:
-            bus.send_shareable(sender, recipient, topic, shareable,
+            bus.send_shareable(sender, recipient, topic, encoded,
                                msg_id=msg_id, attempt=attempt)
             return attempt + 1
         except TransportError as error:
@@ -165,18 +189,45 @@ def send_with_retry(bus: "Transport", sender: str, recipient: str, topic: str,
 
 
 def _encode_shareable(shareable: Shareable) -> bytes:
-    """Shareable → bytes: JSON headers + raw DXO block."""
+    """Shareable → bytes: JSON headers + raw DXO block (its one copy)."""
     headers = {key: value for key, value in shareable.items() if key != "DXO"}
     header_bytes = json.dumps(headers, sort_keys=True).encode("utf-8")
-    body = shareable.get("DXO", b"")
-    return len(header_bytes).to_bytes(4, "little") + header_bytes + body
+    return b"".join((len(header_bytes).to_bytes(4, "little"), header_bytes,
+                     shareable.get("DXO", b"")))
+
+
+class EncodedShareable:
+    """A Shareable serialised for the wire, plus the HMAC state over it.
+
+    ``send_shareable`` builds one per call; a caller that sends the same
+    payload more than once (a task fan-out, a resend) builds it up front and
+    passes it *in place of* the Shareable, so the payload is serialised once
+    and hashed once per signing key.  It is a snapshot: later changes to the
+    source Shareable are not seen.
+    """
+
+    __slots__ = ("body", "_absorbed")
+
+    def __init__(self, shareable: Shareable) -> None:
+        self.body = _encode_shareable(shareable)
+        self._absorbed: dict[bytes, Any] = {}
+
+    def tag(self, message: Message, key: bytes) -> str:
+        """``message``'s HMAC tag under ``key`` (its body must be ``self.body``)."""
+        absorbed = self._absorbed.get(key)
+        if absorbed is None:
+            absorbed = self._absorbed[key] = hmac_absorb((self.body, _SEPARATOR), key)
+        mac = absorbed.copy()
+        mac.update(message.signed_header())
+        return mac.hexdigest()
 
 
 def _decode_shareable(blob: bytes) -> Shareable:
     """bytes/memoryview → Shareable.
 
     Slicing a memoryview yields another view, so when ``blob`` lives in
-    shared memory the DXO block is handed to the codec without a copy.
+    shared memory or a socket receive buffer the DXO block is handed to the
+    codec without a copy.
     """
     header_len = int.from_bytes(blob[:4], "little")
     headers = json.loads(bytes(blob[4:4 + header_len]).decode("utf-8"))
@@ -224,7 +275,8 @@ class Transport:
         raise NotImplementedError
 
     def send_shareable(self, sender: str, recipient: str, topic: str,
-                       shareable: Shareable, msg_id: str | None = None,
+                       shareable: "Shareable | EncodedShareable",
+                       msg_id: str | None = None,
                        attempt: int = 0) -> None:
         raise NotImplementedError
 
@@ -328,19 +380,23 @@ class BaseTransport(Transport):
 
     # ------------------------------------------------------------------
     def send_shareable(self, sender: str, recipient: str, topic: str,
-                       shareable: Shareable, msg_id: str | None = None,
+                       shareable: "Shareable | EncodedShareable",
+                       msg_id: str | None = None,
                        attempt: int = 0) -> None:
         """Serialize, sign with the sender's session key and dispatch.
 
         ``msg_id`` defaults to a fresh id; retries must pass the original id
         (see :func:`send_with_retry`) so the receiver can deduplicate.
+        ``shareable`` may be an :class:`EncodedShareable` built earlier, which
+        is then neither serialised nor hashed again.
         """
         key = self.session_key(sender)
         if key is None:
             raise TransportError(f"endpoint {sender!r} has no session key (not registered)")
         if msg_id is None:
             msg_id = self.next_msg_id(sender)
-        body = _encode_shareable(shareable)
+        encoded = (shareable if isinstance(shareable, EncodedShareable)
+                   else EncodedShareable(shareable))
         # One monotonic sample serves both the latency stamp and the trace
         # context's timeline stamp: the receiver derives the sender's clock
         # offset from their difference, so sharing the sample makes the
@@ -353,9 +409,9 @@ class BaseTransport(Transport):
         tracer = obs_trace.get_tracer()
         if tracer is not None:
             headers[ReservedKey.TRACE_CTX] = tracer.current_context(send_ts)
-        message = Message(sender=sender, recipient=recipient, topic=topic, body=body,
-                          headers=headers)
-        message.signature = hmac_sign_parts(message.signed_parts(), key)
+        message = Message(sender=sender, recipient=recipient, topic=topic,
+                          body=encoded.body, headers=headers)
+        message.signature = encoded.tag(message, key)
         if attempt > 0:
             self._retries.inc()
         self._dispatch(message)

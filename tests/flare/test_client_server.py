@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
+import hmac
+
 import numpy as np
 import pytest
 
@@ -17,12 +20,15 @@ from repro.flare import (
     ReservedKey,
     ReturnCode,
     TaskName,
+    TransportError,
     default_project,
     from_dxo,
     generate_keypair,
     sign,
     to_dxo,
 )
+
+from repro.flare import transport
 
 from .helpers import ToyLearner, toy_weights
 
@@ -155,3 +161,81 @@ class TestTaskProcessing:
         _, clients, _, _ = world
         with pytest.raises(RuntimeError, match="register"):
             clients[0].serve_in_thread()
+
+
+class TestBroadcastSignsOnce:
+    """One payload, hashed once: every target's tag comes from a copy of the
+    HMAC state that absorbed the body, finished with that target's header."""
+
+    @pytest.fixture()
+    def fanout(self, world, monkeypatch):
+        server, clients, _, bus = world
+        for client in clients:
+            client.register(server)
+        body_passes = []
+        absorb = transport.hmac_absorb
+
+        def counting(parts, key):
+            body_passes.append(len(parts[0]))
+            return absorb(parts, key)
+
+        monkeypatch.setattr(transport, "hmac_absorb", counting)
+        return server, bus, body_passes
+
+    @staticmethod
+    def queued(bus, site):
+        return bus._queues[site].queue[0]
+
+    @staticmethod
+    def reference_tag(bus, message):
+        """The specification: HMAC-SHA256(key, body || 0x00 || header_json)."""
+        return hmac.new(bus.session_key(message.sender),
+                        bytes(message.body) + b"\0" + message.signed_header(),
+                        hashlib.sha256).hexdigest()
+
+    def test_every_target_gets_the_reference_tag_from_one_body_pass(self, fanout):
+        server, bus, body_passes = fanout
+        server.broadcast_task(TaskName.TRAIN, train_task(), ["site-1", "site-2"])
+        first, second = self.queued(bus, "site-1"), self.queued(bus, "site-2")
+        assert first.body is second.body  # one serialisation, shared
+        assert len(body_passes) == 1
+        assert first.signature != second.signature  # the headers differ
+        for message in (first, second):
+            assert message.signature == self.reference_tag(bus, message)
+            bus.receive(message.recipient, timeout=1.0)  # and it verifies
+
+    def test_overrides_payload_gets_its_own_hash(self, fanout):
+        server, bus, body_passes = fanout
+        full = train_task(weights_value=5.0)
+        server.broadcast_task(TaskName.TRAIN, train_task(), ["site-1", "site-2"],
+                              overrides={"site-2": full})
+        first, second = self.queued(bus, "site-1"), self.queued(bus, "site-2")
+        assert first.body != second.body
+        assert len(body_passes) == 2
+        for message in (first, second):
+            assert message.signature == self.reference_tag(bus, message)
+        _, _, received = bus.receive("site-2", timeout=1.0)
+        np.testing.assert_allclose(to_dxo(received).data["layer.weight"], 5.0)
+
+    def test_wave_two_retry_reuses_the_hash_and_verifies(self, fanout):
+        server, bus, body_passes = fanout
+        enqueue, dropped = bus._enqueue, []
+
+        def drop_first_attempt_to_site_1(message):
+            if message.recipient == "site-1" and not dropped:
+                dropped.append(message)
+                raise TransportError("injected first-attempt drop")
+            enqueue(message)
+
+        bus._enqueue = drop_first_attempt_to_site_1
+        assert server.broadcast_task(TaskName.TRAIN, train_task(),
+                                     ["site-1", "site-2"]) == []
+        assert server.retries == 1
+        assert len(body_passes) == 1  # the resend re-signed, it did not re-hash
+        resent = self.queued(bus, "site-1")
+        assert resent.headers[ReservedKey.ATTEMPT] == 1
+        assert resent.headers[ReservedKey.MSG_ID] == dropped[0].headers[ReservedKey.MSG_ID]
+        assert resent.signature != dropped[0].signature
+        assert resent.signature == self.reference_tag(bus, resent)
+        sender, topic, _ = bus.receive("site-1", timeout=1.0)
+        assert (sender, topic) == ("server", TaskName.TRAIN)

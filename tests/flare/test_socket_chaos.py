@@ -44,6 +44,11 @@ def sample_message() -> Message:
                    headers={"__msg_id__": "site-1:0", "__attempt__": 0})
 
 
+def frame_bytes(message: Message) -> bytes:
+    """A DATA frame as one string: the join of the one builder's parts."""
+    return b"".join(encode_data_frame(message))
+
+
 def frame_pipe():
     """A connected socket pair: (writer, reader)."""
     writer, reader = socket.socketpair()
@@ -55,7 +60,7 @@ def frame_pipe():
 class TestFrameCodecFuzz:
     def test_roundtrip(self):
         message = sample_message()
-        frame = encode_data_frame(message)
+        frame = frame_bytes(message)
         writer, reader = frame_pipe()
         try:
             writer.sendall(frame)
@@ -108,7 +113,7 @@ class TestFrameCodecFuzz:
             reader.close()
 
     def test_mid_frame_disconnect(self):
-        frame = encode_data_frame(sample_message())
+        frame = frame_bytes(sample_message())
         writer, reader = frame_pipe()
         try:
             writer.sendall(frame[:len(frame) // 2])
@@ -121,7 +126,7 @@ class TestFrameCodecFuzz:
     def test_clean_eof_between_frames_is_none(self):
         writer, reader = frame_pipe()
         try:
-            writer.sendall(encode_frame(FRAME_DATA, b"x"))
+            writer.sendall(b"".join(encode_frame(FRAME_DATA, b"x")))
             writer.close()
             assert read_frame(reader) is not None
             assert read_frame(reader) is None
@@ -135,7 +140,7 @@ class TestFrameCodecFuzz:
         HMAC cannot verify, so either way the corruption is contained.
         """
         message = sample_message()
-        frame = encode_data_frame(message)
+        frame = frame_bytes(message)
         rest = frame[5:]  # after length prefix + type byte
         rng = np.random.default_rng(29)
         positions = set(rng.integers(0, len(rest), size=200).tolist())
@@ -155,7 +160,7 @@ class TestFrameCodecFuzz:
         assert survived > 0  # body flips decode fine and die at the HMAC
 
     def test_truncation_fuzz_never_escapes(self):
-        frame = encode_data_frame(sample_message())
+        frame = frame_bytes(sample_message())
         rest = frame[5:]
         for cut in range(0, len(rest), 7):
             try:
@@ -203,7 +208,7 @@ class TestHubSurvivesHostileConnections:
     def test_mid_frame_disconnect_against_live_hub(self):
         hub = SocketMessageBus()
         try:
-            partial = encode_data_frame(sample_message())[:9]
+            partial = frame_bytes(sample_message())[:9]
             hostile = socket.create_connection(hub.address, timeout=5.0)
             hostile.sendall(partial)
             hostile.close()

@@ -19,6 +19,7 @@ from repro.flare import (
     FaultyMessageBus,
     MessageBus,
     ReceiveTimeout,
+    ReservedKey,
     RetryPolicy,
     Shareable,
     ShmMessageBus,
@@ -147,6 +148,27 @@ class TestConformance:
         fabric.server_bus.send_shareable(SERVER, CLIENT, "task", payload("x"))
         # the receiving node holds a stale key for the sender
         fabric.client_bus.install_session_key(SERVER, b"z" * 32)
+        with pytest.raises(SignatureError, match="signature"):
+            fabric.client_bus.receive(CLIENT, timeout=5.0)
+
+    @pytest.mark.parametrize("flipped", ["body byte", "header field", "topic"])
+    def test_tampering_after_signing_rejected(self, fabric, flipped):
+        """The tag covers every body byte and every header field."""
+        bus = fabric.server_bus
+        dispatch = bus._dispatch
+
+        def tamper_in_flight(message):
+            if flipped == "body byte":
+                last = len(message.body) - 1
+                message.body = message.body[:last] + bytes([message.body[last] ^ 0x01])
+            elif flipped == "header field":
+                message.headers[ReservedKey.ATTEMPT] ^= 1
+            else:
+                message.topic = "tasj"
+            dispatch(message)
+
+        bus._dispatch = tamper_in_flight
+        bus.send_shareable(SERVER, CLIENT, "task", payload("x"))
         with pytest.raises(SignatureError, match="signature"):
             fabric.client_bus.receive(CLIENT, timeout=5.0)
 
