@@ -3,8 +3,9 @@
 The big GEMMs in the fused kernels run inside whatever BLAS numpy was built
 on (OpenBLAS for the wheels this repro pins).  That library owns its own
 thread pool, sized at load time from the machine's core count — which is
-exactly wrong once the simulator forks one worker process per client: N
-workers x M BLAS threads oversubscribes N*M ways and every GEMM slows down.
+exactly wrong once several sites train at once: k forked workers x M BLAS
+threads oversubscribe k*M ways, and k client *threads* sharing one M-thread
+pool serialise and spin on it; either way every GEMM slows down.
 
 ``threadpoolctl`` is the usual answer but is not a dependency of this repo,
 so this module speaks to the loaded BLAS directly: it finds the shared
@@ -15,8 +16,10 @@ a no-op — ``None`` returns — when the platform or the BLAS flavour does not
 cooperate; callers must treat thread pinning as best-effort.
 
 Used by the ``blas`` array backend (:mod:`repro.autograd.backend`) and by
-the process-per-client runner, which pins children to
-``max(1, cores // workers)`` threads (see ``docs/PERFORMANCE.md``).
+the simulator, which gives every run one budget —
+:func:`recommended_blas_threads` of the ``k`` sites that can train at once —
+applied to each forked worker and, on the threaded memory fabric, to this
+process's own pool for the duration of the run (see ``docs/PERFORMANCE.md``).
 """
 
 from __future__ import annotations
@@ -152,10 +155,11 @@ def blas_thread_info() -> dict:
 
 
 def recommended_blas_threads(workers: int) -> int:
-    """Per-worker BLAS threads that avoid oversubscription.
+    """BLAS threads per trainer that avoid oversubscription.
 
-    With ``workers`` processes training concurrently the pools must share
-    the machine: ``max(1, cores // workers)``.
+    With ``workers`` sites training concurrently — processes with a pool
+    each, or threads sharing one — the GEMMs must share the machine:
+    ``max(1, cores // workers)``.
     """
     try:
         cores = len(os.sched_getaffinity(0))

@@ -8,6 +8,15 @@ Raising the mmap and trim thresholds keeps those blocks on the heap where
 they are reused, which measurably speeds up the fused training path
 (~15-20% on the BERT-mini train step).
 
+Those thresholds are *per arena*, and glibc gives every thread its own
+arena (up to 8 per core): with eight client threads each arena retains its
+own untrimmed heap, which was over 300 of the 497 MB the threaded BERT-mini
+server peaked at.  ``M_ARENA_MAX`` is therefore capped at 1 in the same
+call — it runs at ``import repro.autograd``, before any thread exists — so
+all threads reuse one heap (184 MB on that job; the allocator lock is held
+for microseconds against GEMMs of milliseconds, and ``job_s`` did not move
+on any workload, see ``docs/PERFORMANCE.md``).
+
 Set ``REPRO_NO_MALLOC_TUNE=1`` to skip the tuning (e.g. for memory-footprint
 profiling).  Non-Linux / non-glibc platforms are silently left untouched.
 """
@@ -21,6 +30,7 @@ __all__ = ["tune_malloc"]
 
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
+_M_ARENA_MAX = -8
 _THRESHOLD_BYTES = 1 << 26  # 64 MB: well above any per-op buffer we allocate
 
 _applied = False
@@ -41,7 +51,8 @@ def _reapply_after_fork() -> None:
 
 
 def tune_malloc() -> bool:
-    """Raise glibc's mmap/trim thresholds; returns True if applied."""
+    """Raise glibc's mmap/trim thresholds and cap it at one arena; returns
+    True if applied."""
     global _applied, _at_fork_registered
     if _applied:
         return True
@@ -53,8 +64,11 @@ def tune_malloc() -> bool:
         import ctypes
 
         libc = ctypes.CDLL("libc.so.6")
+        libc.mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
+        libc.mallopt.restype = ctypes.c_int
         ok = bool(libc.mallopt(_M_MMAP_THRESHOLD, _THRESHOLD_BYTES))
         ok = bool(libc.mallopt(_M_TRIM_THRESHOLD, _THRESHOLD_BYTES)) and ok
+        ok = bool(libc.mallopt(_M_ARENA_MAX, 1)) and ok
         _applied = ok
         if ok and not _at_fork_registered:
             os.register_at_fork(after_in_child=_reapply_after_fork)

@@ -1,4 +1,13 @@
-"""FederatedClient: registration handshake + task execution loop."""
+"""FederatedClient: registration handshake + task execution loop.
+
+Two run-level objects sit on every client beside its learner: the
+``task_semaphore`` gate (how many sites train at once) and the one-shot
+``abort_signal`` (the training workflow is over).  A TRAIN task that reaches
+the front of the gate with the signal set is dropped unrun, the learner sees
+the signal through ``fl_ctx`` (``ReservedKey.ABORT_SIGNAL``) and returns
+early, and an aborted task sends no reply — so nothing of it is folded and
+no thread or process outlives the run training for nobody.
+"""
 
 from __future__ import annotations
 
@@ -56,6 +65,11 @@ class FederatedClient(FLComponent):
         # (the simulator installs one, mirroring NVFlare's simulator thread
         # pool; training 8 BERTs concurrently on one box exhausts memory).
         self.task_semaphore: threading.Semaphore | None = None
+        # Event-like and one-shot.  The simulator installs the run's shared
+        # one (the server's Event for threads, a fork-inherited
+        # multiprocessing Event in a worker process); a hand-driven client
+        # keeps this private one, which its own stop() sets.
+        self.abort_signal = threading.Event()
         bus.register_endpoint(self.name)
 
     # ------------------------------------------------------------------
@@ -82,8 +96,10 @@ class FederatedClient(FLComponent):
     # ------------------------------------------------------------------
     # task processing
     # ------------------------------------------------------------------
-    def process_task(self, task_name: str, shareable: Shareable) -> Shareable:
-        """Execute one task against the learner, applying filter chains.
+    def process_task(self, task_name: str,
+                     shareable: Shareable) -> Shareable | None:
+        """Execute one task against the learner, applying filter chains;
+        ``None`` (send nothing) for a TRAIN task the abort signal overtook.
 
         The transport attaches the server's trace context to the received
         shareable; opening the task span with it as ``remote_parent``
@@ -96,15 +112,21 @@ class FederatedClient(FLComponent):
                             client=self.name, task=task_name,
                             round=round_number) as task_span:
             reply = self._process_task_inner(task_name, shareable)
+            if reply is None:
+                task_span.set_attr("return_code", "ABORTED")
+                return None
             # echo which round's task this answers, so the controller can
             # tell a late reply to an abandoned task from a current one
             reply.set_header(ReservedKey.ROUND_NUMBER, round_number)
             task_span.set_attr("return_code", reply.return_code)
         return reply
 
-    def _process_task_inner(self, task_name: str, shareable: Shareable) -> Shareable:
+    def _process_task_inner(self, task_name: str,
+                            shareable: Shareable) -> Shareable | None:
         self.fl_ctx.set_prop(ReservedKey.CURRENT_ROUND,
                              shareable.get_header(ReservedKey.ROUND_NUMBER, 0))
+        abort = self.abort_signal
+        self.fl_ctx.set_prop(ReservedKey.ABORT_SIGNAL, abort)
         try:
             dxo = to_dxo(shareable)
             # Decompression/reconstruction filters (fp16 dequantize, delta
@@ -128,9 +150,13 @@ class FederatedClient(FLComponent):
                 gate.acquire()
             try:
                 if task_name == TaskName.TRAIN:
+                    if abort.is_set():
+                        return None  # the run ended while this task queued
                     self.fire_event(EventType.BEFORE_TRAIN_TASK, self.fl_ctx)
                     started = time.perf_counter()
                     result = self.learner.train(dxo, self.fl_ctx)
+                    if abort.is_set():
+                        return None  # cut short or too late: never folded
                     elapsed = time.perf_counter() - started
                     result.set_meta_prop("train_seconds", elapsed)
                     self.fire_event(EventType.AFTER_TRAIN_TASK, self.fl_ctx)
@@ -144,6 +170,8 @@ class FederatedClient(FLComponent):
                 if gate is not None:
                     gate.release()
         except Exception as error:  # surfaced as a return code, like NVFlare
+            if task_name == TaskName.TRAIN and abort.is_set():
+                return None  # the learner's way out of an aborted task
             self.log_error("task %s failed: %s", task_name, error)
             return make_reply(ReturnCode.EXECUTION_EXCEPTION)
         for result_filter in self.task_result_filters:
@@ -167,6 +195,8 @@ class FederatedClient(FLComponent):
         if topic == _STOP_TOPIC:
             return False
         reply = self.process_task(topic, shareable)
+        if reply is None:
+            return True  # aborted task: nothing to send
         try:
             attempts = send_with_retry(self.bus, self.name, sender,
                                        f"{topic}:result", reply, self.retry_policy)
@@ -198,7 +228,10 @@ class FederatedClient(FLComponent):
         return self._thread
 
     def stop(self) -> None:
+        """End the message loop; a learner honouring the abort signal is
+        back within one batch, any other is waited for up to 10 s."""
         self._stopping.set()
+        self.abort_signal.set()
         if self._thread is not None:
             self._thread.join(timeout=10.0)
             self._thread = None

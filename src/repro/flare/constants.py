@@ -65,6 +65,7 @@ class ReservedKey:
     CURRENT_ROUND = "current_round"
     GLOBAL_MODEL = "global_model"
     RUN_DIR = "run_dir"
+    ABORT_SIGNAL = "abort_signal"
 
 
 class TaskName:

@@ -95,8 +95,10 @@ class CommitPolicy:
         return list(self.sites)
 
     def to_task(self, eligible: list[str], in_flight: dict, opening: bool,
-                wave: int) -> list[str]:
-        """Decision 1, asked at window open and before every receive."""
+                wave: int, accepted: int, last: bool) -> list[str]:
+        """Decision 1, asked at window open and before every receive;
+        ``accepted`` counts this window's folds so far and ``last`` says no
+        window follows this one."""
         raise NotImplementedError
 
     def full(self, accepted: int) -> bool:
@@ -128,7 +130,7 @@ class Barrier(CommitPolicy):
         return self.sampler.sample(
             self.sites, self.clients_per_round or len(self.sites), window)
 
-    def to_task(self, eligible, in_flight, opening, wave):
+    def to_task(self, eligible, in_flight, opening, wave, accepted, last):
         return eligible if opening else []
 
 
@@ -166,11 +168,15 @@ class Buffered(CommitPolicy):
             raise ValueError("concurrency must be in [1, len(client_names)]")
         return self.buffer_size
 
-    def to_task(self, eligible, in_flight, opening, wave):
+    def to_task(self, eligible, in_flight, opening, wave, accepted, last):
         # one sampler wave per call, so the draw is a pure function of
         # (seed, wave); unreachable sites never entered ``in_flight``
         idle = [site for site in eligible if site not in in_flight]
         want = min(self.concurrency - len(in_flight), len(idle))
+        if last:
+            # the run can fold only so many more updates; a reply that
+            # fails or is over-stale reopens room on the next call
+            want = min(want, self.buffer_size - accepted - len(in_flight))
         return self.sampler.sample(idle, want, wave) if want > 0 else []
 
     def full(self, accepted):
@@ -306,7 +312,6 @@ class ScatterAndGather(FLComponent):
             with obs_trace.span("round", round=window,
                                 **self.policy.span_attrs) as span:
                 self._run_window(window, fl_ctx, span)
-        self._drain_in_flight()
         self.fire_event(EventType.END_RUN, fl_ctx)
         bus = self.server.bus
         self.stats.messages_delivered = bus.delivered_count
@@ -336,7 +341,7 @@ class ScatterAndGather(FLComponent):
         accepted = 0
         answered: set[str] = set()
         contributors: set[str] = set()
-        self._dispatch(eligible, True, window, fl_ctx)
+        self._dispatch(eligible, True, window, accepted, fl_ctx)
         if self.health is not None:
             # Reference = exactly what this window first broadcast (post
             # fp16/delta canonicalization), so client updates are measured
@@ -370,12 +375,19 @@ class ScatterAndGather(FLComponent):
                 accepted += 1
                 if self.policy.full(accepted):
                     break
-            self._dispatch(eligible, False, window, fl_ctx)
+            self._dispatch(eligible, False, window, accepted, fl_ctx)
 
         if self.policy.carries_tasks:
             abandoned: set[str] = set()
         else:
             abandoned = set(eligible) - answered
+            self._in_flight.clear()
+        if window == self.num_rounds - 1:
+            # Whatever is still out (carried by the policy, or a straggler
+            # the barrier gave up on) trains for nobody now: abort it, wait
+            # for none — before the last commit, whose evaluation would
+            # otherwise share the cores with it.
+            self.server.abort_tasks()
             self._in_flight.clear()
         record.dropped_clients = sorted((answered | abandoned) - contributors)
         if record.dropped_clients:
@@ -434,11 +446,12 @@ class ScatterAndGather(FLComponent):
 
     # ------------------------------------------------------------------
     def _dispatch(self, eligible: list[str], opening: bool, window: int,
-                  fl_ctx: FLContext) -> None:
+                  accepted: int, fl_ctx: FLContext) -> None:
         """Task whomever the policy names with the current global (one
         dispatch wave)."""
         targets = self.policy.to_task(eligible, self._in_flight, opening,
-                                      self._wave)
+                                      self._wave, accepted,
+                                      window == self.num_rounds - 1)
         if not targets:
             return
         headers = {ReservedKey.ROUND_NUMBER: window,
@@ -538,17 +551,3 @@ class ScatterAndGather(FLComponent):
         if self.persistor is not None:
             self.persistor.save(self.global_weights, fl_ctx,
                                 metric=record.global_metrics.get("valid_acc"))
-
-    def _drain_in_flight(self) -> None:
-        """Consume the replies to tasks a carrying policy left outstanding,
-        so the server inbox does not leak into whatever runs on this bus
-        next.  Under the sequential drive every reply is already queued, so
-        the drain is instant."""
-        deadline = time.monotonic() + min(self.result_timeout, 5.0)
-        while self._in_flight:
-            result = self.server.next_result(timeout=deadline - time.monotonic())
-            if result is None:
-                self.log_warning("run done: %d in-flight task(s) never answered",
-                                 len(self._in_flight))
-                break
-            self._in_flight.pop(result[0], None)

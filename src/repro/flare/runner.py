@@ -68,8 +68,10 @@ class WorkerRuntime:
     hook, while the numpy default dtype, the array backend and the BLAS
     thread-pool size are plain process state the parent captures here so
     every worker trains under the same configuration.  ``blas_threads``
-    should be ``recommended_blas_threads(n_workers)`` — N workers each
-    running an M-thread BLAS pool oversubscribe N*M ways otherwise (see
+    is the run's BLAS budget, ``recommended_blas_threads(k)`` for the ``k``
+    sites that can train at once — the same number the threaded memory
+    fabric resizes the parent's pool to — since ``k`` trainers each running
+    an M-thread pool oversubscribe k*M ways otherwise (see
     ``docs/PERFORMANCE.md``).
     """
 
@@ -86,7 +88,8 @@ class WorkerRuntime:
     @classmethod
     def capture(cls, workers: int, telemetry: bool = False,
                 sysmon: float | None = None) -> "WorkerRuntime":
-        """Snapshot the parent's runtime, splitting BLAS threads ``workers`` ways."""
+        """Snapshot the parent's runtime, splitting BLAS threads among the
+        ``workers`` that train concurrently (``min(n_sites, max_parallel)``)."""
         from ..autograd import get_backend, get_default_dtype
         from ..autograd._blas import recommended_blas_threads
 
@@ -233,7 +236,7 @@ class _WorkerTelemetryExporter:
 
 def client_process_main(config: ClientProcessConfig,
                         learner_factory: Callable[[str], "Learner"],
-                        gate=None) -> None:
+                        gate=None, abort_signal=None) -> None:
     """Entry point of one client process: connect, serve tasks, exit on stop.
 
     Mirrors ``FederatedClient.serve_in_thread`` on its own node: idle
@@ -306,6 +309,8 @@ def client_process_main(config: ClientProcessConfig,
         client.fl_ctx.set_prop(ReservedKey.TOKEN, config.token)
         client.learner.initialize(client.fl_ctx)
         client.task_semaphore = gate
+        if abort_signal is not None:
+            client.abort_signal = abort_signal
         if registry is not None and profiler is not None:
             # keys are installed; start streaming deltas to the server
             exporter = _WorkerTelemetryExporter(
@@ -530,6 +535,9 @@ class ProcessClientRunner:
         # mirroring the threaded simulator's max_parallel semaphore.
         gate = (self._ctx.Semaphore(self.max_parallel)
                 if self.max_parallel is not None else None)
+        # ... and one shared one-shot abort signal, the cross-process form of
+        # the Event threaded clients share; the server sets it at run end.
+        abort_signal = self.server.abort_signal = self._ctx.Event()
         for name in client_names:
             token = self.tokens.get(name) or self.register(name)
             config = ClientProcessConfig(
@@ -545,7 +553,7 @@ class ProcessClientRunner:
                 telemetry_flush=self.telemetry_flush)
             process = self._ctx.Process(
                 target=client_process_main,
-                args=(config, self.learner_factory, gate),
+                args=(config, self.learner_factory, gate, abort_signal),
                 name=f"fl-client-{name}", daemon=True)
             process.start()
             self._processes[name] = process

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import threading
 import time
 
 import numpy as np
 
-from .constants import TELEMETRY_TOPIC, EventType, ReservedKey
+from .constants import TELEMETRY_TOPIC, EventType, ReservedKey, TaskName
 from .events import FLComponent, format_names
 from .fl_context import FLContext
 from .provision import StartupKit, make_join_token
@@ -24,6 +25,8 @@ from .transport import (
 __all__ = ["FLServer", "AuthenticationError"]
 
 _STOP_TOPIC = "__stop__"
+_TRAIN_RESULT_TOPIC = f"{TaskName.TRAIN}:result"
+_POLL_SECONDS = 0.01  # enough to dequeue a message that is already queued
 
 
 class AuthenticationError(RuntimeError):
@@ -49,6 +52,12 @@ class FLServer(FLComponent):
         # a sink those messages are dropped from the result stream — they
         # must never be mistaken for a round contribution.
         self.telemetry_sink = None
+        # The run's one-shot abort signal (NVFlare's ``abort_signal``): set
+        # once the training workflow on this server is over, so clients drop
+        # TRAIN work nobody will fold.  The simulator hands this Event to its
+        # threaded clients; ProcessClientRunner replaces it with a
+        # fork-inherited multiprocessing one before it forks.
+        self.abort_signal = threading.Event()
         self._nonces: dict[str, bytes] = {}
         self._rng = np.random.default_rng(seed)
         bus.register_endpoint(self.name)
@@ -190,7 +199,23 @@ class FLServer(FLComponent):
                 if self.telemetry_sink is not None and isinstance(snapshot, dict):
                     self.telemetry_sink(snapshot)
                 continue
+            if topic == _TRAIN_RESULT_TOPIC and self.abort_signal.is_set():
+                continue  # sent as the run ended: nobody is waiting for it
             return sender, shareable
+
+    def abort_tasks(self) -> None:
+        """Set the abort signal and discard what already reached the inbox.
+
+        Clients see the signal at the gate (a queued TRAIN task is dropped
+        unrun) and between batches (a running one returns early); neither
+        replies.  Nothing is waited for: only messages already queued are
+        consumed, so replies to the aborted workflow do not leak into
+        whatever runs on this bus next.
+        """
+        self.abort_signal.set()
+        while self.bus.pending(self.name) and \
+                self.next_result(timeout=_POLL_SECONDS) is not None:
+            pass
 
     def collect_results(self, expected: int, timeout: float = 600.0
                         ) -> list[tuple[str, Shareable]]:

@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ..autograd._blas import recommended_blas_threads, set_blas_threads
 from ..obs.health import HealthMonitor
 from ..obs.session import TelemetrySession, _sysmon_interval
 from . import codec as wire_codec_module
@@ -137,6 +138,10 @@ class SimulatorRunner:
         # clients have their own thread but at most ``max_parallel`` execute
         # a task at once, bounding peak training memory.
         self.max_parallel = max_parallel
+        # How many sites can train at once: what the run's BLAS thread
+        # budget (``recommended_blas_threads``) is split among, whether the
+        # trainers are threads of this process or forked workers.
+        self.concurrent_trainers = min(n_clients, max_parallel)
         self.run_dir = Path(run_dir) if run_dir is not None else Path(
             tempfile.mkdtemp(prefix=f"fl-{job.name}-"))
 
@@ -162,11 +167,19 @@ class SimulatorRunner:
         self.metrics_exporter = session.exporter if session is not None else None
         previous_codec = (set_wire_codec(self.wire_codec)
                           if self.wire_codec is not None else None)
+        # Threaded clients and the server's evaluator share this process's
+        # BLAS pool: size it like a worker's for the run, or concurrent
+        # GEMMs serialise and spin on it.  Sequential runs have one caller.
+        previous_blas = (
+            set_blas_threads(recommended_blas_threads(self.concurrent_trainers))
+            if self.transport == "memory" and self.threads else None)
         try:
             return self._run_inner(capture, session, monitor)
         finally:
             if previous_codec is not None:
                 set_wire_codec(previous_codec)
+            if previous_blas is not None:
+                set_blas_threads(previous_blas)
             if session is not None:
                 session.stop()  # finalizes the health artifact too
             elif monitor is not None:
@@ -236,7 +249,7 @@ class SimulatorRunner:
                 extra_result_filters=list(self.job.task_result_filters),
                 fault_plan=self.fault_plan,
                 max_parallel=self.max_parallel,
-                runtime=WorkerRuntime.capture(len(client_names),
+                runtime=WorkerRuntime.capture(self.concurrent_trainers,
                                               telemetry=self.telemetry,
                                               sysmon=self.sysmon_interval),
                 trace_id=trace_id,
@@ -259,6 +272,7 @@ class SimulatorRunner:
                     task_result_filters=task_result_filters,
                     task_data_filters=task_data_filters)
                 client.task_semaphore = gate
+                client.abort_signal = server.abort_signal
                 client.register(server)
                 client.log_info(
                     "Successfully registered client:%s for project simulator_server. Token:%s",
@@ -305,6 +319,9 @@ class SimulatorRunner:
         try:
             stats = controller.run()
         finally:
+            # already set after a completed run; an aborted one (controller
+            # or listener raised) must not leave sites training either
+            server.abort_signal.set()
             if runner is not None:
                 # Stop fan-out may be partially undeliverable on a faulty
                 # fabric; join() terminates any straggler processes anyway.

@@ -14,7 +14,7 @@ import numpy as np
 
 from ..autograd import Adam, Module
 from ..data import ClassificationDataset
-from ..flare import DXO, DataKind, FLContext, Learner, MetaKey
+from ..flare import DXO, DataKind, FLContext, Learner, MetaKey, ReservedKey
 from .trainer import TrainConfig, evaluate_classifier, train_classifier
 
 __all__ = ["ClinicalClassificationLearner"]
@@ -79,12 +79,16 @@ class ClinicalClassificationLearner(Learner):
             regularizer = make_proximal_regularizer(self.fedprox_mu, incoming)
         last_loss = float("nan")
         valid_acc = float("nan")
+        abort_signal = fl_ctx.get_prop(ReservedKey.ABORT_SIGNAL)
         for epoch in range(self.local_epochs):
             started = time.perf_counter()
             history = train_classifier(model, self.train_data, config,
                                        optimizer=optimizer,
-                                       regularizer=regularizer)
+                                       regularizer=regularizer,
+                                       abort_signal=abort_signal)
             last_loss = history[-1].train_loss
+            if abort_signal is not None and abort_signal.is_set():
+                break  # the run is over; the client discards this result
             if self.valid_data is not None and len(self.valid_data):
                 valid_acc, _ = evaluate_classifier(model, self.valid_data,
                                                    self.batch_size)

@@ -8,7 +8,7 @@ import numpy as np
 
 from ..autograd import Adam, Module
 from ..data import MlmCollator, SequenceDataset
-from ..flare import DXO, DataKind, FLContext, Learner, MetaKey
+from ..flare import DXO, DataKind, FLContext, Learner, MetaKey, ReservedKey
 from .trainer import TrainConfig, evaluate_mlm, train_mlm
 
 __all__ = ["MlmPretrainLearner"]
@@ -51,7 +51,8 @@ class MlmPretrainLearner(Learner):
                              lr=self.lr, seed=self.seed + 1000 * round_number)
         optimizer = Adam(self.model.parameters(), lr=self.lr)
         history = train_mlm(self.model, self.train_data, self.collator, config,
-                            optimizer=optimizer)
+                            optimizer=optimizer,
+                            abort_signal=fl_ctx.get_prop(ReservedKey.ABORT_SIGNAL))
         mlm_loss = history[-1].train_loss
         epoch_seconds = sum(m.seconds for m in history) / len(history)
         self.log_info("Local epoch %s: %d/%d (lr=%s), mlm_loss=%.3f",

@@ -76,12 +76,16 @@ def train_classifier(model: Module, dataset: ClassificationDataset,
                      config: TrainConfig,
                      valid: ClassificationDataset | None = None,
                      optimizer: Adam | None = None,
-                     regularizer=None) -> list[EpochMetrics]:
+                     regularizer=None, abort_signal=None) -> list[EpochMetrics]:
     """Train a classifier; returns per-epoch metrics.
 
     ``regularizer`` is an optional ``model -> Tensor`` penalty added to every
     batch loss (used for the FedProx proximal term in federated learners).
+    ``abort_signal`` is an optional Event-like object polled between
+    batches: once set, training stops and the history ends with the partial
+    epoch (federated learners pass the run's signal; the result is unused).
     """
+    aborted = abort_signal.is_set if abort_signal is not None else lambda: False
     optimizer = optimizer or Adam(model.parameters(), lr=config.lr)
     rng = np.random.default_rng(config.seed)
     history: list[EpochMetrics] = []
@@ -103,6 +107,8 @@ def train_classifier(model: Module, dataset: ClassificationDataset,
         with obs_trace.span("local_train", objective="classifier", epoch=epoch):
             for ids, mask, labels in dataset.iter_batches(config.batch_size,
                                                           shuffle=True, rng=rng):
+                if aborted():
+                    break
                 step_started = time.perf_counter()
                 with obs_trace.span("step"):
                     logits = model(ids, attention_mask=mask)
@@ -126,6 +132,9 @@ def train_classifier(model: Module, dataset: ClassificationDataset,
         obs_metrics.gauge("train.loss", objective="classifier").set(averager.average)
         metrics = EpochMetrics(epoch=epoch, train_loss=averager.average,
                                seconds=elapsed)
+        if aborted():
+            history.append(metrics)  # the partial epoch, not validated
+            break
         if valid is not None and len(valid):
             metrics.valid_acc, metrics.valid_loss = evaluate_classifier(model, valid,
                                                                         config.batch_size)
@@ -162,8 +171,11 @@ def evaluate_classifier(model: Module, dataset: ClassificationDataset,
 
 def train_mlm(model: Module, dataset: SequenceDataset, collator: MlmCollator,
               config: TrainConfig, valid: SequenceDataset | None = None,
-              optimizer: Adam | None = None) -> list[EpochMetrics]:
-    """Masked-LM pretraining; ``train_loss`` holds the MLM loss (Fig. 2)."""
+              optimizer: Adam | None = None,
+              abort_signal=None) -> list[EpochMetrics]:
+    """Masked-LM pretraining; ``train_loss`` holds the MLM loss (Fig. 2).
+    ``abort_signal``: as in :func:`train_classifier`."""
+    aborted = abort_signal.is_set if abort_signal is not None else lambda: False
     optimizer = optimizer or Adam(model.parameters(), lr=config.lr)
     rng = np.random.default_rng(config.seed)
     history: list[EpochMetrics] = []
@@ -181,6 +193,8 @@ def train_mlm(model: Module, dataset: SequenceDataset, collator: MlmCollator,
         tokens = 0
         with obs_trace.span("local_train", objective="mlm", epoch=epoch):
             for ids, mask in dataset.iter_batches(config.batch_size, shuffle=True, rng=rng):
+                if aborted():
+                    break
                 example = collator(ids, mask)
                 n_targets = int((example.labels != IGNORE_INDEX).sum())
                 if n_targets == 0:
@@ -208,6 +222,9 @@ def train_mlm(model: Module, dataset: SequenceDataset, collator: MlmCollator,
         obs_metrics.gauge("train.loss", objective="mlm").set(averager.average)
         metrics = EpochMetrics(epoch=epoch, train_loss=averager.average,
                                seconds=elapsed)
+        if aborted():
+            history.append(metrics)  # the partial epoch, not validated
+            break
         if valid is not None and len(valid):
             metrics.valid_loss = evaluate_mlm(model, valid, collator, config.batch_size)
         history.append(metrics)
