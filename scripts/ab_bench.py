@@ -7,13 +7,17 @@
 Extracts ``--parent`` (``git archive``) into ``--workdir``, then per workload
 runs ``--pairs`` pairs of ``benchmarks/e2e/run.py`` — one seed per pair, the
 side that runs first alternating — and writes ``BENCH_pr<N>.json``: every
-pair's values, each side's median and quartiles, and the pairs the change won.
+pair's values (``final_loss`` and the checkpoint ``digest`` among them), each
+side's median and quartiles, and the pairs the change won.
 ``--trace 1`` records the per-layer metrics of traced runs instead, in their
-own section of the same file.  It measures; docs/PERFORMANCE.md has the rule.
+own section of the same file.  Both trees start without ``__pycache__``, so
+neither side runs stale bytecode or skips the compile the other pays.
+It measures; docs/PERFORMANCE.md has the rule.
 """
 import argparse
 import json
 import re
+import shutil
 import subprocess
 import sys
 import tarfile
@@ -33,8 +37,10 @@ def run_once(tree: Path, workload: str, seed: int, trace: int) -> dict:
         raise SystemExit(f"{tree.name} {workload} seed {seed}: no result\n{done.stderr[-2000:]}")
     result = json.loads(done.stdout.strip().splitlines()[-1])
     digest = re.search(r"digest=(\w+)", done.stdout)
+    final_loss = re.search(r"^\s*final_loss\s+(\S+)", done.stdout, re.MULTILINE)
     return {"correct": result["correct"], "attempted": result["attempted"],
             "failed": result["failed"], "digest": digest and digest.group(1),
+            "final_loss": float(final_loss.group(1)),
             **{name: metric["value"] for name, metric in result["metrics"].items()}}
 
 
@@ -73,8 +79,12 @@ def main() -> int:
                               stdout=subprocess.PIPE) as archive:
             tarfile.open(fileobj=archive.stdout, mode="r|").extractall(parent)
     trees = {"parent": parent, "change": ROOT}
+    for tree in trees.values():
+        for cache in list(tree.rglob("__pycache__")):
+            shutil.rmtree(cache, ignore_errors=True)
     section = "per_layer" if args.trace else "end_to_end"
-    better = {entry["name"]: entry["better"] for entry in SPEC[section]}
+    better = {"final_loss": "lower",
+              **{entry["name"]: entry["better"] for entry in SPEC[section]}}
     out = ROOT / f"BENCH_pr{args.pr}.json"
     report = json.loads(out.read_text()) if out.is_file() else {}
     report.update(pr=args.pr, parent=revision, benchmark=" ".join(SPEC["command"]),

@@ -7,7 +7,6 @@ format, and return the updated weights with sample-count metadata.
 
 from __future__ import annotations
 
-import time
 from typing import Callable
 
 import numpy as np
@@ -68,35 +67,34 @@ class ClinicalClassificationLearner(Learner):
         round_number = fl_ctx.get_prop("current_round",
                                        fl_ctx.get_prop("__round_number__", 0))
 
-        config = TrainConfig(epochs=1, batch_size=self.batch_size, lr=self.lr,
-                             seed=self.seed + 1000 * int(round_number),
+        # One call, one Generator: every local epoch of the round draws its
+        # own batches from ``default_rng(seed + 1000 * round)``.
+        config = TrainConfig(epochs=self.local_epochs, batch_size=self.batch_size,
+                             lr=self.lr, seed=self.seed + 1000 * int(round_number),
                              class_weights=self.class_weights)
-        optimizer = Adam(model.parameters(), lr=self.lr)
         regularizer = None
         if self.fedprox_mu > 0:
             from .fedprox import make_proximal_regularizer
 
             regularizer = make_proximal_regularizer(self.fedprox_mu, incoming)
-        last_loss = float("nan")
-        valid_acc = float("nan")
         abort_signal = fl_ctx.get_prop(ReservedKey.ABORT_SIGNAL)
-        for epoch in range(self.local_epochs):
-            started = time.perf_counter()
-            history = train_classifier(model, self.train_data, config,
-                                       optimizer=optimizer,
-                                       regularizer=regularizer,
-                                       abort_signal=abort_signal)
-            last_loss = history[-1].train_loss
-            if abort_signal is not None and abort_signal.is_set():
-                break  # the run is over; the client discards this result
-            if self.valid_data is not None and len(self.valid_data):
-                valid_acc, _ = evaluate_classifier(model, self.valid_data,
-                                                   self.batch_size)
-            self.epoch_seconds.append(time.perf_counter() - started)
+        history = train_classifier(model, self.train_data, config,
+                                   valid=self.valid_data,
+                                   optimizer=Adam(model.parameters(), lr=self.lr),
+                                   regularizer=regularizer,
+                                   abort_signal=abort_signal)
+        if abort_signal is not None and abort_signal.is_set():
+            history.pop()  # the partial epoch; the client discards this result
+        last_loss = history[-1].train_loss if history else float("nan")
+        valid_acc = float("nan")
+        for metrics in history:
+            if metrics.valid_acc is not None:  # None without validation data
+                valid_acc = metrics.valid_acc
+            self.epoch_seconds.append(metrics.seconds)
             self.log_info(
                 "Local epoch %s: %d/%d (lr=%s), train_loss=%.3f, valid_acc=%.3f",
-                self.site_name, epoch + 1, self.local_epochs, self.lr,
-                last_loss, valid_acc)
+                self.site_name, metrics.epoch + 1, self.local_epochs, self.lr,
+                metrics.train_loss, valid_acc)
         if self.epoch_seconds:
             self.log_info("Training cost: %.1f sec/local epoch",
                           sum(self.epoch_seconds) / len(self.epoch_seconds))

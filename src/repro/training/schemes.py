@@ -126,7 +126,7 @@ def run_federated(model_factory: ModelFactory,
             site_name=client_name, model_factory=model_factory,
             train_data=shard, valid_data=valid,
             local_epochs=local_epochs, batch_size=batch_size, lr=lr,
-            seed=seed + hash(client_name) % 1000,
+            seed=seed + site_names.index(client_name),
             class_weights=class_weights, fedprox_mu=fedprox_mu)
 
     job = FLJob(name=job_name,
@@ -167,6 +167,7 @@ def run_federated_mlm(model_factory: ModelFactory,
                       transport: str | None = None
                       ) -> tuple[list[float], SimulationResult]:
     """Federated MLM pretraining; returns per-round global MLM loss."""
+    site_names = sorted(shards)
     eval_model = model_factory()
 
     def evaluator(weights: dict[str, np.ndarray]) -> dict[str, float]:
@@ -179,7 +180,7 @@ def run_federated_mlm(model_factory: ModelFactory,
             site_name=client_name, model_factory=model_factory,
             train_data=shards[client_name], collator=collator,
             local_epochs=local_epochs, batch_size=batch_size, lr=lr,
-            seed=seed + hash(client_name) % 1000)
+            seed=seed + site_names.index(client_name))
 
     job = FLJob(name=job_name,
                 initial_weights=model_factory().state_dict(),

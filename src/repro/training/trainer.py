@@ -72,12 +72,31 @@ def _step(model: Module, optimizer: Adam, loss, max_grad_norm: float | None) -> 
     return norm
 
 
+def _record_tokens(objective: str, tokens: int, real_tokens: int,
+                   elapsed: float) -> None:
+    """One epoch's token accounting: batch cells (padding included), the real
+    tokens among them, and the share of the epoch's cells that was padding."""
+    obs_metrics.counter("train.tokens", objective=objective).inc(tokens)
+    obs_metrics.counter("train.real_tokens", objective=objective).inc(real_tokens)
+    if tokens:
+        obs_metrics.gauge("train.padding_share",
+                          objective=objective).set(1.0 - real_tokens / tokens)
+    if elapsed > 0:
+        obs_metrics.gauge("train.tokens_per_sec",
+                          objective=objective).set(tokens / elapsed)
+
+
 def train_classifier(model: Module, dataset: ClassificationDataset,
                      config: TrainConfig,
                      valid: ClassificationDataset | None = None,
                      optimizer: Adam | None = None,
                      regularizer=None, abort_signal=None) -> list[EpochMetrics]:
     """Train a classifier; returns per-epoch metrics.
+
+    One ``default_rng(config.seed)`` drives every epoch's batches, so epochs
+    differ from one another and the whole call repeats for one seed.  Batches
+    come length-bucketed and trimmed from ``dataset.iter_batches``: a step
+    runs at its batch's own width, not the dataset's ``max_len``.
 
     ``regularizer`` is an optional ``model -> Tensor`` penalty added to every
     batch loss (used for the FedProx proximal term in federated learners).
@@ -93,7 +112,6 @@ def train_classifier(model: Module, dataset: ClassificationDataset,
     best_state = None
     stale_epochs = 0
     step_hist = obs_metrics.histogram("train.step_seconds", objective="classifier")
-    token_counter = obs_metrics.counter("train.tokens", objective="classifier")
     grad_hist = obs_metrics.histogram("train.grad_norm",
                                       buckets=_GRAD_NORM_BUCKETS,
                                       objective="classifier")
@@ -103,7 +121,7 @@ def train_classifier(model: Module, dataset: ClassificationDataset,
         started = time.perf_counter()
         model.train()
         averager = MetricAverager()
-        tokens = 0
+        tokens = real_tokens = 0
         with obs_trace.span("local_train", objective="classifier", epoch=epoch):
             for ids, mask, labels in dataset.iter_batches(config.batch_size,
                                                           shuffle=True, rng=rng):
@@ -120,15 +138,13 @@ def train_classifier(model: Module, dataset: ClassificationDataset,
                 step_hist.observe(time.perf_counter() - step_started)
                 grad_hist.observe(grad_norm)
                 tokens += int(ids.size)
+                real_tokens += int(mask.sum())
                 loss_value = loss.item()
                 if not np.isfinite(loss_value) or not np.isfinite(grad_norm):
                     nonfinite_counter.inc()
                 averager.update(loss_value, weight=len(labels))
         elapsed = time.perf_counter() - started
-        token_counter.inc(tokens)
-        if elapsed > 0:
-            obs_metrics.gauge("train.tokens_per_sec",
-                              objective="classifier").set(tokens / elapsed)
+        _record_tokens("classifier", tokens, real_tokens, elapsed)
         obs_metrics.gauge("train.loss", objective="classifier").set(averager.average)
         metrics = EpochMetrics(epoch=epoch, train_loss=averager.average,
                                seconds=elapsed)
@@ -155,12 +171,16 @@ def train_classifier(model: Module, dataset: ClassificationDataset,
 
 def evaluate_classifier(model: Module, dataset: ClassificationDataset,
                         batch_size: int = 64) -> tuple[float, float]:
-    """Return ``(top1_accuracy, mean_loss)`` on a dataset."""
+    """Return ``(top1_accuracy, mean_loss)`` on a dataset.
+
+    Walks the rows in length order — both averages are order-free, and
+    batch-mates of one length leave the least padding to compute.
+    """
     model.eval()
     accuracy = MetricAverager()
     loss_avg = MetricAverager()
     with no_grad():
-        for ids, mask, labels in dataset.iter_batches(batch_size):
+        for ids, mask, labels in dataset.sorted_by_length().iter_batches(batch_size):
             logits = model(ids, attention_mask=mask)
             loss = F.cross_entropy(logits, labels)
             accuracy.update(top1_accuracy(logits.data, labels), weight=len(labels))
@@ -174,13 +194,13 @@ def train_mlm(model: Module, dataset: SequenceDataset, collator: MlmCollator,
               optimizer: Adam | None = None,
               abort_signal=None) -> list[EpochMetrics]:
     """Masked-LM pretraining; ``train_loss`` holds the MLM loss (Fig. 2).
-    ``abort_signal``: as in :func:`train_classifier`."""
+    Batches, the per-call Generator and ``abort_signal``: as in
+    :func:`train_classifier`; the collator masks the trimmed batch."""
     aborted = abort_signal.is_set if abort_signal is not None else lambda: False
     optimizer = optimizer or Adam(model.parameters(), lr=config.lr)
     rng = np.random.default_rng(config.seed)
     history: list[EpochMetrics] = []
     step_hist = obs_metrics.histogram("train.step_seconds", objective="mlm")
-    token_counter = obs_metrics.counter("train.tokens", objective="mlm")
     grad_hist = obs_metrics.histogram("train.grad_norm",
                                       buckets=_GRAD_NORM_BUCKETS,
                                       objective="mlm")
@@ -190,7 +210,7 @@ def train_mlm(model: Module, dataset: SequenceDataset, collator: MlmCollator,
         started = time.perf_counter()
         model.train()
         averager = MetricAverager()
-        tokens = 0
+        tokens = real_tokens = 0
         with obs_trace.span("local_train", objective="mlm", epoch=epoch):
             for ids, mask in dataset.iter_batches(config.batch_size, shuffle=True, rng=rng):
                 if aborted():
@@ -210,15 +230,13 @@ def train_mlm(model: Module, dataset: SequenceDataset, collator: MlmCollator,
                 step_hist.observe(time.perf_counter() - step_started)
                 grad_hist.observe(grad_norm)
                 tokens += int(ids.size)
+                real_tokens += int(mask.sum())
                 loss_value = loss.item()
                 if not np.isfinite(loss_value) or not np.isfinite(grad_norm):
                     nonfinite_counter.inc()
                 averager.update(loss_value, weight=n_targets)
         elapsed = time.perf_counter() - started
-        token_counter.inc(tokens)
-        if elapsed > 0:
-            obs_metrics.gauge("train.tokens_per_sec",
-                              objective="mlm").set(tokens / elapsed)
+        _record_tokens("mlm", tokens, real_tokens, elapsed)
         obs_metrics.gauge("train.loss", objective="mlm").set(averager.average)
         metrics = EpochMetrics(epoch=epoch, train_loss=averager.average,
                                seconds=elapsed)
@@ -233,11 +251,12 @@ def train_mlm(model: Module, dataset: SequenceDataset, collator: MlmCollator,
 
 def evaluate_mlm(model: Module, dataset: SequenceDataset, collator: MlmCollator,
                  batch_size: int = 64) -> float:
-    """Mean MLM loss over a held-out set."""
+    """Mean MLM loss over a held-out set, walked in length order as
+    :func:`evaluate_classifier` does."""
     model.eval()
     averager = MetricAverager()
     with no_grad():
-        for ids, mask in dataset.iter_batches(batch_size):
+        for ids, mask in dataset.sorted_by_length().iter_batches(batch_size):
             example = collator(ids, mask)
             n_targets = int((example.labels != IGNORE_INDEX).sum())
             if n_targets == 0:

@@ -115,6 +115,16 @@ class TestTrainingTelemetry:
                              TrainConfig(epochs=1, batch_size=32, lr=1e-2))
         return run_dir, session
 
+    def test_real_tokens_and_padding_share(self, trained_session, tiny_split):
+        _, session = trained_session
+        cells = session.registry.counter("train.tokens", objective="classifier").value
+        real = session.registry.counter("train.real_tokens",
+                                        objective="classifier").value
+        assert real == tiny_split[0].attention_mask.sum()   # one epoch, every row
+        share = session.registry.gauge("train.padding_share",
+                                       objective="classifier").value
+        assert share == pytest.approx(1 - real / cells) and 0 <= share < 0.15
+
     def test_local_train_and_step_spans(self, trained_session):
         run_dir, session = trained_session
         names = load_trace_names(run_dir / "trace.jsonl")

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.data import partition_balanced
+from repro.data import ClassificationDataset, partition_balanced
 from repro.flare import DXO, DataKind, FLContext, MetaKey
 from repro.models import build_classifier, build_mlm_model
 from repro.training import ClinicalClassificationLearner, MlmPretrainLearner
@@ -120,6 +120,42 @@ class TestClassificationLearner:
         finally:
             capture.detach()
         assert any("Local epoch site-1: 1/1" in line for line in capture.lines)
+
+
+class RecordingDataset(ClassificationDataset):
+    """Notes the batches of every epoch drawn from it."""
+
+    def iter_batches(self, *args, **kwargs):
+        epoch = []
+        self.epochs.append(epoch)
+        for batch in super().iter_batches(*args, **kwargs):
+            epoch.append(batch[0].tolist())
+            yield batch
+
+
+class TestLocalEpochBatches:
+    """One Generator per train() call, seeded by (seed, round)."""
+
+    def epochs_of(self, shard, vocab_size, round_number):
+        data = RecordingDataset(shard.input_ids, shard.attention_mask, shard.labels)
+        data.epochs = []
+        learner = ClinicalClassificationLearner(
+            site_name="site-1", train_data=data, valid_data=None, local_epochs=2,
+            batch_size=8, seed=3, model_factory=lambda: build_classifier(
+                "lstm-tiny", vocab_size=vocab_size, seed=0))
+        learner.initialize(ctx())
+        learner.train(weights_dxo(learner), ctx(round_number))
+        assert len(learner.epoch_seconds) == 2
+        return data.epochs
+
+    def test_epochs_of_a_round_differ_and_repeat_for_one_seed(self, shard, vocab_size):
+        first, second = self.epochs_of(shard, vocab_size, round_number=1)
+        assert first != second
+        rows = [sorted(tuple(filter(None, row)) for batch in epoch for row in batch)
+                for epoch in (first, second)]
+        assert rows[0] == rows[1]   # the same records, padding aside
+        assert [first, second] == self.epochs_of(shard, vocab_size, round_number=1)
+        assert first != self.epochs_of(shard, vocab_size, round_number=2)[0]
 
 
 class TestMlmLearner:

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -83,3 +88,38 @@ class TestMlmSchemes:
         assert len(losses) == 2
         assert all(np.isfinite(losses))
         assert simulation.stats.num_rounds == 2
+
+
+HASH_SEED_SCRIPT = """
+import hashlib
+from repro.data import (CohortSpec, EhrTokenizer, encode_cohort, generate_cohort,
+                        partition_balanced)
+from repro.models import build_classifier
+from repro.training import run_federated
+
+cohort = generate_cohort(CohortSpec(n_patients=48, seed=5))
+data = encode_cohort(cohort, EhrTokenizer(cohort.vocab, max_len=24))
+shards = {f"site-{i + 1}": data.subset(rows)
+          for i, rows in enumerate(partition_balanced(len(data), 2, seed=0))}
+result = run_federated(
+    lambda: build_classifier("lstm-tiny", vocab_size=len(cohort.vocab), seed=4),
+    shards, data, num_rounds=1, local_epochs=1, batch_size=8, threads=False)
+digest = hashlib.sha256()
+for key, value in sorted(result.simulation.final_weights.items()):
+    digest.update(value.tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_federated_repeats_across_interpreter_hash_seeds():
+    """Site seeds come from the site's place in the sorted site list, not
+    from ``hash(name)``, which every interpreter salts differently."""
+    src = Path(__file__).resolve().parents[2] / "src"
+    digests = []
+    for hash_seed in ("1", "2"):
+        done = subprocess.run(
+            [sys.executable, "-c", HASH_SEED_SCRIPT], capture_output=True, text=True,
+            env={**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": str(src)})
+        assert done.returncode == 0, done.stderr[-2000:]
+        digests.append(done.stdout.strip().splitlines()[-1])
+    assert digests[0] == digests[1]

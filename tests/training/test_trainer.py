@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.data import MlmCollator, SequenceDataset
+from repro.autograd import no_grad
+from repro.data import IGNORE_INDEX, MlmCollator, MlmExample, SequenceDataset
 from repro.models import build_classifier, build_mlm_model
 from repro.training import (
     TrainConfig,
@@ -96,3 +97,52 @@ class TestMlmLoop:
                             TrainConfig(epochs=1, batch_size=32, lr=1e-3),
                             valid=tiny_sequences)
         assert history[0].valid_loss is not None
+
+
+def build(preset, vocab_size):
+    overrides = {"max_seq_len": 24} if preset.startswith("bert") else {}
+    return build_classifier(preset, vocab_size=vocab_size, seed=0, **overrides)
+
+
+class TestTrimmedBatchSemantics:
+    """Cutting the columns that pad a whole batch changes no prediction."""
+
+    @pytest.mark.parametrize("preset, atol", [("lstm-tiny", 0.0), ("bert-tiny", 1e-6)])
+    def test_eval_logits_match_the_untrimmed_batch(self, tiny_split, vocab_size,
+                                                   preset, atol):
+        _, valid = tiny_split
+        shortest = valid.sorted_by_length().subset(np.arange(16))
+        (ids, mask, _), = shortest.iter_batches(16)
+        assert ids.shape[1] < shortest.input_ids.shape[1]
+        model = build(preset, vocab_size)
+        model.eval()
+        with no_grad():
+            full = model(shortest.input_ids, attention_mask=shortest.attention_mask)
+            trimmed = model(ids, attention_mask=mask)
+        np.testing.assert_allclose(trimmed.data, full.data, rtol=0.0, atol=atol)
+
+    @pytest.mark.parametrize("preset", ["lstm-tiny", "bert-tiny"])
+    def test_evaluate_classifier_ignores_dataset_order(self, tiny_split, vocab_size,
+                                                       preset):
+        _, valid = tiny_split
+        model = build(preset, vocab_size)
+        shuffled = valid.subset(np.random.default_rng(0).permutation(len(valid)))
+        assert evaluate_classifier(model, shuffled, 16) == pytest.approx(
+            evaluate_classifier(model, valid, 16), abs=1e-6)
+
+    def test_evaluate_mlm_ignores_dataset_order(self, tiny_sequences, tiny_cohort,
+                                                vocab_size):
+        mask_id = tiny_cohort.vocab.mask_id
+
+        def mask_second_token(ids, mask):  # a collator that draws nothing
+            corrupted, labels = ids.copy(), np.full_like(ids, IGNORE_INDEX)
+            labels[:, 1] = np.where(mask[:, 1], ids[:, 1], IGNORE_INDEX)
+            corrupted[mask[:, 1], 1] = mask_id
+            return MlmExample(corrupted, mask, labels)
+
+        model = build_mlm_model("bert-tiny", vocab_size=vocab_size, seed=0,
+                                max_seq_len=24)
+        order = np.random.default_rng(0).permutation(len(tiny_sequences))
+        assert evaluate_mlm(model, tiny_sequences.subset(order), mask_second_token,
+                            16) == pytest.approx(
+            evaluate_mlm(model, tiny_sequences, mask_second_token, 16), abs=1e-6)
