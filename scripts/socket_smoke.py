@@ -4,8 +4,11 @@
 Runs the same small deterministic federated job twice — once with threaded
 clients on the in-memory bus, once with one OS process per client over the
 TCP socket transport — with the health monitor armed on both, then asserts
-the two fabrics produced bit-identical global checkpoints.  CI runs this as
-the ``socket-smoke`` job and uploads the socket run's ``health.jsonl``.
+the two fabrics produced bit-identical global checkpoints and that the
+socket hub's receive buffers stayed within three updates
+(``stats.peak_receive_buffer_bytes``, the receive budget).  CI runs this as
+the ``socket-smoke`` job and uploads the socket run's ``health.jsonl`` and
+``stats.json``.
 
 Usage::
 
@@ -49,9 +52,16 @@ class ArithmeticLearner(Learner):
         return {"valid_acc": mean}
 
 
+# 1 MiB + 2 KiB: an update is far above the frame size that takes a receive
+# credit, so the hub's budget is exercised, and small enough for any runner.
+WEIGHTS = {"layer.weight": np.zeros((512, 512), dtype=np.float32),
+           "layer.bias": np.zeros(512, dtype=np.float32)}
+# an update on the wire: the tensors plus codec manifest and envelope headers
+LARGEST_PAYLOAD = sum(value.nbytes for value in WEIGHTS.values()) + 4096
+
+
 def run_once(transport: str, run_dir: Path, rounds: int, clients: int):
-    weights = {"layer.weight": np.zeros((8, 8), dtype=np.float32),
-               "layer.bias": np.zeros(8, dtype=np.float32)}
+    weights = {key: value.copy() for key, value in WEIGHTS.items()}
     job = FLJob(name="socket-smoke", initial_weights=weights,
                 learner_factory=lambda name: ArithmeticLearner(name),
                 num_rounds=rounds, min_clients=2)
@@ -106,6 +116,17 @@ def main(argv: list[str] | None = None) -> int:
                   f"{len(round_records)} round records, "
                   f"expected {args.rounds}")
             return 1
+    peak = socket_result.stats.peak_receive_buffer_bytes
+    recorded = json.loads((socket_result.run_dir / "stats.json").read_text())
+    print(f"socket hub receive buffers: peak {peak} bytes = "
+          f"{peak / LARGEST_PAYLOAD:.2f} updates (budget 3, {args.clients} sites)")
+    if not 0 < peak <= 3 * LARGEST_PAYLOAD:
+        print(f"error: peak_receive_buffer_bytes {peak} outside "
+              f"(0, 3 x {LARGEST_PAYLOAD}]")
+        return 1
+    if recorded.get("peak_receive_buffer_bytes") != peak:
+        print("error: stats.json does not carry peak_receive_buffer_bytes")
+        return 1
     print(f"health artifacts: "
           f"{', '.join(str(r.run_dir / 'health.jsonl') for r in results.values())}")
     return 0

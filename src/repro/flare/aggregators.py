@@ -87,6 +87,7 @@ class InTimeAccumulateWeightedAggregator(Aggregator):
             raise ValueError(f"cannot aggregate data kind {expected_data_kind!r}")
         self.expected_data_kind = expected_data_kind
         self._sums: dict[str, np.ndarray] | None = None
+        self._scratch = np.empty(0)  # float64, as long as the largest tensor
         self._total_weight = 0.0
         self._contributors: list[str] = []
 
@@ -113,13 +114,16 @@ class InTimeAccumulateWeightedAggregator(Aggregator):
             self.log_error("non-positive weight %.3f from %s rejected", weight, contributor)
             return False
         if self._sums is None:
-            self._sums = {key: np.zeros_like(np.asarray(value, dtype=np.float64))
+            self._sums = {key: np.zeros(np.shape(value), dtype=np.float64)
                           for key, value in dxo.data.items()}
+            self._scratch = np.empty(max(map(np.size, self._sums.values()), default=0))
         if set(self._sums) != set(dxo.data):
             self.log_error("parameter-name mismatch from %s rejected", contributor)
             return False
         for key, value in dxo.data.items():
-            self._sums[key] += weight * np.asarray(value, dtype=np.float64)
+            # weight * float64(value), as ever, but through one reused buffer
+            scaled = self._scratch[:np.size(value)].reshape(np.shape(value))
+            self._sums[key] += np.multiply(value, weight, out=scaled, dtype=np.float64)
         self._total_weight += weight
         self._contributors.append(contributor)
         round_number = fl_ctx.get_prop("current_round", 0)

@@ -319,6 +319,7 @@ class ScatterAndGather(FLComponent):
         self.stats.retries = bus.retry_count
         self.stats.duplicates_dropped = bus.duplicates_dropped
         self.stats.peak_materialized_updates = self.materialization.peak
+        self.stats.peak_receive_buffer_bytes = bus.peak_receive_buffer_bytes
         return self.stats
 
     # ------------------------------------------------------------------
@@ -350,10 +351,11 @@ class ScatterAndGather(FLComponent):
                                     reference=self.global_weights)
         deadline = time.monotonic() + self.result_timeout
         # Streaming aggregation: each reply is decoded, filtered and folded
-        # into the aggregator's running sums the moment it arrives, then its
-        # blob goes out of scope — the server holds O(1) model copies at any
-        # time instead of buffering every client's full state dict.
+        # into the running sums as it arrives and unbound before the next wait
+        # (and the commit): on the socket fabric the server holds O(1) model
+        # copies, the one in the fold plus the hub's two receive credits.
         while self._in_flight:
+            result = reply = None
             result = self.server.next_result(timeout=deadline - time.monotonic())
             if result is None:
                 self.log_warning(
@@ -376,6 +378,7 @@ class ScatterAndGather(FLComponent):
                 if self.policy.full(accepted):
                     break
             self._dispatch(eligible, False, window, accepted, fl_ctx)
+        result = reply = None
 
         if self.policy.carries_tasks:
             abandoned: set[str] = set()

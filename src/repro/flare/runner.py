@@ -599,9 +599,9 @@ class ProcessClientRunner:
                 break
             except SignatureError:
                 continue  # chaos plans may corrupt the goodbye; skip it
-            if topic != TELEMETRY_TOPIC:
-                continue  # stale round traffic; telemetry is all we want now
-            snapshot = shareable.get("telemetry")
+            # stale round traffic is dropped; telemetry is all we want now
+            snapshot = shareable.get("telemetry") if topic == TELEMETRY_TOPIC else None
+            del shareable
             if isinstance(snapshot, dict):
                 collector.ingest(snapshot)
         collector.finalize()
@@ -619,8 +619,11 @@ class ProcessClientRunner:
         ``None`` should not occur after the join/terminate ladder).
         """
         deadline = time.monotonic() + timeout
-        for name, process in self._processes.items():
-            process.join(timeout=max(0.1, deadline - time.monotonic()))
+        for process in self._processes.values():
+            while process.is_alive() and time.monotonic() < deadline:
+                # keep reading: a worker sees __stop__ only once its last send is through
+                self.server.abort_tasks()
+                process.join(timeout=0.05)
         for name, process in self._processes.items():
             if process.is_alive():
                 process.terminate()

@@ -199,9 +199,9 @@ class FLServer(FLComponent):
                 if self.telemetry_sink is not None and isinstance(snapshot, dict):
                     self.telemetry_sink(snapshot)
                 continue
-            if topic == _TRAIN_RESULT_TOPIC and self.abort_signal.is_set():
-                continue  # sent as the run ended: nobody is waiting for it
-            return sender, shareable
+            if topic != _TRAIN_RESULT_TOPIC or not self.abort_signal.is_set():
+                return sender, shareable
+            del shareable  # sent as the run ended: dropped, and not held across the wait
 
     def abort_tasks(self) -> None:
         """Set the abort signal and discard what already reached the inbox.

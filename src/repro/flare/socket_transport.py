@@ -40,6 +40,9 @@ writing the received view under a new prefix.  The receive buffer grows
 only as bytes arrive, so a hostile length prefix cannot make a node
 allocate what was never sent.
 
+Receive budget (``docs/FEDERATION_RUNTIME.md``): a node reads or queues at most
+:data:`_RECEIVE_CREDITS` tensor-sized frames; the rest wait in ``sendmsg``.
+
 Reliability: spokes reconnect with :class:`RetryPolicy` backoff when the
 uplink breaks, resending their endpoint announcement so the hub re-learns
 the route; an optional heartbeat thread PINGs the hub so half-open links
@@ -52,10 +55,12 @@ from __future__ import annotations
 
 import json
 import logging
+import queue
 import socket
 import struct
 import threading
 import time
+import weakref
 from typing import TYPE_CHECKING
 
 from .events import get_fl_logger
@@ -68,8 +73,6 @@ from .transport import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    import queue
-
     from .faults import FaultPlan
 
 __all__ = ["SocketMessageBus", "FRAME_DATA", "FRAME_HELLO", "FRAME_PING",
@@ -96,6 +99,18 @@ _LEN = struct.Struct("<I")
 # jobs exchange (a 9.9 MB BERT state) fits, so the buffer is sized once and
 # never grown; a larger frame doubles it as the bytes arrive (read_frame).
 _FIRST_ALLOC = 16 << 20
+
+# Receive budget.  Two credits: one frame queued while the next is read, so
+# the fold never waits for the wire (wire_raw_socket: 29.6 MB of buffers where
+# one per site was 89 MB; job_s the same with 1, 3 or 8 credits).  Frames under
+# the floor take none: control frames and telemetry deltas (largest seen 9.7 KB,
+# smallest model update 790 KB) must pass a node whose credits nobody will free.
+_RECEIVE_CREDITS = 2
+_CREDIT_FLOOR = 64 << 10
+
+# A sender silent this long inside a frame is dropped like a mid-frame disconnect.
+# The order of connect_timeout: a 9.9 MB body takes ~10 ms over loopback.
+_STALL_SECONDS = 10.0
 
 
 # ---------------------------------------------------------------------------
@@ -186,12 +201,17 @@ def _recv_into(sock: socket.socket, buffer: bytearray, got: int,
 
     A clean EOF is one at a frame boundary (``at_boundary`` and nothing read
     yet).  EOF *inside* a frame — or inside its length prefix — is a
-    mid-frame disconnect and raises :class:`TransportError`.
+    mid-frame disconnect and raises :class:`TransportError`, and so is a
+    link's receive timeout there; at a boundary that only means an idle link.
     """
     with memoryview(buffer) as view:
         while got < len(buffer):
             try:
                 count = sock.recv_into(view[got:])
+            except BlockingIOError as error:
+                if at_boundary and got == 0:
+                    continue
+                raise TransportError(f"sender stalled mid-frame at byte {got}") from error
             except OSError as error:
                 raise TransportError(f"connection lost mid-frame: {error}") from error
             if not count:
@@ -203,7 +223,7 @@ def _recv_into(sock: socket.socket, buffer: bytearray, got: int,
     return True
 
 
-def read_frame(sock: socket.socket) -> tuple[int, memoryview] | None:
+def read_frame(sock: socket.socket, alloc=None) -> tuple[int, memoryview] | None:
     """Read one frame; ``None`` on clean EOF between frames.
 
     Returns the frame type and a read-only view of the rest of the payload.
@@ -212,6 +232,8 @@ def read_frame(sock: socket.socket) -> tuple[int, memoryview] | None:
     starts at ``min(length, _FIRST_ALLOC)`` and at most doubles each time it
     has been filled, so what a peer makes this node allocate is bounded by
     what the peer has actually sent, whatever its length prefix declares.
+    ``alloc(length)``, if given, supplies that first buffer; it runs after
+    the length checks and may block: where a node meters what it admits.
 
     Raises :class:`TransportError` on truncated prefixes, mid-frame
     disconnects, oversized or zero-length payloads, and unknown frame types.
@@ -225,7 +247,7 @@ def read_frame(sock: socket.socket) -> tuple[int, memoryview] | None:
     if length > MAX_FRAME_BYTES:
         raise TransportError(
             f"declared frame length {length} exceeds the {MAX_FRAME_BYTES}-byte cap")
-    payload = bytearray(min(length, _FIRST_ALLOC))
+    payload = alloc(length) if alloc else bytearray(min(length, _FIRST_ALLOC))
     got = 0
     while True:
         _recv_into(sock, payload, got)
@@ -262,6 +284,12 @@ def _shutdown_and_close(sock: socket.socket) -> None:
         pass
 
 
+class _Payload(bytearray):
+    """A receive buffer; ``credit()`` (or its death) returns the credit it took."""
+
+    __slots__ = ("__weakref__", "credit")
+
+
 class _Link:
     """One TCP connection with serialized writes and an alive flag."""
 
@@ -271,6 +299,9 @@ class _Link:
         self._write_lock = threading.Lock()
         try:
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            # receives only: a send may wait on back-pressure as long as it takes
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVTIMEO, struct.pack(
+                "ll", int(_STALL_SECONDS), int(_STALL_SECONDS % 1 * 1e6)))
         except OSError:  # pragma: no cover - platform-dependent
             pass
 
@@ -322,8 +353,10 @@ class SocketMessageBus(BaseTransport):
         self.retry_policy = retry_policy or RetryPolicy()
         self.heartbeat_interval = heartbeat_interval
         self.connect_timeout = connect_timeout
-        self._queues: dict[str, "queue.Queue[Message]"] = {}
+        self._queues: dict[str, queue.Queue] = {}  # of (message, its credit or None)
         self._links: dict[str, _Link] = {}  # endpoint name -> claiming link
+        self._credits = _RECEIVE_CREDITS  # free ones; guarded by _budget
+        self._budget = threading.Condition()
         self._closed = threading.Event()
         self._threads: list[threading.Thread] = []
         self._listener: socket.socket | None = None
@@ -377,12 +410,10 @@ class SocketMessageBus(BaseTransport):
     # Transport surface
     # ------------------------------------------------------------------
     def _on_endpoint_registered(self, name: str) -> None:
-        import queue as queue_module
-
         announce = False
         with self._lock:
             if name not in self._queues:
-                self._queues[name] = queue_module.Queue()
+                self._queues[name] = queue.Queue()
                 announce = True
         # A spoke re-announces whenever it starts hosting a new endpoint so
         # the hub learns the route before any traffic needs it.
@@ -397,14 +428,36 @@ class SocketMessageBus(BaseTransport):
             return self._queues[name].qsize() if name in self._queues else 0
 
     def _next_message(self, name: str, remaining: float | None) -> Message | None:
-        import queue as queue_module
-
         with self._lock:
             q = self._queues[name]
         try:
-            return q.get(timeout=remaining)
-        except queue_module.Empty:
+            message, credit = q.get(timeout=remaining)
+        except queue.Empty:
             return None
+        if credit is not None:
+            credit()  # the consumer has the frame: the next may be read
+        return message
+
+    def _admit(self, length: int) -> bytearray:
+        """``read_frame``'s allocator: a tensor-sized frame waits here for a
+        credit — its sender in ``sendmsg`` meanwhile — before it gets a byte."""
+        credited = length >= _CREDIT_FLOOR
+        if credited:
+            with self._budget:
+                self._budget.wait_for(lambda: self._credits or self._closed.is_set())
+                if self._closed.is_set():
+                    raise TransportError("node closed before the frame got a credit")
+                self._credits -= 1
+        payload = _Payload(min(length, _FIRST_ALLOC))
+        payload.credit = weakref.finalize(payload, self._return_credit) if credited else None
+        self._resident.add(length)  # until the last view of the buffer dies
+        weakref.finalize(payload, self._resident.add, -length)
+        return payload
+
+    def _return_credit(self) -> None:
+        with self._budget:
+            self._credits += 1
+            self._budget.notify()
 
     # ------------------------------------------------------------------
     # routing
@@ -434,7 +487,7 @@ class SocketMessageBus(BaseTransport):
         else:
             raise TransportError(f"unknown recipient {recipient!r}")
 
-    def _deliver_local(self, message: Message) -> None:
+    def _deliver_local(self, message: Message, credit=None) -> None:
         with self._lock:
             q = self._queues.get(message.recipient)
         if q is None:
@@ -442,7 +495,7 @@ class SocketMessageBus(BaseTransport):
             self._log.warning("dropping %r for unknown local endpoint %r",
                               message.topic, message.recipient)
             return
-        q.put(message)
+        q.put((message, credit))
         self._count_delivery(message)
 
     def _send_link(self, link: _Link, frame: list, recipient: str) -> None:
@@ -477,7 +530,7 @@ class SocketMessageBus(BaseTransport):
 
     def _claim_endpoints(self, link: _Link, names: list[str]) -> None:
         """Map announced endpoints to their link; flush any queued backlog."""
-        backlog: list[Message] = []
+        backlog: list[tuple[Message, object]] = []
         with self._lock:
             for name in names:
                 self._links[name] = link
@@ -485,7 +538,7 @@ class SocketMessageBus(BaseTransport):
                 q = self._queues.get(name)
                 while q is not None and not q.empty():
                     backlog.append(q.get_nowait())
-        for message in backlog:
+        for message, _ in backlog:
             try:
                 link.send_frame(encode_data_frame(message))
             except TransportError:
@@ -495,10 +548,13 @@ class SocketMessageBus(BaseTransport):
         """Drain one connection; a bad frame costs the connection, not the node."""
         try:
             while not self._closed.is_set():
-                frame = read_frame(link.sock)
+                frame = read_frame(link.sock, self._admit)
                 if frame is None:
                     return
                 self._handle_frame(link, *frame)
+                # The next prefix may be a round away: nothing stays bound to
+                # this loop meanwhile, and a frame no inbox took dies (credit too).
+                del frame
         except _PeerClosed:
             return
         except TransportError as error:
@@ -537,7 +593,7 @@ class SocketMessageBus(BaseTransport):
                     self._forget_link(forward)
                     self._routing_drops.inc()
             else:
-                self._deliver_local(message)
+                self._deliver_local(message, rest.obj.credit)
 
     # ------------------------------------------------------------------
     # spoke side
@@ -631,6 +687,8 @@ class SocketMessageBus(BaseTransport):
             self._links.clear()
         for link in links:
             link.close()
+        with self._budget:
+            self._budget.notify_all()  # readers waiting for a credit see _closed
         for thread in self._threads:
             thread.join(timeout=2.0)
 

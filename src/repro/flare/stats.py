@@ -74,6 +74,8 @@ class RunStats:
     # (in-flight folds + aggregator stashes) — the massive-cohort memory
     # guarantee asserts this stays O(buffer/arity), never O(cohort).
     peak_materialized_updates: int = 0
+    # High-water of the hub's receive buffers alive at once (socket fabric only).
+    peak_receive_buffer_bytes: int = 0
     # High-water mark of the parent process's resident set (bytes) as seen
     # by the resource monitor (repro.obs.sysmon); 0 when sysmon was off.
     # A registry dimension: ``runs diff`` compares it across runs.
@@ -160,6 +162,7 @@ class RunStats:
             "wire_bytes_raw": self.wire_bytes_raw,
             "wire_bytes_encoded": self.wire_bytes_encoded,
             "peak_materialized_updates": self.peak_materialized_updates,
+            "peak_receive_buffer_bytes": self.peak_receive_buffer_bytes,
             "peak_rss_bytes": self.peak_rss_bytes,
             "dropped_clients": self.dropped_clients,
             "failed_rounds": self.failed_rounds,
@@ -188,6 +191,7 @@ class RunStats:
                     wire_bytes_encoded=payload.get("wire_bytes_encoded", 0),
                     peak_materialized_updates=payload.get(
                         "peak_materialized_updates", 0),
+                    peak_receive_buffer_bytes=payload.get("peak_receive_buffer_bytes", 0),
                     peak_rss_bytes=payload.get("peak_rss_bytes", 0),
                     telemetry=dict(payload.get("telemetry", {})),
                     alerts=[Alert.from_dict(a)

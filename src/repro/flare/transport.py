@@ -317,6 +317,7 @@ class BaseTransport(Transport):
         self._bytes_delivered = self.metrics.counter("transport.bytes_delivered")
         self._retries = self.metrics.counter("transport.retries")
         self._duplicates_dropped = self.metrics.counter("transport.duplicates_dropped")
+        self._resident = self.metrics.gauge("transport.resident_frame_bytes")
 
     # ------------------------------------------------------------------
     # registry-backed totals (the former one-off int attributes)
@@ -338,6 +339,11 @@ class BaseTransport(Transport):
     def duplicates_dropped(self) -> int:
         """Receives skipped by message-id dedup."""
         return int(self._duplicates_dropped.value)
+
+    @property
+    def peak_receive_buffer_bytes(self) -> int:
+        """High-water of receive-buffer bytes alive at once (0 off the socket fabric)."""
+        return int(self._resident.peak)
 
     # ------------------------------------------------------------------
     def register_endpoint(self, name: str) -> None:
@@ -457,6 +463,7 @@ class BaseTransport(Transport):
             msg_id = message.headers.get(ReservedKey.MSG_ID)
             if msg_id is not None and not self._mark_seen(name, msg_id):
                 self._duplicates_dropped.inc()
+                del message  # not across the next wait
                 continue
             send_ts = message.headers.get(ReservedKey.SEND_TS)
             if isinstance(send_ts, (int, float)):

@@ -72,26 +72,44 @@ class Counter:
 
 
 class Gauge:
-    """Last-written value (throughput, queue depth, model size...)."""
+    """Last-written value (throughput, queue depth, model size...).
 
-    __slots__ = ("name", "tags", "_value", "_lock")
+    A level moved with :meth:`add` (bytes resident, items queued) also keeps
+    its high-water mark, exported as ``peak``.
+    """
+
+    __slots__ = ("name", "tags", "_value", "_peak", "_lock")
 
     def __init__(self, name: str, tags: dict[str, str], lock: threading.Lock) -> None:
         self.name = name
         self.tags = tags
         self._value = 0.0
+        self._peak: float | None = None  # tracked once add() is used
         self._lock = lock
 
     def set(self, value: float) -> None:
         with self._lock:
             self._value = float(value)
 
+    def add(self, delta: float) -> None:
+        with self._lock:
+            self._value += delta
+            self._peak = max(self._peak or 0.0, self._value)
+
     @property
     def value(self) -> float:
         return self._value
 
+    @property
+    def peak(self) -> float:
+        """Highest level :meth:`add` reached (the current value if never used)."""
+        return self._value if self._peak is None else self._peak
+
     def to_dict(self) -> dict:
-        return {"name": self.name, "tags": dict(self.tags), "value": self._value}
+        entry = {"name": self.name, "tags": dict(self.tags), "value": self._value}
+        if self._peak is not None:
+            entry["peak"] = self._peak
+        return entry
 
 
 # Up to this many observations a histogram also keeps the raw samples, so
@@ -233,6 +251,8 @@ class _NullInstrument:
     def set(self, value: float) -> None:
         pass
 
+    add = set
+
     def observe(self, value: float) -> None:
         pass
 
@@ -259,7 +279,9 @@ class MetricsRegistry:
 
     def __init__(self, enabled: bool = True) -> None:
         self.enabled = enabled
-        self._lock = threading.Lock()
+        # Reentrant: Gauge.add is called from buffer finalizers, which the
+        # cycle collector may run on a thread that is inside this lock.
+        self._lock = threading.RLock()
         self._counters: dict[tuple, Counter] = {}
         self._gauges: dict[tuple, Gauge] = {}
         self._histograms: dict[tuple, Histogram] = {}
@@ -314,7 +336,7 @@ class MetricsRegistry:
         for key, src in other._counters.items():
             self.counter(src.name, **src.tags).inc(src.value)
         for key, src in other._gauges.items():
-            self.gauge(src.name, **src.tags).set(src.value)
+            self.merge_dict({"gauges": [src.to_dict()]})
         for key, src in other._histograms.items():
             dst = self.histogram(src.name, buckets=src.buckets, **src.tags)
             if dst.buckets != src.buckets:
@@ -351,7 +373,10 @@ class MetricsRegistry:
         for entry in snapshot.get("counters", []):
             self.counter(entry["name"], **entry.get("tags", {})).inc(entry["value"])
         for entry in snapshot.get("gauges", []):
-            self.gauge(entry["name"], **entry.get("tags", {})).set(entry["value"])
+            dst = self.gauge(entry["name"], **entry.get("tags", {}))
+            dst.set(entry["value"])
+            if "peak" in entry:
+                dst._peak = max(dst._peak or 0.0, entry["peak"])
         for entry in snapshot.get("histograms", []):
             if not entry.get("count"):
                 continue

@@ -173,9 +173,10 @@ def summarize_run(path: str | Path) -> dict:
         for key in ("wire_bytes_raw", "wire_bytes_encoded"):
             if stats_payload.get(key):
                 summary[key] = stats_payload[key]
-        if stats_payload.get("peak_rss_bytes"):
-            summary["peak_rss_bytes"] = stats_payload["peak_rss_bytes"]
-            dims["peak_rss"] = float(stats_payload["peak_rss_bytes"])
+        for key in ("peak_rss_bytes", "peak_receive_buffer_bytes"):
+            if stats_payload.get(key):  # dims peak_rss, peak_receive_buffer
+                summary[key] = stats_payload[key]
+                dims[key.removesuffix("_bytes")] = float(stats_payload[key])
         alerts = stats_payload.get("alerts", [])
         if alerts:
             summary.setdefault("alerts_sample", alerts[:5])

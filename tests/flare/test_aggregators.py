@@ -93,6 +93,36 @@ class TestWeightedAggregator:
         with pytest.raises(ValueError):
             InTimeAccumulateWeightedAggregator(expected_data_kind=DataKind.METRICS)
 
+    def test_fold_through_one_scratch_keeps_every_bit(self):
+        """The fold is ``sums += weight * float64(value)`` for float32, float16
+        and read-only inputs of mixed shapes — computed in float64 through
+        one reused buffer, with no per-tensor float64 copy of the update."""
+        rng = np.random.default_rng(3)
+        shapes = {"a": (7, 5), "b": (33,), "c": (), "d": (2, 3, 4)}
+        agg = InTimeAccumulateWeightedAggregator()
+        agg.reset()
+        expected = {key: np.zeros(shape) for key, shape in shapes.items()}
+        for index, dtype in enumerate((np.float32, np.float16, np.float32)):
+            data = {key: rng.standard_normal(shape).astype(dtype)
+                    for key, shape in shapes.items()}
+            for value in data.values():
+                value.flags.writeable = False  # like views of a receive buffer
+            weight = 3.0 + index / 7
+            for key, value in data.items():
+                expected[key] += weight * np.asarray(value, dtype=np.float64)
+            assert agg.accept(DXO(DataKind.WEIGHTS, data=data,
+                                  meta={MetaKey.NUM_STEPS_CURRENT_ROUND: weight}),
+                              f"site-{index}", ctx())
+        scratch = agg._scratch
+        assert scratch.dtype == np.float64 and scratch.size == 35
+        for key in shapes:
+            assert agg._sums[key].dtype == np.float64
+            assert agg._sums[key].shape == shapes[key]
+            assert agg._sums[key].tobytes() == expected[key].tobytes()
+        agg.reset()
+        agg.accept(weights_dxo(1.0), "a", ctx())
+        assert agg._scratch is not scratch and agg._scratch.size == 3
+
     @settings(max_examples=30, deadline=None)
     @given(st.lists(st.tuples(st.floats(-100, 100), st.floats(0.1, 50)),
                     min_size=1, max_size=8))

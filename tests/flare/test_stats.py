@@ -78,6 +78,7 @@ def test_to_dict_roundtrip_with_telemetry_pointers(tmp_path):
     stats.bytes_delivered = 9000
     stats.retries = 2
     stats.duplicates_dropped = 1
+    stats.peak_receive_buffer_bytes = 29_618_970
     stats.telemetry = {"metrics": "/runs/x/metrics.json",
                        "trace": "/runs/x/trace.jsonl",
                        "profile": "/runs/x/profile.json"}
@@ -85,6 +86,7 @@ def test_to_dict_roundtrip_with_telemetry_pointers(tmp_path):
     restored = RunStats.from_dict(json.loads(path.read_text()))
     assert restored.telemetry == stats.telemetry
     assert restored.duplicates_dropped == 1
+    assert restored.peak_receive_buffer_bytes == 29_618_970
     assert restored.messages_delivered == 30
     assert restored.global_metric_history("valid_acc") == [0.5, 0.8, 0.7]
     assert restored.rounds[0].client_records[0].client == "site-1"

@@ -40,6 +40,32 @@ class TestGauge:
         gauge.set(1.5)
         gauge.set(2.5)
         assert gauge.value == 2.5
+        assert gauge.peak == 2.5 and "peak" not in gauge.to_dict()
+
+    def test_add_moves_a_level_and_keeps_its_high_water(self):
+        a, b = MetricsRegistry(), MetricsRegistry()
+        gauge = a.gauge("resident", node="hub")
+        for delta in (10, 20, -25, 5):
+            gauge.add(delta)
+        assert (gauge.value, gauge.peak) == (10, 30)
+        assert gauge.to_dict()["peak"] == 30
+        # the high-water survives both merge paths; the level is the other's
+        b.gauge("resident", node="hub").add(12)
+        b.merge(a)
+        assert (b.gauge("resident", node="hub").value,
+                b.gauge("resident", node="hub").peak) == (10, 30)
+        c = MetricsRegistry()
+        c.merge_dict(a.to_dict())
+        assert c.gauge("resident", node="hub").peak == 30
+
+    def test_add_is_safe_inside_the_registry_lock(self):
+        """Buffer finalizers call ``add``; the cycle collector may run one on
+        a thread that already holds the registry's (reentrant) lock."""
+        registry = MetricsRegistry()
+        gauge = registry.gauge("resident")
+        with registry._lock:
+            gauge.add(1)
+        assert gauge.value == 1
 
 
 class TestHistogram:

@@ -157,6 +157,20 @@ class TestDiff:
         assert diff_runs(a, b).exit_code == 0  # +5% < 10% tolerance
         assert diff_runs(a, c).exit_code == 2
 
+    def test_receive_buffer_peak_is_a_lower_is_better_dimension(self, tmp_path):
+        runs = {}
+        for name, peak in (("a", 30_000_000), ("b", 31_000_000), ("c", 80_000_000)):
+            runs[name] = make_run(tmp_path / name)
+            stats = json.loads((runs[name] / "stats.json").read_text())
+            stats["peak_receive_buffer_bytes"] = peak
+            (runs[name] / "stats.json").write_text(json.dumps(stats))
+        assert summarize_run(runs["a"])["dims"]["peak_receive_buffer"] == 30_000_000
+        assert diff_runs(runs["a"], runs["b"]).exit_code == 0  # +3% < 10%
+        report = diff_runs(runs["a"], runs["c"])
+        assert {line.dimension for line in report.regressions} == {"peak_receive_buffer"}
+        verdicts = {l.dimension: l.verdict for l in diff_runs(runs["c"], runs["a"]).lines}
+        assert verdicts["peak_receive_buffer"] == "improved"
+
     def test_dimension_filter(self, tmp_path):
         a = make_run(tmp_path / "a")
         b = make_run(tmp_path / "b", step_p50=10.0, bytes_per_round=1000)
