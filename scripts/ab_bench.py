@@ -8,7 +8,8 @@ Extracts ``--parent`` (``git archive``) into ``--workdir``, then per workload
 runs ``--pairs`` pairs of ``benchmarks/e2e/run.py`` — one seed per pair, the
 side that runs first alternating — and writes ``BENCH_pr<N>.json``: every
 pair's values (``final_loss`` and the checkpoint ``digest`` among them), each
-side's median and quartiles, and the pairs the change won.
+side's median and quartiles, the pairs the change won, and how many pairs
+ended on the same checkpoint digest (``digest_equal_pairs``).
 ``--trace 1`` records the per-layer metrics of traced runs instead, in their
 own section of the same file.  Both trees start without ``__pycache__``, so
 neither side runs stale bytecode or skips the compile the other pays.
@@ -100,7 +101,13 @@ def main() -> int:
                 pair[side] = run_once(trees[side], workload, pair["seed"], args.trace)
             pairs.append(pair)
             print(workload, json.dumps(pair), flush=True)
-        workloads[workload] = {"pairs": pairs, "summary": summarize(pairs, better)}
+        workloads[workload] = {
+            "pairs": pairs, "summary": summarize(pairs, better),
+            # same seed, same checkpoint: how many pairs ended on the same bits
+            # (a run that printed no digest never counts)
+            "digest_equal_pairs": sum(pair["parent"]["digest"] is not None
+                                      and pair["parent"]["digest"] == pair["change"]["digest"]
+                                      for pair in pairs)}
         out.write_text(json.dumps(report, indent=1) + "\n")
     return 0
 

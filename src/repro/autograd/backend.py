@@ -113,24 +113,34 @@ class ArrayBackend:
     # ------------------------------------------------------------------
     # fused blocks
     # ------------------------------------------------------------------
-    def gelu_forward(self, data: np.ndarray
-                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Tanh-approximation GELU: ``(out, tanh_term, x_squared)``.
+    def gelu_forward(self, data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Tanh-approximation GELU: ``(out, tanh_term)``.
 
         Built from in-place multiplies — ``x*x*x`` beats ``np.power`` by
         ~80x on float32, and reusing the temporaries halves the memory
-        traffic of the naive expression.  ``x_squared`` is kept so the
-        backward pass skips recomputing it.
+        traffic of the naive expression.  The fused ops keep only ``data``
+        and the tanh term for backward and rebuild the output and ``x²``
+        with :meth:`gelu_recompute`.
         """
-        sq = data * data
-        inner = sq * (_GELU_COEFF * _GELU_CUBIC)
+        inner = data * data
+        inner *= _GELU_COEFF * _GELU_CUBIC
         inner += _GELU_COEFF
         inner *= data  # inner = coeff * (x + cubic * x^3)
         t = self.tanh(inner, out=inner)
         out = t + 1.0
         out *= data
         out *= 0.5
-        return out, t, sq
+        return out, t
+
+    def gelu_recompute(self, data: np.ndarray, t: np.ndarray
+                       ) -> tuple[np.ndarray, np.ndarray]:
+        """``(out, x_squared)`` from ``data`` and the tanh term, by the same
+        float ops as :meth:`gelu_forward` — so bit for bit its values."""
+        sq = data * data
+        out = t + 1.0
+        out *= data
+        out *= 0.5
+        return out, sq
 
     def gelu_backward(self, grad: np.ndarray, data: np.ndarray,
                       t: np.ndarray, sq: np.ndarray) -> np.ndarray:
@@ -265,20 +275,18 @@ class FastmathBackend(ArrayBackend):
         y *= 0.5
         return y
 
-    def gelu_forward(self, data: np.ndarray
-                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def gelu_forward(self, data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if data.size < self._min_blocked or not data.flags.c_contiguous:
             return super().gelu_forward(data)
         flat = data.reshape(-1)
         out = np.empty_like(flat)
         t = np.empty_like(flat)
-        sq = np.empty_like(flat)
         for start in range(0, flat.size, self.block_elems):
             stop = start + self.block_elems
             d = flat[start:stop]
-            sq_b, t_b, out_b = sq[start:stop], t[start:stop], out[start:stop]
-            np.multiply(d, d, out=sq_b)
-            np.multiply(sq_b, _GELU_COEFF * _GELU_CUBIC, out=t_b)
+            t_b, out_b = t[start:stop], out[start:stop]
+            np.multiply(d, d, out=t_b)
+            t_b *= _GELU_COEFF * _GELU_CUBIC
             t_b += _GELU_COEFF
             t_b *= d
             self.tanh(t_b, out=t_b)
@@ -286,7 +294,7 @@ class FastmathBackend(ArrayBackend):
             out_b *= d
             out_b *= 0.5
         shape = data.shape
-        return out.reshape(shape), t.reshape(shape), sq.reshape(shape)
+        return out.reshape(shape), t.reshape(shape)
 
     def gelu_backward(self, grad: np.ndarray, data: np.ndarray,
                       t: np.ndarray, sq: np.ndarray) -> np.ndarray:

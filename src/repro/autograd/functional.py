@@ -12,6 +12,15 @@ closed-form backward, instead of composing dozens of primitive ``Tensor`` ops
 that each allocate a node, a closure and several temporaries.  On the paper's
 workloads this removes the graph-bookkeeping overhead that dominated step
 time.
+
+The stash rule: a node's backward closure keeps only what backward reads
+and cannot rebuild bit for bit from what it keeps.  Dropout masks are kept
+as ``bool`` and applied as ``x * kept * dtype(1/(1-p))``
+(:func:`_dropout_into`), which equals the float-mask product bit for bit;
+attention rebuilds ``probs * keep`` from ``probs`` and the mask; GELU keeps
+the pre-activation and its tanh term and rebuilds ``x**2`` and its output
+(``ArrayBackend.gelu_recompute``); the LSTM takes ``tanh(c)`` of the stored
+cell states again in one pass.  GEMM outputs are kept, never recomputed.
 """
 
 from __future__ import annotations
@@ -78,19 +87,56 @@ def _stable_softmax(data: np.ndarray, axis: int) -> np.ndarray:
     return _backend._ACTIVE.stable_softmax(data, axis)
 
 
-def _dropout_keep(rng: np.random.Generator, shape, p: float, dtype) -> np.ndarray:
-    """Inverted-dropout keep mask, already scaled by ``1/(1-p)``.
+def _dropout_mask(rng: np.random.Generator, shape, p: float, dtype) -> np.ndarray:
+    """Inverted-dropout keep mask as ``bool`` (True = the element survives).
 
     Draws float32 when the activations are float32 (half the RNG cost of the
-    default float64 stream).  Both the fused ops and
-    :mod:`repro.autograd.reference` draw through this helper so a shared
-    generator yields identical masks from either implementation.
+    default float64 stream).  The fused ops keep this mask (one byte per
+    element) and scale with :func:`_dropout_into`.
     """
     draw_dtype = np.float32 if np.dtype(dtype) == np.float32 else np.float64
-    kept = rng.random(shape, dtype=draw_dtype) >= p
-    # one multiply converts bool -> scaled dtype; ~7x cheaper than
-    # astype followed by an in-place divide
-    return np.multiply(kept, 1.0 / (1.0 - p), dtype=np.dtype(dtype))
+    return rng.random(shape, dtype=draw_dtype) >= p
+
+
+def _dropout_keep(rng: np.random.Generator, shape, p: float, dtype) -> np.ndarray:
+    """The float keep mask ``{0, 1/(1-p)}`` from the same draw as
+    :func:`_dropout_mask` — the oracle :mod:`repro.autograd.reference`
+    multiplies by, so a shared generator masks both implementations alike."""
+    return np.multiply(_dropout_mask(rng, shape, p, dtype), 1.0 / (1.0 - p),
+                       dtype=np.dtype(dtype))
+
+
+def _train_mask(like: np.ndarray, p: float, training: bool,
+                rng: np.random.Generator | None) -> np.ndarray | None:
+    """The bool keep mask for dropout on ``like``, or None when it is off."""
+    if not (p > 0.0 and training):
+        return None
+    return _dropout_mask(rng or np.random.default_rng(), like.shape, p, like.dtype)
+
+
+def _dropout_into(x: np.ndarray, kept: np.ndarray | None, p: float,
+                  out: np.ndarray | None = None) -> np.ndarray:
+    """``x * _dropout_keep(...)`` bit for bit, from the bool mask.
+
+    ``x * 1`` is ``x`` and ``x * 0`` then times a positive scale is the
+    same signed zero (or NaN) as ``x * 0``, so two multiplies by
+    ``kept`` and ``dtype(1/(1-p))`` equal one multiply by the float mask.
+    Writes into ``out`` (which may be ``x``) or a fresh array; with no mask
+    (dropout off) returns ``x`` itself.
+    """
+    if kept is None:
+        return x
+    out = np.multiply(x, kept, out=out)
+    out *= out.dtype.type(1.0 / (1.0 - p))
+    return out
+
+
+def _mask_scores(scores: np.ndarray, attention_mask: np.ndarray | None,
+                 mask_value: float) -> None:
+    """Write ``mask_value`` into the blocked (False) positions of ``scores``
+    in place; the mask broadcasts lazily, never at full score shape."""
+    if attention_mask is not None:
+        np.copyto(scores, mask_value, where=np.logical_not(attention_mask))
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -268,19 +314,25 @@ def binary_cross_entropy_with_logits(logits: Tensor, targets: np.ndarray,
     return Tensor._make(out_data, (logits,), "bce_logits", backward)
 
 
-def _gelu_forward(data: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Tanh-approximation GELU: ``(out, tanh_term, x_squared)``.
+def _gelu_forward(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Tanh-approximation GELU: ``(out, tanh_term)``.
 
     The kernel body lives on the active array backend
-    (:meth:`~repro.autograd.backend.ArrayBackend.gelu_forward`);
-    ``x_squared`` is kept so the backward pass skips recomputing it.
+    (:meth:`~repro.autograd.backend.ArrayBackend.gelu_forward`).  Callers
+    keep only ``data`` and the tanh term; backward rebuilds ``x**2`` and the
+    output with :func:`_gelu_recompute`.
     """
     return _backend._ACTIVE.gelu_forward(data)
 
 
+def _gelu_recompute(data: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(out, x_squared)`` exactly as :func:`_gelu_forward` produced them."""
+    return _backend._ACTIVE.gelu_recompute(data, t)
+
+
 def _gelu_backward(grad: np.ndarray, data: np.ndarray, t: np.ndarray,
                    sq: np.ndarray) -> np.ndarray:
-    """d GELU(x) / dx from the saved tanh and square terms, applied to ``grad``."""
+    """d GELU(x) / dx from the tanh and square terms, applied to ``grad``."""
     return _backend._ACTIVE.gelu_backward(grad, data, t, sq)
 
 
@@ -288,10 +340,10 @@ def gelu(x: Tensor) -> Tensor:
     """GELU activation (tanh approximation, as in the original BERT code)."""
     x = _as_tensor(x)
     data = x.data
-    out, t, sq = _gelu_forward(data)
+    out, t = _gelu_forward(data)
 
     def backward(grad: np.ndarray) -> None:
-        x._accumulate(_gelu_backward(grad, data, t, sq))
+        x._accumulate(_gelu_backward(grad, data, t, data * data))
 
     return Tensor._make(out, (x,), "gelu", backward)
 
@@ -412,20 +464,14 @@ def embed_layer_norm(token_weight: Tensor, position_weight: Tensor,
     xhat *= inv_std
     out2d = xhat * ln_weight.data
     out2d += ln_bias.data
-    if dropout_p > 0.0 and training:
-        rng = rng or np.random.default_rng()
-        keep = _dropout_keep(rng, out2d.shape, dropout_p, out2d.dtype)
-        out2d *= keep
-    else:
-        keep = None
+    kept = _train_mask(out2d, dropout_p, training, rng)
+    _dropout_into(out2d, kept, dropout_p, out=out2d)
     out = out2d.reshape(batch, seq, dim)
 
     parents = (token_weight, position_weight, ln_weight, ln_bias)
 
     def backward(grad: np.ndarray) -> None:
-        g = grad.reshape(-1, dim)
-        if keep is not None:
-            g = g * keep
+        g = _dropout_into(grad.reshape(-1, dim), kept, dropout_p)
         ln_weight._accumulate(g * xhat)  # _accumulate sums down to (dim,)
         ln_bias._accumulate(g)
         dxhat = g * ln_weight.data
@@ -473,22 +519,16 @@ def scaled_dot_product_attention(q: Tensor, k: Tensor, v: Tensor,
     scale = 1.0 / math.sqrt(q.shape[-1])
     scores = q.data @ np.swapaxes(k.data, -1, -2)
     scores *= scale
-    if attention_mask is not None:
-        scores = np.where(attention_mask, scores, scores.dtype.type(mask_value))
+    _mask_scores(scores, attention_mask, mask_value)
     probs = _softmax_into(scores)  # scores buffer is owned by this node
-    if dropout_p > 0.0 and training:
-        rng = rng or np.random.default_rng()
-        keep = _dropout_keep(rng, probs.shape, dropout_p, probs.dtype)
-        attn = probs * keep
-    else:
-        keep = None
-        attn = probs
-    out = attn @ v.data
+    kept = _train_mask(probs, dropout_p, training, rng)
+    out = _dropout_into(probs, kept, dropout_p) @ v.data
 
     def backward(grad: np.ndarray) -> None:
         dattn = grad @ np.swapaxes(v.data, -1, -2)
+        attn = _dropout_into(probs, kept, dropout_p)  # rebuilt, not kept
         v._accumulate(np.swapaxes(attn, -1, -2) @ grad)
-        dprobs = dattn if keep is None else dattn * keep
+        dprobs = _dropout_into(dattn, kept, dropout_p, out=dattn)
         dscores = probs * (dprobs - (dprobs * probs).sum(axis=-1, keepdims=True))
         dscores *= scale  # masked positions have probs≈0, so their grad is 0
         q._accumulate(dscores @ k.data)
@@ -561,43 +601,31 @@ def multi_head_attention(x: Tensor, q_weight: Tensor, q_bias: Tensor,
 
     scores = q @ k.transpose(0, 1, 3, 2)
     scores *= scale
-    if attention_mask is not None:
-        scores = np.where(attention_mask, scores, scores.dtype.type(mask_value))
+    _mask_scores(scores, attention_mask, mask_value)
     probs = _softmax_into(scores)  # scores buffer is owned by this node
-    if dropout_p > 0.0 and training:
-        rng = rng or np.random.default_rng()
-        keep = _dropout_keep(rng, probs.shape, dropout_p, probs.dtype)
-        attn = probs * keep
-    else:
-        keep = None
-        attn = probs
-    context = attn @ v  # (batch, heads, seq, head_dim)
+    kept = _train_mask(probs, dropout_p, training, rng)
+    context = _dropout_into(probs, kept, dropout_p) @ v  # (batch, heads, seq, head_dim)
     ctx2d = np.ascontiguousarray(context.transpose(0, 2, 1, 3)).reshape(batch * seq, inner)
     out2d = ctx2d @ out_weight.data.T
     out2d += out_bias.data
-    if out_dropout_p > 0.0 and training:
-        out_rng = out_rng or np.random.default_rng()
-        out_keep = _dropout_keep(out_rng, out2d.shape, out_dropout_p, out2d.dtype)
-        out2d *= out_keep
-    else:
-        out_keep = None
+    out_kept = _train_mask(out2d, out_dropout_p, training, out_rng)
+    _dropout_into(out2d, out_kept, out_dropout_p, out=out2d)
     out = out2d.reshape(batch, seq, out_weight.shape[0])
 
     parents = (x, q_weight, q_bias, k_weight, k_bias, v_weight, v_bias,
                out_weight, out_bias)
 
     def backward(grad: np.ndarray) -> None:
-        g2d = grad.reshape(batch * seq, grad.shape[-1])
-        if out_keep is not None:
-            g2d = g2d * out_keep
+        g2d = _dropout_into(grad.reshape(batch * seq, grad.shape[-1]),
+                            out_kept, out_dropout_p)
         out_weight._accumulate_owned(g2d.T @ ctx2d)
         out_bias._accumulate_owned(g2d.sum(axis=0))
         dcontext = np.ascontiguousarray(
             (g2d @ out_weight.data)
             .reshape(batch, seq, num_heads, head_dim).transpose(0, 2, 1, 3))
         dattn = dcontext @ v.transpose(0, 1, 3, 2)
-        if keep is not None:
-            dattn *= keep  # fresh GEMM output; becomes dprobs in place
+        # fresh GEMM output; becomes dprobs in place
+        _dropout_into(dattn, kept, dropout_p, out=dattn)
         d2 = dattn.reshape(-1, seq)
         p2 = probs.reshape(-1, seq)
         d2 -= _sum_cols(d2 * p2)
@@ -608,6 +636,7 @@ def multi_head_attention(x: Tensor, q_weight: Tensor, q_bias: Tensor,
         dqkv = np.empty((3, batch, num_heads, seq, head_dim), dtype=p2d.dtype)
         np.matmul(dscores, k, out=dqkv[0])
         np.matmul(dscores.transpose(0, 1, 3, 2), q, out=dqkv[1])
+        attn = _dropout_into(probs, kept, dropout_p)  # rebuilt, not kept
         np.matmul(attn.transpose(0, 1, 3, 2), dcontext, out=dqkv[2])
         # (3, batch, heads, seq, head_dim) -> (batch*seq, 3*inner), matching
         # the concatenated forward layout
@@ -669,26 +698,15 @@ def attention_layer(x: Tensor, q_weight: Tensor, q_bias: Tensor,
 
     scores = q @ k.transpose(0, 1, 3, 2)
     scores *= scale
-    if attention_mask is not None:
-        scores = np.where(attention_mask, scores, scores.dtype.type(mask_value))
+    _mask_scores(scores, attention_mask, mask_value)
     probs = _softmax_into(scores)
-    if dropout_p > 0.0 and training:
-        rng = rng or np.random.default_rng()
-        keep = _dropout_keep(rng, probs.shape, dropout_p, probs.dtype)
-        attn = probs * keep
-    else:
-        keep = None
-        attn = probs
-    context = attn @ v
+    kept = _train_mask(probs, dropout_p, training, rng)
+    context = _dropout_into(probs, kept, dropout_p) @ v
     ctx2d = np.ascontiguousarray(context.transpose(0, 2, 1, 3)).reshape(batch * seq, inner)
     sub2d = ctx2d @ out_weight.data.T
     sub2d += out_bias.data
-    if out_dropout_p > 0.0 and training:
-        out_rng = out_rng or np.random.default_rng()
-        out_keep = _dropout_keep(out_rng, sub2d.shape, out_dropout_p, sub2d.dtype)
-        sub2d *= out_keep
-    else:
-        out_keep = None
+    out_kept = _train_mask(sub2d, out_dropout_p, training, out_rng)
+    _dropout_into(sub2d, out_kept, out_dropout_p, out=sub2d)
 
     # residual add + post-norm, in place on the fresh projection buffer
     xhat = sub2d
@@ -715,15 +733,15 @@ def attention_layer(x: Tensor, q_weight: Tensor, q_bias: Tensor,
         dsum -= xhat * mean_dsum_xhat
         dsum *= inv_std  # gradient of x + attention(x), shape (batch*seq, dim)
 
-        gs2d = dsum if out_keep is None else dsum * out_keep
+        gs2d = _dropout_into(dsum, out_kept, out_dropout_p)
         out_weight._accumulate_owned(gs2d.T @ ctx2d)
         out_bias._accumulate_owned(gs2d.sum(axis=0))
         dcontext = np.ascontiguousarray(
             (gs2d @ out_weight.data)
             .reshape(batch, seq, num_heads, head_dim).transpose(0, 2, 1, 3))
         dattn = dcontext @ v.transpose(0, 1, 3, 2)
-        if keep is not None:
-            dattn *= keep  # fresh GEMM output; becomes dprobs in place
+        # fresh GEMM output; becomes dprobs in place
+        _dropout_into(dattn, kept, dropout_p, out=dattn)
         d2 = dattn.reshape(-1, seq)
         p2 = probs.reshape(-1, seq)
         d2 -= _sum_cols(d2 * p2)
@@ -734,6 +752,7 @@ def attention_layer(x: Tensor, q_weight: Tensor, q_bias: Tensor,
         dqkv = np.empty((3, batch, num_heads, seq, head_dim), dtype=p2d.dtype)
         np.matmul(dscores, k, out=dqkv[0])
         np.matmul(dscores.transpose(0, 1, 3, 2), q, out=dqkv[1])
+        attn = _dropout_into(probs, kept, dropout_p)  # rebuilt, not kept
         np.matmul(attn.transpose(0, 1, 3, 2), dcontext, out=dqkv[2])
         d2d = np.ascontiguousarray(
             dqkv.transpose(1, 3, 0, 2, 4)).reshape(batch * seq, 3 * inner)
@@ -772,24 +791,20 @@ def ffn(x: Tensor, in_weight: Tensor, in_bias: Tensor,
     x2d = data.reshape(-1, data.shape[-1])
     hidden = x2d @ in_weight.data.T
     hidden += in_bias.data
-    activated, t, sq = _gelu_forward(hidden)
+    activated, t = _gelu_forward(hidden)
     out2d = activated @ out_weight.data.T
     out2d += out_bias.data
-    if dropout_p > 0.0 and training:
-        rng = rng or np.random.default_rng()
-        out_keep = _dropout_keep(rng, out2d.shape, dropout_p, out2d.dtype)
-        out2d *= out_keep
-    else:
-        out_keep = None
+    out_kept = _train_mask(out2d, dropout_p, training, rng)
+    _dropout_into(out2d, out_kept, dropout_p, out=out2d)
     out = out2d.reshape(lead_shape + (out_weight.shape[0],))
 
     parents = (x, in_weight, in_bias, out_weight, out_bias)
 
     def backward(grad: np.ndarray) -> None:
-        g2d = grad.reshape(-1, grad.shape[-1])
-        if out_keep is not None:
-            g2d = g2d * out_keep
+        g2d = _dropout_into(grad.reshape(-1, grad.shape[-1]), out_kept, dropout_p)
+        activated, sq = _gelu_recompute(hidden, t)
         out_weight._accumulate_owned(g2d.T @ activated)
+        del activated  # only the weight gradient reads the GELU output
         out_bias._accumulate_owned(g2d.sum(axis=0))
         dhidden = _gelu_backward(g2d @ out_weight.data, hidden, t, sq)
         in_weight._accumulate_owned(dhidden.T @ x2d)
@@ -819,15 +834,11 @@ def ffn_layer(x: Tensor, in_weight: Tensor, in_bias: Tensor,
     x2d = data.reshape(-1, dim)
     hidden = x2d @ in_weight.data.T
     hidden += in_bias.data
-    activated, t, sq = _gelu_forward(hidden)
+    activated, t = _gelu_forward(hidden)
     sub2d = activated @ out_weight.data.T
     sub2d += out_bias.data
-    if dropout_p > 0.0 and training:
-        rng = rng or np.random.default_rng()
-        out_keep = _dropout_keep(rng, sub2d.shape, dropout_p, sub2d.dtype)
-        sub2d *= out_keep
-    else:
-        out_keep = None
+    out_kept = _train_mask(sub2d, dropout_p, training, rng)
+    _dropout_into(sub2d, out_kept, dropout_p, out=sub2d)
 
     # residual add + post-norm, in place on the fresh projection buffer
     xhat = sub2d
@@ -854,8 +865,10 @@ def ffn_layer(x: Tensor, in_weight: Tensor, in_bias: Tensor,
         dsum -= xhat * mean_dsum_xhat
         dsum *= inv_std  # gradient of x + ffn(x), shape (batch*seq, dim)
 
-        gs2d = dsum if out_keep is None else dsum * out_keep
+        gs2d = _dropout_into(dsum, out_kept, dropout_p)
+        activated, sq = _gelu_recompute(hidden, t)
         out_weight._accumulate_owned(gs2d.T @ activated)
+        del activated  # only the weight gradient reads the GELU output
         out_bias._accumulate_owned(gs2d.sum(axis=0))
         dhidden = _gelu_backward(gs2d @ out_weight.data, hidden, t, sq)
         in_weight._accumulate_owned(dhidden.T @ x2d)
@@ -883,14 +896,8 @@ def tanh_head(x: Tensor, dense_weight: Tensor, dense_bias: Tensor,
     hidden = x2d @ dense_weight.data.T
     hidden += dense_bias.data
     t = _backend._ACTIVE.tanh(hidden, out=hidden)
-    if dropout_p > 0.0 and training:
-        rng = rng or np.random.default_rng()
-        keep = _dropout_keep(rng, t.shape, dropout_p, t.dtype)
-        activated = t * keep
-    else:
-        keep = None
-        activated = t
-    out2d = activated @ out_weight.data.T
+    kept = _train_mask(t, dropout_p, training, rng)
+    out2d = _dropout_into(t, kept, dropout_p) @ out_weight.data.T
     out2d += out_bias.data
     out = out2d.reshape(lead_shape + (out_weight.shape[0],))
 
@@ -898,11 +905,10 @@ def tanh_head(x: Tensor, dense_weight: Tensor, dense_bias: Tensor,
 
     def backward(grad: np.ndarray) -> None:
         g2d = grad.reshape(-1, grad.shape[-1])
-        out_weight._accumulate_owned(g2d.T @ activated)
+        out_weight._accumulate_owned(g2d.T @ _dropout_into(t, kept, dropout_p))
         out_bias._accumulate_owned(g2d.sum(axis=0))
         da = g2d @ out_weight.data
-        if keep is not None:
-            da *= keep
+        _dropout_into(da, kept, dropout_p, out=da)
         sech2 = t * t
         np.subtract(1.0, sech2, out=sech2)
         da *= sech2  # through the tanh
@@ -1029,10 +1035,10 @@ def lstm_layer(x: Tensor, weight_ih: Tensor, weight_hh: Tensor, bias: Tensor,
 
     Forward: one time-major ``(seq*batch, 4H)`` input-projection GEMM, then a
     loop that adds the recurrent projection and activates the gates in place.
-    Under grad the activated gates, ``tanh(c)`` and every ``h``/``c`` stay
-    stashed (time-major, one buffer each); under ``no_grad`` only the output
-    sequence outlives the call.  Backward: the gate-derivative factors are
-    formed in bulk, the loop carries ``dh``/``dc`` as plain arrays with one
+    Under grad the activated gates and every ``h``/``c`` stay stashed
+    (time-major, one buffer each); under ``no_grad`` only the output
+    sequence outlives the call.  Backward: ``tanh(c)`` and the
+    gate-derivative factors are formed in bulk, the loop carries ``dh``/``dc`` as plain arrays with one
     ``dgates @ W_hh`` GEMM per step, and the three parameter gradients and
     ``dx`` are one ``(seq*batch)``-deep GEMM each after the loop.
     """
@@ -1073,7 +1079,7 @@ def lstm_layer(x: Tensor, weight_ih: Tensor, weight_hh: Tensor, bias: Tensor,
     c_rows = seq + 1 if stash else 2
     h_all = np.empty((seq + 1, batch, hd), dtype=dtype)
     c_all = np.empty((c_rows, batch, hd), dtype=dtype)
-    tanh_c = np.empty((seq if stash else 1, batch, hd), dtype=dtype)
+    tanh_c = np.empty((batch, hd), dtype=dtype)
     h_all[first] = 0.0
     c_all[first % c_rows] = 0.0
     w_hh_t = np.ascontiguousarray(weight_hh.data.T)  # ~1.5x the strided GEMM
@@ -1094,12 +1100,11 @@ def lstm_layer(x: Tensor, weight_ih: Tensor, weight_hh: Tensor, bias: Tensor,
         gate[:, :2] = bk.sigmoid(gate[:, :2])
         bk.tanh(gate[:, 2], out=gate[:, 2])
         gate[:, 3] = bk.sigmoid(gate[:, 3])
-        t_c = tanh_c[t % len(tanh_c)]
         np.multiply(gate[:, 1], c_prev, out=c_new)
         np.multiply(gate[:, 0], gate[:, 2], out=scratch)
         c_new += scratch
-        bk.tanh(c_new, out=t_c)
-        np.multiply(gate[:, 3], t_c, out=h_new)
+        bk.tanh(c_new, out=tanh_c)
+        np.multiply(gate[:, 3], tanh_c, out=h_new)
         if ragged[t]:
             np.copyto(h_new, h_prev, where=pad[t])
             np.copyto(c_new, c_prev, where=pad[t])
@@ -1110,8 +1115,12 @@ def lstm_layer(x: Tensor, weight_ih: Tensor, weight_hh: Tensor, bias: Tensor,
         # update, and the loop scales each step's rows by dc / dh in place.
         live = gates[window]
         i, f, g, o = (live[:, :, k] for k in range(4))
-        t_c = tanh_c[window]
         prev = slice(lo + 1 - new, hi + 1 - new)
+        # tanh(c) over the window in one pass instead of a per-step stash.
+        # A padding row's stored c is the carried-over state, not the c the
+        # forward took tanh of, so its value differs there; the loop below
+        # never reads a padding row's dh_to_dc or keeps its dgates row.
+        dh_to_dc = bk.tanh(c_all[lo + new:hi + new])
         dgates = np.empty_like(gates)
         d_live = dgates[window]
         di, df, dg, do = (d_live[:, :, k] for k in range(4))
@@ -1122,12 +1131,10 @@ def lstm_layer(x: Tensor, weight_ih: Tensor, weight_hh: Tensor, bias: Tensor,
         di *= g
         df *= c_all[prev]
         dg *= i
-        do *= t_c
-        dh_to_dc = np.empty_like(tanh_c)
-        live_dh_to_dc = dh_to_dc[window]
-        np.multiply(t_c, t_c, out=live_dh_to_dc)
-        np.subtract(1.0, live_dh_to_dc, out=live_dh_to_dc)
-        live_dh_to_dc *= o                    # o (1 - tanh^2 c)
+        do *= dh_to_dc                        # tanh(c)
+        np.multiply(dh_to_dc, dh_to_dc, out=dh_to_dc)
+        np.subtract(1.0, dh_to_dc, out=dh_to_dc)
+        dh_to_dc *= o                         # o (1 - tanh^2 c)
 
         dout_t = None if dout is None else dout.transpose(1, 0, 2)
         dh = np.zeros((batch, hd), dtype=dgates.dtype)
@@ -1142,7 +1149,7 @@ def lstm_layer(x: Tensor, weight_ih: Tensor, weight_hh: Tensor, bias: Tensor,
             # Padding rows pass dh / dc through; what the step leaves in
             # their ``dgates`` rows is dropped after the loop.
             rows_in = real[t] if ragged[t] else True
-            np.multiply(dh, dh_to_dc[t], out=scratch)
+            np.multiply(dh, dh_to_dc[t - lo], out=scratch)
             np.add(dc, scratch, out=dc, where=rows_in)
             step = dgates[t]
             step[:, :3] *= dc[:, None, :]
@@ -1193,9 +1200,13 @@ def dropout(x: Tensor, p: float, training: bool, rng: np.random.Generator | None
         return x
     if p >= 1.0:
         raise ValueError("dropout probability must be < 1")
-    rng = rng or np.random.default_rng()
-    keep = _dropout_keep(rng, x.shape, p, x.dtype)
-    return x * Tensor(keep)
+    x = _as_tensor(x)
+    kept = _dropout_mask(rng or np.random.default_rng(), x.shape, p, x.dtype)
+
+    def backward(grad: np.ndarray) -> None:
+        x._accumulate_owned(_dropout_into(grad, kept, p))
+
+    return Tensor._make(_dropout_into(x.data, kept, p), (x,), "dropout", backward)
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:

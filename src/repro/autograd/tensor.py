@@ -278,7 +278,11 @@ class Tensor:
                     stack.append((parent, False))
 
         self._accumulate(grad)
-        for node in reversed(topo):
+        while topo:
+            # Popping releases ``topo``'s reference, so an interior node's
+            # output is freed as soon as its own backward has run, not when
+            # the whole pass ends.
+            node = topo.pop()
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
                 # Free the graph as we go (torch's retain_graph=False):

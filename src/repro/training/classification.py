@@ -83,6 +83,7 @@ class ClinicalClassificationLearner(Learner):
                                    optimizer=Adam(model.parameters(), lr=self.lr),
                                    regularizer=regularizer,
                                    abort_signal=abort_signal)
+        model.zero_grad()  # the last step's gradients are dead until next round
         if abort_signal is not None and abort_signal.is_set():
             history.pop()  # the partial epoch; the client discards this result
         last_loss = history[-1].train_loss if history else float("nan")

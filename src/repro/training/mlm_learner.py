@@ -53,6 +53,7 @@ class MlmPretrainLearner(Learner):
         history = train_mlm(self.model, self.train_data, self.collator, config,
                             optimizer=optimizer,
                             abort_signal=fl_ctx.get_prop(ReservedKey.ABORT_SIGNAL))
+        self.model.zero_grad()  # the last step's gradients are dead until next round
         mlm_loss = history[-1].train_loss
         epoch_seconds = sum(m.seconds for m in history) / len(history)
         self.log_info("Local epoch %s: %d/%d (lr=%s), mlm_loss=%.3f",

@@ -183,15 +183,14 @@ class TestFastmathNumerics:
         fast = FastmathBackend()
         rng = np.random.default_rng(1)
         x = rng.normal(0.0, 2.0, size=fast._min_blocked + 7).astype(np.float32)
-        out_f, t_f, sq_f = fast.gelu_forward(x)
-        out_n, t_n, sq_n = NumpyBackend().gelu_forward(x)
+        out_f, t_f = fast.gelu_forward(x)
+        out_n, t_n = NumpyBackend().gelu_forward(x)
         np.testing.assert_array_equal(out_f, out_n)
         np.testing.assert_array_equal(t_f, t_n)
-        np.testing.assert_array_equal(sq_f, sq_n)
         grad = rng.normal(size=x.shape).astype(np.float32)
         np.testing.assert_array_equal(
-            fast.gelu_backward(grad, x, t_f, sq_f),
-            NumpyBackend().gelu_backward(grad, x, t_n, sq_n))
+            fast.gelu_backward(grad, x, t_f, x * x),
+            NumpyBackend().gelu_backward(grad, x, t_n, x * x))
 
     def test_small_and_noncontiguous_fall_back(self):
         fast = FastmathBackend()

@@ -90,6 +90,24 @@ class TestClassificationLearner:
             np.testing.assert_allclose(incoming.data[key] + result.data[key],
                                        current[key], atol=1e-5)
 
+    def test_train_frees_gradients_without_changing_bits(self, shard, vocab_size):
+        def two_rounds(stale_grads: bool):
+            learner = ClinicalClassificationLearner(
+                site_name="site-1", train_data=shard, valid_data=None, local_epochs=1,
+                batch_size=16, lr=1e-2, seed=0, model_factory=lambda: build_classifier(
+                    "lstm-tiny", vocab_size=vocab_size, seed=0))
+            learner.initialize(ctx())
+            first = learner.train(weights_dxo(learner), ctx(1))
+            assert all(p.grad is None for p in learner.model.parameters())
+            if stale_grads:  # what a learner held between rounds before
+                for param in learner.model.parameters():
+                    param.grad = np.full_like(param.data, 7.0)
+            return learner.train(DXO(DataKind.WEIGHTS, data=first.data), ctx(2))
+
+        freed, stale = two_rounds(False), two_rounds(True)
+        for key, value in freed.data.items():
+            np.testing.assert_array_equal(stale.data[key], value)
+
     def test_validate(self, classification_learner):
         metrics = classification_learner.validate(
             weights_dxo(classification_learner), ctx())
@@ -179,6 +197,7 @@ class TestMlmLearner:
         result = mlm_learner.train(incoming, ctx())
         assert result.data_kind == DataKind.WEIGHTS
         assert result.get_meta_prop("train_loss") > 0
+        assert all(p.grad is None for p in mlm_learner.model.parameters())
 
     def test_validate_returns_mlm_loss(self, mlm_learner):
         incoming = DXO(DataKind.WEIGHTS,
