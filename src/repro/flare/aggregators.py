@@ -9,11 +9,14 @@ optimiser is included as an ablation.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .constants import DataKind
 from .dxo import DXO, MetaKey
 from .events import FLComponent
+from .filters import dense_tensors, topk_tensors
 from .fl_context import FLContext
 
 __all__ = ["Aggregator", "InTimeAccumulateWeightedAggregator", "FedOptAggregator",
@@ -77,7 +80,10 @@ class InTimeAccumulateWeightedAggregator(Aggregator):
     """Weighted running mean of client weight (or weight-diff) dictionaries.
 
     Weights default to each contribution's ``NUM_STEPS_CURRENT_ROUND`` meta
-    (sample/step counts), reducing to plain FedAvg over examples.
+    (sample/step counts), reducing to plain FedAvg over examples.  The
+    float64 sums are its only model-sized state.  A top-k update folds at
+    its kept indices, bit-equal to its densified form: the sums never hold
+    -0.0, so adding ``w * 0.0`` elsewhere is the identity.
     """
 
     def __init__(self, expected_data_kind: str = DataKind.WEIGHTS,
@@ -102,6 +108,8 @@ class InTimeAccumulateWeightedAggregator(Aggregator):
         return list(self._contributors)
 
     def accept(self, dxo: DXO, contributor: str, fl_ctx: FLContext) -> bool:
+        """Fold one update, or reject it (kind, names, shapes, top-k
+        indices, a finite positive weight) with the sums untouched."""
         if dxo.data_kind != self.expected_data_kind:
             self.log_error("rejecting %s from %s: expected %s",
                            dxo.data_kind, contributor, self.expected_data_kind)
@@ -110,20 +118,32 @@ class InTimeAccumulateWeightedAggregator(Aggregator):
             self.log_warning("duplicate contribution from %s ignored", contributor)
             return False
         weight = float(dxo.get_meta_prop(MetaKey.NUM_STEPS_CURRENT_ROUND, 1.0))
-        if weight <= 0:
-            self.log_error("non-positive weight %.3f from %s rejected", weight, contributor)
+        if not (math.isfinite(weight) and weight > 0):
+            self.log_error("weight %.3f from %s rejected: not finite and positive",
+                           weight, contributor)
+            return False
+        try:
+            tensors = topk_tensors(dxo)
+        except ValueError as error:
+            self.log_error("malformed update from %s rejected: %s", contributor, error)
             return False
         if self._sums is None:
-            self._sums = {key: np.zeros(np.shape(value), dtype=np.float64)
-                          for key, value in dxo.data.items()}
+            self._sums = {key: np.zeros(shape, dtype=np.float64)
+                          for key, (_, _, shape) in tensors.items()}
             self._scratch = np.empty(max(map(np.size, self._sums.values()), default=0))
-        if set(self._sums) != set(dxo.data):
-            self.log_error("parameter-name mismatch from %s rejected", contributor)
+        if set(self._sums) != set(tensors) or any(
+                self._sums[key].shape != shape for key, (_, _, shape) in tensors.items()):
+            self.log_error("parameter-name or shape mismatch from %s rejected",
+                           contributor)
             return False
-        for key, value in dxo.data.items():
+        for key, (values, indices, _) in tensors.items():
             # weight * float64(value), as ever, but through one reused buffer
-            scaled = self._scratch[:np.size(value)].reshape(np.shape(value))
-            self._sums[key] += np.multiply(value, weight, out=scaled, dtype=np.float64)
+            scaled = np.multiply(values, weight, dtype=np.float64,
+                                 out=self._scratch[:values.size].reshape(values.shape))
+            if indices is None:
+                self._sums[key] += scaled
+            else:
+                np.add.at(self._sums[key].reshape(-1), indices, scaled)
         self._total_weight += weight
         self._contributors.append(contributor)
         round_number = fl_ctx.get_prop("current_round", 0)
@@ -132,12 +152,14 @@ class InTimeAccumulateWeightedAggregator(Aggregator):
         return True
 
     def aggregate(self, fl_ctx: FLContext) -> DXO:
+        """The float32 mean; each sum is dropped as its mean is emitted."""
         if self._sums is None or self._total_weight <= 0:
             raise RuntimeError("nothing to aggregate")
         self.log_info("aggregating %d update(s) at round %s",
                       len(self._contributors), fl_ctx.get_prop("current_round", 0))
-        mean = {key: (value / self._total_weight).astype(np.float32)
-                for key, value in self._sums.items()}
+        sums, self._sums = self._sums, None
+        mean = {key: (sums.pop(key) / self._total_weight).astype(np.float32)
+                for key in list(sums)}
         return DXO(data_kind=self.expected_data_kind, data=mean,
                    meta={"contributors": list(self._contributors)})
 
@@ -211,11 +233,12 @@ class CoordinateMedianAggregator(Aggregator):
         if contributor in self._contributors:
             self.log_warning("duplicate contribution from %s ignored", contributor)
             return False
-        if self._stash and set(self._stash[0]) != set(dxo.data):
+        data = dense_tensors(dxo)
+        if self._stash and set(self._stash[0]) != set(data):
             self.log_error("parameter-name mismatch from %s rejected", contributor)
             return False
         self._stash.append({key: np.asarray(value, dtype=np.float64)
-                            for key, value in dxo.data.items()})
+                            for key, value in data.items()})
         self._track()  # the stashed copy outlives the caller's decode window
         self._contributors.append(contributor)
         self.log_info("Contribution from %s ACCEPTED by the aggregator at round %s.",

@@ -28,7 +28,7 @@ from .constants import EventType, ReservedKey, ReturnCode, TaskName
 from .downlink import Downlink
 from .dxo import MetaKey
 from .events import FLComponent, format_names
-from .filters import CompressionConfig, DXOFilter
+from .filters import CompressionConfig, DXOFilter, dense_tensors
 from .fl_context import FLContext
 from .persistor import ModelPersistor
 from .sampling import ClientSampler, UniformSampler
@@ -486,54 +486,60 @@ class ScatterAndGather(FLComponent):
             self.log_warning("client %s returned %s; skipping its update",
                              sender, reply.return_code)
             return False
-        dxo = to_dxo(reply)
-        del reply
-        self.materialization.acquire()  # decoded update is now live
-        for result_filter in self.result_filters:
-            with obs_trace.span("filter", stage="server_result",
-                                filter=type(result_filter).__name__,
-                                client=sender):
-                dxo = result_filter.process(dxo, fl_ctx)
-        self.log_info("Contribution from %s received.", sender)
-        steps = int(dxo.get_meta_prop(MetaKey.NUM_STEPS_CURRENT_ROUND, 0))
-        if self.health is not None:
-            self.health.record_update(
-                sender, dxo.data, data_kind=dxo.data_kind, meta=dxo.meta,
-                latency_seconds=time.perf_counter() - entry.clock)
-        staleness = self._version - entry.version
-        obs_metrics.histogram("federation.staleness").observe(staleness)
-        discount = self.policy.discount(staleness)
-        folded = False
-        if discount is None:
-            self.log_warning("update from %s is %d commit(s) stale; discarded",
-                             sender, staleness)
-        elif self.health is not None and self.health.is_quarantined(
-                sender, record.round_number):
-            # Responded fine but is serving a quarantine window: its
-            # diagnostics are recorded, its update is not aggregated and
-            # it is not counted toward quorum.
-            contributors.add(sender)
-            self.log_warning("client %s is quarantined; excluding its "
-                             "update from aggregation", sender)
-        else:
-            if discount != 1.0:
-                dxo.set_meta_prop(MetaKey.NUM_STEPS_CURRENT_ROUND, float(
-                    dxo.get_meta_prop(MetaKey.NUM_STEPS_CURRENT_ROUND, 1.0))
-                    * discount)
-            folded = self.aggregator.accept(dxo, sender, fl_ctx)
-            if folded:
+        self.materialization.acquire()  # the decoded update is now live
+        try:
+            dxo = to_dxo(reply)
+            del reply
+            for result_filter in self.result_filters:
+                with obs_trace.span("filter", stage="server_result",
+                                    filter=type(result_filter).__name__,
+                                    client=sender):
+                    dxo = result_filter.process(dxo, fl_ctx)
+            self.log_info("Contribution from %s received.", sender)
+            steps = int(dxo.get_meta_prop(MetaKey.NUM_STEPS_CURRENT_ROUND, 0))
+            if self.health is not None:
+                self.health.record_update(
+                    sender, dense_tensors(dxo), data_kind=dxo.data_kind,
+                    meta=dxo.meta, latency_seconds=time.perf_counter() - entry.clock)
+            staleness = self._version - entry.version
+            obs_metrics.histogram("federation.staleness").observe(staleness)
+            discount = self.policy.discount(staleness)
+            folded = False
+            if discount is None:
+                self.log_warning("update from %s is %d commit(s) stale; discarded",
+                                 sender, staleness)
+            elif self.health is not None and self.health.is_quarantined(
+                    sender, record.round_number):
+                # Responded fine but is serving a quarantine window: its
+                # diagnostics are recorded, its update is not aggregated and
+                # it is not counted toward quorum.
                 contributors.add(sender)
-        record.client_records.append(ClientRoundRecord(
-            client=sender,
-            round_number=record.round_number,
-            train_loss=float(dxo.get_meta_prop("train_loss", float("nan"))),
-            valid_acc=float(dxo.get_meta_prop("valid_acc", float("nan"))),
-            num_steps=steps,
-            seconds=float(dxo.get_meta_prop("train_seconds", 0.0)),
-            staleness=staleness,
-        ))
-        del dxo
-        self.materialization.release()  # folded, stash-accounted or discarded
+                self.log_warning("client %s is quarantined; excluding its "
+                                 "update from aggregation", sender)
+            else:
+                if discount != 1.0:
+                    dxo.set_meta_prop(MetaKey.NUM_STEPS_CURRENT_ROUND, float(
+                        dxo.get_meta_prop(MetaKey.NUM_STEPS_CURRENT_ROUND, 1.0))
+                        * discount)
+                folded = self.aggregator.accept(dxo, sender, fl_ctx)
+                if folded:
+                    contributors.add(sender)
+            record.client_records.append(ClientRoundRecord(
+                client=sender,
+                round_number=record.round_number,
+                train_loss=float(dxo.get_meta_prop("train_loss", float("nan"))),
+                valid_acc=float(dxo.get_meta_prop("valid_acc", float("nan"))),
+                num_steps=steps,
+                seconds=float(dxo.get_meta_prop("train_seconds", 0.0)),
+                staleness=staleness,
+            ))
+        except ValueError as error:
+            # a corrupt payload or a malformed top-k pair: this site's
+            # update is dropped, the round goes on
+            self.log_error("malformed update from %s dropped: %s", sender, error)
+            return False
+        finally:
+            self.materialization.release()  # folded, stash-accounted or discarded
         return folded
 
     def _commit(self, record: RoundRecord, fl_ctx: FLContext) -> None:
@@ -547,6 +553,7 @@ class ScatterAndGather(FLComponent):
         self.log_info("End aggregation.")
         self.global_weights = self.shareable_generator.dxo_to_learnable(
             aggregated, self.global_weights)
+        del aggregated  # evaluate and persist run beside the new global only
         self._version += 1
         self.fire_event(EventType.AFTER_AGGREGATION, fl_ctx)
         if self.evaluator is not None:

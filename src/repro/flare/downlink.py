@@ -19,12 +19,15 @@ from .constants import DataKind
 from .dxo import DXO, MetaKey
 from .events import FLComponent
 from .filters import (
+    TOPK_IDX,
+    TOPK_MIN_SIZE,
+    TOPK_VAL,
     CompressionConfig,
-    Float16Dequantize,
-    Float16Quantize,
-    TopKDensify,
-    TopKSparsify,
+    densify,
+    dequantize_fp16,
     diff_tensors,
+    quantize_fp16,
+    topk_indices,
 )
 from .fl_context import FLContext
 from .shareable import Shareable, from_dxo
@@ -35,11 +38,10 @@ __all__ = ["Downlink"]
 Weights = dict[str, np.ndarray]
 
 
-def _through_fp16(tensors: Weights) -> Weights:
-    """Round floating tensors to the nearest fp16-representable value."""
-    return {key: value.astype(np.float16).astype(value.dtype)
-            if value.dtype in (np.float32, np.float64) else value
-            for key, value in ((k, np.asarray(v)) for k, v in tensors.items())}
+def _through_fp16(value) -> np.ndarray:
+    """Round a floating tensor to the nearest fp16-representable value."""
+    wire, dtype = quantize_fp16(np.asarray(value))
+    return wire if dtype is None else dequantize_fp16(wire, dtype)
 
 
 class Downlink(FLComponent):
@@ -72,12 +74,13 @@ class Downlink(FLComponent):
     # ------------------------------------------------------------------
     def build(self, global_weights: Weights, targets: list[str], version: int,
               headers: dict, fl_ctx: FLContext
-              ) -> tuple[Weights, Shareable, dict[str, Shareable] | None]:
+              ) -> tuple[Weights, Shareable | None, dict[str, Shareable] | None]:
         """One wave's payloads: ``(canonical global, task, overrides)``.
 
-        ``task`` goes to every target not named in ``overrides``; both carry
-        ``headers``.  The returned global is what the wire delivers (after
-        fp16 rounding and delta truncation) and replaces the caller's copy.
+        ``task`` goes to every target not named in ``overrides`` (``None``
+        when the delta reaches them all); both carry ``headers``.  The
+        returned global is what the wire delivers (after fp16 rounding and
+        delta truncation) and replaces the caller's copy.
         """
         self._sent.update(dict.fromkeys(targets, version))
         if self.compression is None:
@@ -86,44 +89,38 @@ class Downlink(FLComponent):
             task.update(headers)
             return global_weights, task, None
 
-        if self.compression.float16:
-            # Quantize the canonical global once per wave so the base the
-            # clients diff against is exactly the model the server holds;
-            # idempotent, so unchanged (under-quorum) models are stable.
-            global_weights = _through_fp16(global_weights)
-
         synced: list[str] = []
         if (self._delta and self._last_broadcast is not None
                 and set(self._last_broadcast) == set(global_weights)):
             synced = [site for site in targets
                       if self._held.get(site) == self._version]
-        payloads: dict[str, DXO] = {}
+        task = overrides = None
         if synced:
-            delta = {key: diff_tensors(global_weights[key],
-                                       self._last_broadcast[key])
-                     for key in global_weights}
-            meta = {MetaKey.MODEL_VERSION: version,
-                    MetaKey.BASE_VERSION: self._version}
-            global_weights, payloads["delta"] = self._encode_delta(
-                global_weights, delta, meta, fl_ctx)
-        # built after any error-feedback truncation, so full-broadcast sites
-        # receive exactly the model the delta sites reconstruct
-        payloads["full"] = DXO(data_kind=DataKind.WEIGHTS, data=global_weights,
-                               meta={MetaKey.MODEL_VERSION: version})
-
-        encoded: dict[str, Shareable] = {}
-        for kind, dxo in payloads.items():
-            for task_filter in self.compression.downlink_task_filters():
-                with obs_trace.span("filter", stage="downlink",
-                                    filter=type(task_filter).__name__):
-                    dxo = task_filter.process(dxo, fl_ctx)
-            encoded[kind] = from_dxo(dxo)
-            encoded[kind].update(headers)
-        if synced:
+            with obs_trace.span("filter", stage="downlink", filter="delta"):
+                global_weights, delta = self._encode_delta(global_weights, version)
+            delta_task = from_dxo(delta)
+            delta_task.update(headers)
+            overrides = dict.fromkeys(synced, delta_task)
             self.log_info(
                 "wave %d: delta broadcast to %d/%d site(s), full model to the rest",
                 version, len(synced), len(targets))
-
+        elif self.compression.float16:
+            # Quantize the canonical global once per wave so the base the
+            # clients diff against is exactly the model the server holds;
+            # idempotent, so unchanged (under-quorum) models are stable.
+            global_weights = {key: _through_fp16(value)
+                              for key, value in global_weights.items()}
+        if len(synced) < len(targets):
+            # built after any error-feedback truncation, so full-broadcast
+            # sites receive exactly the model the delta sites reconstruct
+            full = DXO(data_kind=DataKind.WEIGHTS, data=global_weights,
+                       meta={MetaKey.MODEL_VERSION: version})
+            for task_filter in self.compression.downlink_task_filters():
+                with obs_trace.span("filter", stage="downlink",
+                                    filter=type(task_filter).__name__):
+                    full = task_filter.process(full, fl_ctx)
+            task = from_dxo(full)
+            task.update(headers)
         if self._delta:
             # base for the next wave's diff: what this wave put on the wire
             # (dxo_to_learnable always builds fresh arrays, so references are
@@ -131,52 +128,58 @@ class Downlink(FLComponent):
             self._last_broadcast = {key: np.asarray(value)
                                     for key, value in global_weights.items()}
         self._version = version
-        overrides = dict.fromkeys(synced, encoded["delta"]) if synced else None
-        return global_weights, encoded["full"], overrides
+        return global_weights, task, overrides
 
-    def _encode_delta(self, target: Weights, delta: Weights, meta: dict,
-                      fl_ctx: FLContext) -> tuple[Weights, DXO]:
-        """Build the delta payload, keeping server and clients bit-identical.
+    def _encode_delta(self, global_weights: Weights, version: int
+                      ) -> tuple[Weights, DXO]:
+        """Build the delta payload tensor by tensor, keeping server and
+        clients bit-identical.
 
-        The payload — exactly as the clients will reconstruct it after
-        dequantization/densification — also defines the canonical global
-        model, rebuilt with the same ``base + shipped`` arithmetic the
-        clients run, so every synced site and the server hold the same
-        weights bit for bit.  (Even the lossless f32 path needs this:
-        ``base + (g - base)`` can differ from ``g`` by an ulp.)  Whatever the
-        truncation/rounding did not deliver is carried in ``_residual`` into
-        the next wave's delta: no update is lost, only deferred.
+        Per tensor: fp16-round, diff against the base, add the residual,
+        keep the top-k, quantize — the filters' own per-tensor helpers.  The
+        payload as the clients reconstruct it defines the canonical global,
+        rebuilt with the ``base + shipped`` arithmetic of DeltaDecode, so
+        synced sites and server agree bit for bit (even lossless f32 needs
+        this: ``base + (g - base)`` can differ from ``g`` by an ulp).  What
+        truncation/rounding did not deliver becomes the tensor's residual,
+        carried into the next wave.  Base and residual are replaced per
+        tensor: the canonical global is the only model-sized thing built.
         """
-        for key, remainder in self._residual.items():
-            if key in delta and delta[key].dtype.kind == "f":
-                delta[key] = delta[key] + remainder
-        if self.compression.top_k:
-            dense = DXO(data_kind=DataKind.WEIGHT_DIFF, data=delta,
-                        meta=dict(meta))
-            payload = TopKSparsify(ratio=self.compression.top_k).process(
-                dense, fl_ctx)
-            if self.compression.float16:
-                # round the shipped values through fp16 up front so the
-                # canonical model matches what the wire actually delivers
-                payload = Float16Quantize().process(payload, fl_ctx)
-                shipped = TopKDensify().process(
-                    Float16Dequantize().process(payload, fl_ctx), fl_ctx).data
+        config = self.compression
+        canonical: Weights = {}
+        data: Weights = {}
+        spec: dict[str, dict] = {}
+        dtypes: dict[str, str] = {}
+        for key, value in global_weights.items():
+            value = _through_fp16(value) if config.float16 else np.asarray(value)
+            base = self._last_broadcast[key]
+            delta = diff_tensors(value, base)
+            floating = delta.dtype.kind == "f"
+            if floating and key in self._residual:
+                delta = delta + self._residual[key]
+            indices = None
+            if config.top_k and floating and delta.size >= TOPK_MIN_SIZE:
+                indices = topk_indices(delta.reshape(-1), config.top_k)
+                data[key + TOPK_IDX] = indices
+                spec[key] = {"shape": list(delta.shape), "dtype": delta.dtype.str}
+                wire_key, shipped = key + TOPK_VAL, delta.reshape(-1)[indices]
             else:
-                shipped = TopKDensify().process(payload, fl_ctx).data
-        else:
-            # dense delta: the difference of two fp16-representable models
-            # need not be fp16-representable, so pre-round it and account
-            # the rounding in the residual
-            shipped = _through_fp16(delta) if self.compression.float16 else delta
-            payload = DXO(data_kind=DataKind.WEIGHT_DIFF, data=shipped,
-                          meta=dict(meta))
-        # same expression DeltaDecode evaluates, so the result is bit-equal
-        canonical = {
-            key: (np.asarray(self._last_broadcast[key]) + np.asarray(shipped[key]))
-            .astype(np.asarray(target[key]).dtype, copy=False)
-            for key in target}
-        self._residual = {
-            key: delta[key] - diff_tensors(canonical[key],
-                                           self._last_broadcast[key])
-            for key in delta if delta[key].dtype.kind == "f"}
-        return canonical, payload
+                wire_key, shipped = key, delta
+            data[wire_key], dtype = (quantize_fp16(shipped) if config.float16
+                                     else (shipped, None))
+            if dtype is not None:
+                # ship what the wire delivers, so the model matches it
+                dtypes[wire_key] = dtype
+                shipped = dequantize_fp16(data[wire_key], dtype)
+            # same expression DeltaDecode evaluates, so the result is bit-equal
+            canonical[key] = (base + densify(shipped, indices, delta.shape)
+                              ).astype(value.dtype, copy=False)
+            if floating:
+                self._residual[key] = delta - diff_tensors(canonical[key], base)
+            self._last_broadcast[key] = canonical[key]
+        meta = {MetaKey.MODEL_VERSION: version, MetaKey.BASE_VERSION: self._version}
+        if spec:
+            meta[MetaKey.TOPK_SPEC] = spec
+        if dtypes:
+            meta[MetaKey.FP16_DTYPES] = dtypes
+        return canonical, DXO(data_kind=DataKind.WEIGHT_DIFF, data=data, meta=meta)

@@ -151,8 +151,76 @@ class NormClipPrivacy(DXOFilter):
 # ---------------------------------------------------------------------------
 # wire-compression filters
 # ---------------------------------------------------------------------------
-_TOPK_IDX = "@topk_idx"
-_TOPK_VAL = "@topk_val"
+TOPK_IDX = "@topk_idx"
+TOPK_VAL = "@topk_val"
+TOPK_MIN_SIZE = 256
+
+
+# Per-tensor transforms: the filters below map them over a DXO, and
+# :class:`~repro.flare.downlink.Downlink` / the aggregators call them one
+# tensor at a time, so no model-sized intermediate is built.
+def quantize_fp16(value: np.ndarray) -> tuple[np.ndarray, str | None]:
+    """``(wire form, original dtype)``: float32/float64 go to float16 (dtype
+    recorded), everything else passes through with ``None``."""
+    if value.dtype in (np.float32, np.float64):
+        return value.astype(np.float16), value.dtype.str
+    return value, None
+
+
+def dequantize_fp16(value, dtype: str) -> np.ndarray:
+    """The exact upcast of a :func:`quantize_fp16` wire form."""
+    return np.asarray(value).astype(np.dtype(dtype))
+
+
+def topk_indices(flat: np.ndarray, ratio: float) -> np.ndarray:
+    """Sorted indices of the ``max(1, round(size * ratio))`` largest
+    magnitudes of the 1-D ``flat``."""
+    k = max(1, int(round(flat.size * ratio)))
+    indices = np.argpartition(np.abs(flat), flat.size - k)[flat.size - k:]
+    return np.sort(indices).astype(np.uint32 if flat.size < 2 ** 32 else np.int64)
+
+
+def densify(values: np.ndarray, indices: np.ndarray | None, shape) -> np.ndarray:
+    """The dense tensor of a top-k pair: kept entries exact, the rest +0.0
+    (a dense tensor, ``indices=None``, is returned as is)."""
+    if indices is None:
+        return values
+    restored = np.zeros(int(np.prod(shape, dtype=np.int64)), dtype=values.dtype)
+    restored[indices] = values
+    return restored.reshape(shape)
+
+
+def topk_tensors(dxo: DXO) -> dict[str, tuple[np.ndarray, np.ndarray | None, tuple]]:
+    """Each tensor of a (possibly top-k sparsified) DXO as ``(values,
+    indices, shape)``: dense ones first (``indices=None``), then each top-k
+    pair's values in its recorded dtype with its flat indices, which must
+    be strictly increasing.  A malformed pair raises :class:`ValueError`,
+    the codec's contract for corrupt data.
+    """
+    spec = dxo.get_meta_prop(MetaKey.TOPK_SPEC) or {}
+    tensors = {key: (np.asarray(value), None, np.shape(value))
+               for key, value in dxo.data.items()
+               if not key.endswith((TOPK_IDX, TOPK_VAL))}
+    for key, entry in spec.items():
+        indices = np.asarray(dxo.data.get(key + TOPK_IDX, ()))
+        values = np.asarray(dxo.data.get(key + TOPK_VAL, ()))
+        size = int(np.prod(entry["shape"], dtype=np.int64))
+        if (indices.ndim != 1 or indices.dtype.kind not in "iu"
+                or values.shape != indices.shape or indices.size and not (
+                    0 <= indices[0] and indices[-1] < size
+                    and (indices[1:] > indices[:-1]).all())):
+            raise ValueError(f"top-k pair for {key!r} is missing, mismatched, or "
+                             f"not strictly increasing within [0, {size})")
+        tensors[key] = (values.astype(np.dtype(entry["dtype"]), copy=False),
+                        indices, tuple(entry["shape"]))
+    return tensors
+
+
+def dense_tensors(dxo: DXO) -> dict[str, np.ndarray]:
+    """``dxo.data`` with every top-k pair restored to its dense tensor."""
+    if not dxo.get_meta_prop(MetaKey.TOPK_SPEC):
+        return dxo.data
+    return {key: densify(*parts) for key, parts in topk_tensors(dxo).items()}
 
 
 def diff_tensors(value, reference) -> np.ndarray:
@@ -270,11 +338,9 @@ class Float16Quantize(DXOFilter):
         quantized: dict[str, np.ndarray] = {}
         original_dtypes: dict[str, str] = {}
         for key, value in dxo.data.items():
-            value = np.asarray(value)
-            if value.dtype in (np.float32, np.float64):
-                original_dtypes[key] = value.dtype.str
-                value = value.astype(np.float16)
-            quantized[key] = value
+            quantized[key], dtype = quantize_fp16(np.asarray(value))
+            if dtype is not None:
+                original_dtypes[key] = dtype
         if not original_dtypes:
             return dxo
         meta = dict(dxo.meta)
@@ -293,9 +359,8 @@ class Float16Dequantize(DXOFilter):
             return dxo
         restored: dict[str, np.ndarray] = {}
         for key, value in dxo.data.items():
-            if key in recorded:
-                value = np.asarray(value).astype(np.dtype(recorded[key]))
-            restored[key] = value
+            restored[key] = (dequantize_fp16(value, recorded[key])
+                             if key in recorded else value)
         meta = {key: value for key, value in dxo.meta.items()
                 if key != MetaKey.FP16_DTYPES}
         return DXO(data_kind=dxo.data_kind, data=restored, meta=meta)
@@ -312,7 +377,7 @@ class TopKSparsify(DXOFilter):
     index overhead would outweigh the saving).
     """
 
-    def __init__(self, ratio: float = 0.1, min_size: int = 256,
+    def __init__(self, ratio: float = 0.1, min_size: int = TOPK_MIN_SIZE,
                  name: str | None = None) -> None:
         super().__init__(name=name)
         if not 0.0 < ratio <= 1.0:
@@ -332,13 +397,10 @@ class TopKSparsify(DXOFilter):
             if value.size < self.min_size or value.dtype.kind != "f":
                 sparse[key] = value
                 continue
-            k = max(1, int(round(value.size * self.ratio)))
             flat = value.reshape(-1)
-            indices = np.argpartition(np.abs(flat), flat.size - k)[flat.size - k:]
-            indices = np.sort(indices).astype(np.uint32 if flat.size < 2 ** 32
-                                              else np.int64)
-            sparse[key + _TOPK_IDX] = indices
-            sparse[key + _TOPK_VAL] = flat[indices]
+            indices = topk_indices(flat, self.ratio)
+            sparse[key + TOPK_IDX] = indices
+            sparse[key + TOPK_VAL] = flat[indices]
             spec[key] = {"shape": list(value.shape), "dtype": value.dtype.str}
         if not spec:
             return dxo
@@ -349,31 +411,15 @@ class TopKSparsify(DXOFilter):
 
 class TopKDensify(DXOFilter):
     """Restore tensors sparsified by :class:`TopKSparsify` to dense arrays
-    (kept entries exact, everything else zero)."""
+    (kept entries exact, everything else zero); a malformed pair raises
+    :class:`ValueError` (see :func:`topk_tensors`)."""
 
     def process(self, dxo: DXO, fl_ctx: FLContext) -> DXO:
-        spec = dxo.get_meta_prop(MetaKey.TOPK_SPEC)
-        if not spec:
+        if not dxo.get_meta_prop(MetaKey.TOPK_SPEC):
             return dxo
-        dense: dict[str, np.ndarray] = {}
-        for key, value in dxo.data.items():
-            if key.endswith(_TOPK_IDX) or key.endswith(_TOPK_VAL):
-                continue
-            dense[key] = value
-        for key, entry in spec.items():
-            indices = dxo.data.get(key + _TOPK_IDX)
-            values = dxo.data.get(key + _TOPK_VAL)
-            if indices is None or values is None:
-                raise ValueError(f"top-k payload for {key!r} is missing its "
-                                 "index or value tensor")
-            restored = np.zeros(int(np.prod(entry["shape"], dtype=np.int64)),
-                                dtype=np.dtype(entry["dtype"]))
-            restored[np.asarray(indices).astype(np.int64)] = \
-                np.asarray(values).astype(restored.dtype)
-            dense[key] = restored.reshape(entry["shape"])
         meta = {key: value for key, value in dxo.meta.items()
                 if key != MetaKey.TOPK_SPEC}
-        return DXO(data_kind=dxo.data_kind, data=dense, meta=meta)
+        return DXO(data_kind=dxo.data_kind, data=dense_tensors(dxo), meta=meta)
 
 
 @dataclass(frozen=True)
@@ -391,8 +437,9 @@ class CompressionConfig:
         delta the controller also rounds its canonical global model
         through fp16 so server and clients agree on the base bit-exactly.
     ``top_k``
-        Optionally keep only this fraction of each uplink weight diff
-        (largest magnitudes); the server zero-fills before aggregating.
+        Optionally keep only this fraction of each weight diff (largest
+        magnitudes), both directions; the server folds the kept entries
+        sparse, with no dense copy of the update.
     ``deflate``
         Add the codec's lossless shuffle+deflate transform on top.
 
@@ -467,13 +514,11 @@ class CompressionConfig:
         return chain
 
     def server_result_filters(self) -> list[DXOFilter]:
-        """Applied by the controller to each reply before aggregation."""
-        chain: list[DXOFilter] = []
-        if self.float16:
-            chain.append(Float16Dequantize())
-        if self.top_k:
-            chain.append(TopKDensify())
-        return chain
+        """Applied by the controller to each reply before aggregation.
+
+        Top-k updates stay sparse: the aggregators read them through
+        :func:`topk_tensors` (and densify only where they must)."""
+        return [Float16Dequantize()] if self.float16 else []
 
     def downlink_task_filters(self) -> list[DXOFilter]:
         """Applied by the controller to broadcast payloads (downlink encode)."""

@@ -104,14 +104,15 @@ class FLServer(FLComponent):
     # ------------------------------------------------------------------
     # task fan-out / collection
     # ------------------------------------------------------------------
-    def broadcast_task(self, task_name: str, shareable: Shareable,
+    def broadcast_task(self, task_name: str, shareable: Shareable | None,
                        targets: list[str],
                        overrides: dict[str, Shareable] | None = None) -> list[str]:
         """Send one task per target with batched, wave-based retry/backoff.
 
         ``overrides`` substitutes a different payload for specific targets —
-        the wire-efficient controller uses it to send a full model to stale
-        sites while everyone else gets a small delta.
+        the wire-efficient controller uses it to send a small delta to synced
+        sites and a full model to the rest (``shareable`` is ``None`` when
+        the overrides name every target).
 
         All targets get attempt 0 first; only the failures enter the next
         wave, with a single backoff sleep per wave instead of a serial full

@@ -171,3 +171,49 @@ class TestFedOpt:
     def test_bad_server_lr(self):
         with pytest.raises(ValueError):
             FedOptAggregator(server_lr=0.0)
+
+
+class TestAcceptIsAtomic:
+    """A rejected update leaves the sums and the total weight untouched."""
+
+    @staticmethod
+    def folded(data, weight=1.0, **meta):
+        agg = InTimeAccumulateWeightedAggregator()
+        assert agg.accept(DXO(DataKind.WEIGHTS,
+                              data={"a": np.ones(4), "b": np.ones(3)}), "x", ctx())
+        before = {key: value.copy() for key, value in agg._sums.items()}
+        accepted = agg.accept(DXO(DataKind.WEIGHTS, data=data, meta={
+            MetaKey.NUM_STEPS_CURRENT_ROUND: weight, **meta}), "y", ctx())
+        unchanged = all(agg._sums[key].tobytes() == before[key].tobytes()
+                        for key in before) and agg._total_weight == 1.0
+        return accepted, unchanged
+
+    def test_broadcastable_shape_is_rejected(self):
+        assert self.folded({"a": np.ones(1), "b": np.ones(3)}) == (False, True)
+
+    def test_later_key_shape_mismatch_folds_nothing(self):
+        assert self.folded({"a": np.ones(4), "b": np.ones(5)}) == (False, True)
+
+    @pytest.mark.parametrize("weight", [float("inf"), float("nan"), 0.0, -1.0])
+    def test_weight_must_be_finite_and_positive(self, weight):
+        assert self.folded({"a": np.ones(4), "b": np.ones(3)},
+                           weight=weight) == (False, True)
+
+    @pytest.mark.parametrize("indices,values", [
+        ([0, 4], [1.0, 1.0]),       # past the end
+        ([1, 1], [1.0, 1.0]),       # repeated
+        ([2, 0], [1.0, 1.0]),       # not increasing
+        ([0, 1, 2], [1.0, 1.0]),    # length mismatch
+        ([-1, 0], [1.0, 1.0]),      # negative
+    ], ids=["range", "repeat", "order", "length", "negative"])
+    def test_malformed_topk_is_rejected(self, indices, values):
+        data = {"a@topk_idx": np.array(indices), "a@topk_val": np.array(values),
+                "b": np.ones(3)}
+        spec = {"a": {"shape": [4], "dtype": "<f8"}}
+        assert self.folded(data, **{MetaKey.TOPK_SPEC: spec}) == (False, True)
+
+    def test_wellformed_topk_folds_at_its_indices(self):
+        data = {"a@topk_idx": np.array([0, 3], dtype=np.uint32),
+                "a@topk_val": np.array([5.0, 2.0]), "b": np.ones(3)}
+        spec = {"a": {"shape": [4], "dtype": "<f8"}}
+        assert self.folded(data, **{MetaKey.TOPK_SPEC: spec}) == (True, False)

@@ -12,8 +12,13 @@ import numpy as np
 import pytest
 
 from repro.flare import (
+    DXO,
     CompressionConfig,
+    CoordinateMedianAggregator,
+    DataKind,
     FLJob,
+    InTimeAccumulateWeightedAggregator,
+    MetaKey,
     SimulatorRunner,
     get_wire_codec,
     set_wire_codec,
@@ -215,6 +220,38 @@ def test_downlink_keeps_server_and_clients_bit_identical(config):
             for key, value in global_weights.items()}
         if wave >= 1:
             assert overrides is not None and "site-1" in overrides
+
+
+class MalformedTopKLearner(ToyLearner):
+    """Ships a signed, well-encoded top-k pair whose last index is past the
+    end of its tensor."""
+
+    def train(self, dxo, fl_ctx):
+        trained = super().train(dxo, fl_ctx)
+        return DXO(DataKind.WEIGHT_DIFF, data={
+            "layer.weight@topk_idx": np.array([0, 1, 2, 4], dtype=np.uint32),
+            "layer.weight@topk_val": np.ones(4, dtype=np.float32),
+            "layer.bias": np.ones(2, dtype=np.float32)},
+            meta={**trained.meta, MetaKey.TOPK_SPEC: {
+                "layer.weight": {"shape": [2, 2], "dtype": "<f4"}}})
+
+
+@pytest.mark.parametrize("aggregator", [InTimeAccumulateWeightedAggregator,
+                                        CoordinateMedianAggregator],
+                         ids=["fold", "median"])
+def test_malformed_topk_update_drops_its_site_not_the_run(tmp_path, aggregator):
+    job = FLJob(name="e2e-malformed", initial_weights=toy_weights(),
+                learner_factory=lambda name: (MalformedTopKLearner if name == "site-2"
+                                              else ToyLearner)(name),
+                aggregator_factory=aggregator, num_rounds=3, min_clients=2)
+    result = SimulatorRunner(job, n_clients=3, seed=0, run_dir=tmp_path / "bad",
+                             capture_log=False, compression="delta+fp16+topk").run()
+    assert result.stats.num_rounds == 3 and result.stats.failed_rounds == 0
+    assert all(record.dropped_clients == ["site-2"]
+               for record in result.stats.rounds)
+    # the two honest sites move every weight by exactly +1 per round
+    for value in result.final_weights.values():
+        np.testing.assert_array_equal(value, 3.0)
 
 
 @pytest.mark.chaos
