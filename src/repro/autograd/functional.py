@@ -1196,10 +1196,10 @@ def sigmoid(x: Tensor) -> Tensor:
 
 def dropout(x: Tensor, p: float, training: bool, rng: np.random.Generator | None = None) -> Tensor:
     """Inverted dropout: zero elements with probability ``p`` during training."""
-    if not training or p <= 0.0:
+    if not 0.0 <= p < 1.0:
+        raise ValueError(f"dropout probability must be in [0, 1), got {p}")
+    if not training or p == 0.0:
         return x
-    if p >= 1.0:
-        raise ValueError("dropout probability must be < 1")
     x = _as_tensor(x)
     kept = _dropout_mask(rng or np.random.default_rng(), x.shape, p, x.dtype)
 

@@ -14,6 +14,7 @@ import numpy as np
 from ..autograd import Module, Tensor, functional as F
 from .dropout import Dropout
 from .linear import Linear
+from .normalization import LayerNorm
 
 __all__ = ["MultiHeadSelfAttention", "default_head_dim"]
 
@@ -24,7 +25,11 @@ def default_head_dim(dim: int, num_heads: int) -> int:
 
 
 class MultiHeadSelfAttention(Module):
-    """Self-attention over a ``(batch, seq, dim)`` input.
+    """Post-norm self-attention over a ``(batch, seq, dim)`` input.
+
+    The module holds the projections and the probability dropout; the
+    caller owns the layer norm of the residual add and passes it to
+    :meth:`forward` (:class:`~repro.nn.TransformerEncoderLayer` does).
 
     Parameters
     ----------
@@ -55,9 +60,9 @@ class MultiHeadSelfAttention(Module):
         self.attn_dropout = Dropout(dropout, rng=rng)
 
     def forward(self, x: Tensor, attention_mask: np.ndarray | None = None,
-                out_dropout: Dropout | None = None,
-                post_norm: Module | None = None) -> Tensor:
-        """Apply self-attention.
+                out_dropout: Dropout | None = None, *,
+                post_norm: LayerNorm) -> Tensor:
+        """Apply the post-norm attention sublayer ``LN(x + attn(x))``.
 
         Parameters
         ----------
@@ -70,9 +75,8 @@ class MultiHeadSelfAttention(Module):
             Optional :class:`Dropout` applied to the block output — folded
             into the fused attention node instead of running as its own op.
         post_norm:
-            Optional :class:`~repro.nn.LayerNorm`.  When given, the residual
-            add and post-layer-norm ``LN(x + attn(x))`` are folded into the
-            same node too, so the whole encoder sublayer is one op.
+            The :class:`~repro.nn.LayerNorm` of the residual add, folded into
+            the same node, so the whole encoder sublayer is one op.
         """
         batch, seq, _ = x.shape
         if attention_mask is not None:
@@ -86,26 +90,18 @@ class MultiHeadSelfAttention(Module):
         else:
             mask = None
         # the whole block -- Q/K/V projections, head split, masked softmax,
-        # probability dropout, head merge, output projection (and, with
-        # post_norm, the residual add + layer norm) -- is one fused graph node
-        common = dict(
+        # probability dropout, head merge, output projection, residual add
+        # and layer norm -- is one fused graph node
+        return F.attention_layer(
+            x, self.query.weight, self.query.bias,
+            self.key.weight, self.key.bias,
+            self.value.weight, self.value.bias,
+            self.out.weight, self.out.bias,
+            self.num_heads, post_norm.weight, post_norm.bias,
             attention_mask=mask,
             dropout_p=self.attn_dropout.p,
             training=self.attn_dropout.training,
             rng=self.attn_dropout._rng,
             out_dropout_p=out_dropout.p if out_dropout is not None and out_dropout.training else 0.0,
-            out_rng=out_dropout._rng if out_dropout is not None else None)
-        if post_norm is not None:
-            return F.attention_layer(
-                x, self.query.weight, self.query.bias,
-                self.key.weight, self.key.bias,
-                self.value.weight, self.value.bias,
-                self.out.weight, self.out.bias,
-                self.num_heads, post_norm.weight, post_norm.bias,
-                eps=post_norm.eps, **common)
-        return F.multi_head_attention(
-            x, self.query.weight, self.query.bias,
-            self.key.weight, self.key.bias,
-            self.value.weight, self.value.bias,
-            self.out.weight, self.out.bias,
-            self.num_heads, **common)
+            out_rng=out_dropout._rng if out_dropout is not None else None,
+            eps=post_norm.eps)

@@ -149,6 +149,13 @@ class TestGeluDropoutMisc:
         with pytest.raises(ValueError):
             F.dropout(Tensor(np.ones(3)), 1.0, training=True)
 
+    @pytest.mark.parametrize("training", [True, False])
+    @pytest.mark.parametrize("p", [-0.5, float("nan"), 1.0])
+    def test_dropout_rejects_p_outside_unit_interval(self, p, training):
+        # checked before the eval / p == 0 short-cut, like nn.Dropout
+        with pytest.raises(ValueError, match=r"dropout probability must be in \[0, 1\)"):
+            F.dropout(Tensor(np.ones(4)), p, training=training)
+
     def test_linear_matches_manual(self, rng):
         x, w, b = (Tensor(rng.normal(size=s)) for s in [(4, 3), (5, 3), (5,)])
         np.testing.assert_allclose(F.linear(x, w, b).data, x.data @ w.data.T + b.data,

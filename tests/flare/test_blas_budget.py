@@ -52,6 +52,13 @@ def outside_pool():
     set_blas_threads(previous)
 
 
+def test_set_blas_threads_returns_the_previous_size():
+    assert set_blas_threads(1) == OUTSIDE
+    assert get_blas_threads() == 1
+    assert set_blas_threads(OUTSIDE) == 1   # and the fixture restores the rest
+    assert get_blas_threads() == OUTSIDE
+
+
 def run(learner_factory=PoolProbe, evaluator=None, **runner_options):
     job = FLJob(name="blas", initial_weights=toy_weights(0.0),
                 learner_factory=learner_factory, num_rounds=2,
