@@ -30,6 +30,8 @@ import numpy as np  # noqa: E402
 
 from repro.flare import DXO, DataKind, FLJob, Learner, MetaKey, SimulatorRunner  # noqa: E402
 from repro.obs import HealthMonitor  # noqa: E402
+from repro.obs.report import load_health  # noqa: E402
+from repro.obs.rundir import HEALTH_FILE  # noqa: E402
 
 
 class ArithmeticLearner(Learner):
@@ -104,13 +106,12 @@ def main(argv: list[str] | None = None) -> int:
             print(f"error: {transport} run finished {stats.num_rounds} of "
                   f"{args.rounds} rounds")
             return 1
-        health_path = result.run_dir / "health.jsonl"
+        health_path = result.run_dir / HEALTH_FILE
         if not health_path.exists():
-            print(f"error: {transport} run wrote no health.jsonl")
+            print(f"error: {transport} run wrote no {HEALTH_FILE}")
             return 1
-        round_records = [json.loads(line)
-                         for line in health_path.read_text().splitlines()
-                         if line and '"event": "round"' in line]
+        round_records = [record for record in load_health(health_path)
+                         if record["event"] == "round"]
         if len(round_records) != args.rounds:
             print(f"error: {transport} health log holds "
                   f"{len(round_records)} round records, "
@@ -128,7 +129,7 @@ def main(argv: list[str] | None = None) -> int:
         print("error: stats.json does not carry peak_receive_buffer_bytes")
         return 1
     print(f"health artifacts: "
-          f"{', '.join(str(r.run_dir / 'health.jsonl') for r in results.values())}")
+          f"{', '.join(str(r.run_dir / HEALTH_FILE) for r in results.values())}")
     return 0
 
 

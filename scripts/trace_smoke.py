@@ -39,6 +39,7 @@ import numpy as np  # noqa: E402
 from repro.flare import DXO, DataKind, FLJob, Learner, MetaKey, SimulatorRunner  # noqa: E402
 from repro.obs import export_chrome_trace, trace as obs_trace  # noqa: E402
 from repro.obs.report import load_trace, load_trace_events, render_report  # noqa: E402
+from repro.obs.rundir import TRACE_FILE  # noqa: E402
 
 ALIGN_SLACK = 0.005  # seconds; offsets are exact, this covers float rounding
 
@@ -92,8 +93,8 @@ def main(argv: list[str] | None = None) -> int:
     check(result.stats.num_rounds == args.rounds,
           f"run finished {result.stats.num_rounds} of {args.rounds} rounds")
 
-    trace_path = run_dir / "trace.jsonl"
-    check(trace_path.exists(), "run wrote no trace.jsonl")
+    trace_path = run_dir / TRACE_FILE
+    check(trace_path.exists(), f"run wrote no {TRACE_FILE}")
     events = load_trace_events(trace_path)
     spans = load_trace(trace_path)
 

@@ -44,10 +44,19 @@ def _reapply_after_fork() -> None:
     process-per-client runner must not depend on that: the child resets the
     applied flag and tunes again, so a worker forked before (or regardless
     of) the parent's call still trains with the thresholds raised.
+
+    The child also hands back the free heap pages it inherited.  With the
+    trim threshold raised, the parent's freed temporaries stay resident, and
+    a forked worker would otherwise carry them in its RSS for its whole
+    life, or not, depending on whether its own buffers happen to fit the
+    holes they left.
     """
     global _applied
     _applied = False
-    tune_malloc()
+    if tune_malloc():
+        import ctypes
+
+        ctypes.CDLL("libc.so.6").malloc_trim(0)
 
 
 def tune_malloc() -> bool:

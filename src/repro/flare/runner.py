@@ -28,18 +28,24 @@ after that crosses a real TCP socket.
 The default start method is ``fork`` (the only one that does not require
 picklable learner factories); jobs whose factories pickle cleanly may pass
 ``start_method="spawn"``.
+
+Telemetry mechanics live in :mod:`repro.obs.session`: a worker whose
+runtime carries a :class:`~repro.obs.session.WorkerTelemetry` runs a
+worker-mode :class:`~repro.obs.session.TelemetrySession` whose deltas this
+module only carries — over the worker's bus on ``__telemetry__`` — into the
+parent's :class:`~repro.obs.session.TelemetryCollector`.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-import threading
 import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
+from ..obs.session import TelemetryCollector, WorkerTelemetry
 from .client import FederatedClient, session_key_from_token
 from .constants import TELEMETRY_TOPIC, ReservedKey
 from .filters import CompressionConfig
@@ -56,7 +62,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .server import FLServer
 
 __all__ = ["ProcessClientRunner", "ClientProcessConfig", "WorkerRuntime",
-           "TelemetryCollector", "client_process_main", "TELEMETRY_TOPIC"]
+           "client_process_main", "TELEMETRY_TOPIC"]
 
 
 @dataclass
@@ -78,16 +84,13 @@ class WorkerRuntime:
     default_dtype: str | None = None
     backend: str | None = None
     blas_threads: int | None = None
-    telemetry: bool = False
-    # Sampling interval of the per-worker resource monitor (None = off).
-    # When set (and telemetry is on) every forked worker runs its own
-    # repro.obs.sysmon.SysMonitor whose gauges — tagged with the site name
-    # — ride the streamed telemetry deltas back to the parent.
-    sysmon: float | None = None
+    # Set when the run is telemetry-armed: every worker then streams its
+    # spans, metrics and op profile to the parent (None = off).
+    telemetry: WorkerTelemetry | None = None
 
     @classmethod
-    def capture(cls, workers: int, telemetry: bool = False,
-                sysmon: float | None = None) -> "WorkerRuntime":
+    def capture(cls, workers: int,
+                telemetry: WorkerTelemetry | None = None) -> "WorkerRuntime":
         """Snapshot the parent's runtime, splitting BLAS threads among the
         ``workers`` that train concurrently (``min(n_sites, max_parallel)``)."""
         from ..autograd import get_backend, get_default_dtype
@@ -96,8 +99,7 @@ class WorkerRuntime:
         return cls(default_dtype=np.dtype(get_default_dtype()).name,
                    backend=get_backend(),
                    blas_threads=recommended_blas_threads(workers),
-                   telemetry=telemetry,
-                   sysmon=sysmon)
+                   telemetry=telemetry)
 
     def apply(self) -> None:
         from ..autograd import set_backend, set_default_dtype, tune_malloc
@@ -128,110 +130,6 @@ class ClientProcessConfig:
     extra_result_filters: list = field(default_factory=list)
     heartbeat_interval: float | None = 2.0
     poll_timeout: float = 1.0
-    # Distributed tracing: the run-level trace id minted by the parent's
-    # TelemetrySession, adopted by the worker's tracer so every process
-    # contributes spans to one merged trace.
-    trace_id: str | None = None
-    # Cadence of the worker's streamed telemetry deltas; each finished task
-    # span also kicks an immediate flush, so mid-run progress reaches the
-    # parent promptly and a crash loses at most one interval of spans.
-    telemetry_flush: float = 0.5
-
-
-class _WorkerTelemetryExporter:
-    """Streams one worker's telemetry to the server while it serves.
-
-    Every ``interval`` seconds (or promptly after a span closes — the
-    tracer's flush hook kicks the loop) the exporter ships one delta:
-    spans finished since the previous delta plus *cumulative* snapshots of
-    the metric registries (the parent keeps only the latest cumulative
-    snapshot per worker, so a lost delta costs spans, never double-counts
-    a counter).  The final delta (``final=True``) is sent on the way out;
-    a crashed worker simply stops mid-stream and the parent marks its
-    still-open spans aborted.
-    """
-
-    def __init__(self, bus: Transport, name: str, server_name: str,
-                 registry, profiler, tracer, interval: float) -> None:
-        self.bus = bus
-        self.name = name
-        self.server_name = server_name
-        self.registry = registry
-        self.profiler = profiler
-        self.tracer = tracer
-        self.interval = max(interval, 0.05)
-        self._seq = 0
-        self._kick = threading.Event()
-        self._stop = threading.Event()
-        self._send_lock = threading.Lock()
-        self._thread: threading.Thread | None = None
-
-    def start(self) -> "_WorkerTelemetryExporter":
-        if self.tracer is not None:
-            # Only spans wide enough to matter (a task, a training call)
-            # kick an immediate flush; sub-50ms spans ride the interval.
-            self.tracer.set_flush_hook(self.kick, threshold=0.05)
-        self._thread = threading.Thread(target=self._loop,
-                                        name=f"telemetry-{self.name}",
-                                        daemon=True)
-        self._thread.start()
-        return self
-
-    def kick(self) -> None:
-        self._kick.set()
-
-    def _loop(self) -> None:
-        while not self._stop.is_set():
-            self._kick.wait(self.interval)
-            self._kick.clear()
-            if self._stop.is_set():
-                break
-            self.flush(final=False)
-            # coalesce kick bursts (one flush covers every span that
-            # closed during it, so back-to-back flushes add nothing)
-            self._stop.wait(0.05)
-
-    def snapshot(self, final: bool) -> dict:
-        from . import codec as wire_codec_module
-
-        delta = {
-            "client": self.name,
-            "seq": self._seq,
-            "final": final,
-            "metrics": self.registry.to_dict(),
-            "profile": self.profiler.to_dict(),
-            "transport": self.bus.metrics.to_dict(),
-            "wire": wire_codec_module.wire_metrics.to_dict(),
-        }
-        if self.tracer is not None:
-            delta["process"] = self.tracer.process
-            delta["trace_id"] = self.tracer.trace_id
-            delta["clock_offset"] = round(self.tracer.clock_offset, 6)
-            delta["spans"] = self.tracer.drain()
-            delta["open_spans"] = [] if final else self.tracer.open_spans()
-        return delta
-
-    def flush(self, final: bool = False) -> None:
-        with self._send_lock:
-            delta = self.snapshot(final)
-            self._seq += 1
-            try:
-                self.bus.send_shareable(self.name, self.server_name,
-                                        TELEMETRY_TOPIC,
-                                        Shareable({"telemetry": delta}))
-            except TransportError:
-                pass  # best-effort: a faulty fabric may eat a delta
-
-    def stop(self) -> None:
-        """Stop the loop and ship the final cumulative snapshot."""
-        self._stop.set()
-        self._kick.set()
-        if self._thread is not None:
-            self._thread.join(timeout=10.0)
-            self._thread = None
-        if self.tracer is not None:
-            self.tracer.set_flush_hook(None)
-        self.flush(final=True)
 
 
 def client_process_main(config: ClientProcessConfig,
@@ -245,43 +143,10 @@ def client_process_main(config: ClientProcessConfig,
     spoke's reconnect-with-backoff until the server's stop message lands.
     """
     name = config.kit.participant.name
+    telemetry = None
     if config.runtime is not None:
         config.runtime.apply()
-    registry = profiler = previous_registry = None
-    tracer = previous_tracer = None
-    sysmon = None
-    exporter: _WorkerTelemetryExporter | None = None
-    if config.runtime is not None and config.runtime.telemetry:
-        from ..obs import metrics as obs_metrics
-        from ..obs import trace as obs_trace
-        from ..obs.metrics import MetricsRegistry
-        from ..obs.profiler import OpProfiler, get_profiler
-        from ..obs.trace import Tracer
-
-        # fork copies the parent's installed profiler hook; detach that
-        # inherited copy (it records into the parent session's dicts, which
-        # no longer exist here in any useful sense) before arming our own
-        inherited = get_profiler()
-        if inherited is not None:
-            inherited.uninstall()
-        registry = MetricsRegistry()
-        previous_registry = obs_metrics.set_registry(registry)
-        profiler = OpProfiler().install()
-        # Per-process tracer joined to the parent's trace: same trace_id,
-        # site-named span ids, and a clock offset learned from the first
-        # task's envelope so exported spans land on the parent's timeline.
-        tracer = Tracer(trace_id=config.trace_id, process=name,
-                        adopt_clock=True)
-        previous_tracer = obs_trace.set_tracer(tracer)
-        if config.runtime.sysmon is not None:
-            # per-worker resource sampler: its site-tagged gauges live in
-            # this registry, so every streamed delta carries them and the
-            # parent's merged metrics (and exporter scrape) show RSS/CPU
-            # per client process
-            from ..obs.sysmon import SysMonitor
-
-            sysmon = SysMonitor(registry=registry, process=name,
-                                interval=config.runtime.sysmon).start()
+        telemetry = config.runtime.telemetry
     if config.bus is not None:
         # fork-inherited fabric (shm): the queues already exist; this
         # process just claims its endpoint and installs its keys below
@@ -292,6 +157,7 @@ def client_process_main(config: ClientProcessConfig,
                                        fault_plan=config.fault_plan,
                                        heartbeat_interval=config.heartbeat_interval)
         owns_bus = True
+    session = None
     try:
         task_data_filters: list = []
         task_result_filters: list = list(config.extra_result_filters)
@@ -306,16 +172,23 @@ def client_process_main(config: ClientProcessConfig,
         bus.install_session_key(name, session_key_from_token(config.token))
         bus.register_peer(config.server_name)
         bus.install_session_key(config.server_name, config.server_key)
+        if telemetry is not None:
+            # keys are installed: stream deltas to the server from here on
+            def send(delta: dict) -> None:
+                try:
+                    bus.send_shareable(name, config.server_name, TELEMETRY_TOPIC,
+                                       Shareable({"telemetry": delta}))
+                except TransportError:
+                    pass  # best-effort: a faulty fabric may eat a delta
+
+            session = telemetry.session(name, send)
+            session.registries.append(bus.metrics)
+            session.start()
         client.fl_ctx.set_prop(ReservedKey.TOKEN, config.token)
         client.learner.initialize(client.fl_ctx)
         client.task_semaphore = gate
         if abort_signal is not None:
             client.abort_signal = abort_signal
-        if registry is not None and profiler is not None:
-            # keys are installed; start streaming deltas to the server
-            exporter = _WorkerTelemetryExporter(
-                bus, name, config.server_name, registry, profiler, tracer,
-                interval=config.telemetry_flush).start()
         try:
             while True:
                 try:
@@ -330,113 +203,11 @@ def client_process_main(config: ClientProcessConfig,
                     time.sleep(config.poll_timeout)
         finally:
             client.learner.finalize(client.fl_ctx)
-        if exporter is not None:
-            from ..obs import metrics as obs_metrics
-            from ..obs import trace as obs_trace
-
-            if sysmon is not None:
-                sysmon.stop()  # final sample rides the goodbye delta
-            profiler.uninstall()
-            obs_metrics.set_registry(previous_registry)
-            obs_trace.set_tracer(previous_tracer)
-            exporter.stop()  # ships the final cumulative snapshot
+        if session is not None:
+            session.stop()  # ships the final cumulative delta
     finally:
         if owns_bus:
             bus.close()
-
-
-class TelemetryCollector:
-    """Parent-side sink for the workers' streamed telemetry deltas.
-
-    Ingests every ``__telemetry__`` delta — whether it arrives mid-round
-    through :attr:`FLServer.telemetry_sink` or during the final drain —
-    and maintains:
-
-    - the **latest cumulative** metric/profile/transport/wire snapshot per
-      worker (idempotent under lost or reordered deltas, since each delta
-      carries full totals);
-    - the merged span stream: span deltas are appended to the parent
-      session's live ``trace.jsonl`` as they arrive;
-    - crash forensics: the open spans reported by each worker's most
-      recent delta.  :meth:`finalize` writes those of any worker that
-      never sent its ``final=True`` goodbye as ``status="aborted"``
-      records, so a crashed client's task is visible in the merged trace
-      instead of silently missing.
-    """
-
-    def __init__(self, session=None) -> None:
-        self.session = session
-        self._lock = threading.Lock()
-        self._latest: dict[str, dict] = {}
-        self._open: dict[str, list[dict]] = {}
-        self._seen_seq: dict[str, int] = {}
-        self._finals: set[str] = set()
-        self._announced: set[str] = set()
-        self._finalized = False
-
-    # ------------------------------------------------------------------
-    def ingest(self, delta: dict) -> None:
-        """Fold one worker delta in (safe from any thread)."""
-        client = delta.get("client")
-        if not isinstance(client, str):
-            return
-        seq = delta.get("seq", 0)
-        announce = False
-        with self._lock:
-            if isinstance(seq, int) and seq <= self._seen_seq.get(client, -1):
-                return  # stale or duplicated delta
-            self._seen_seq[client] = seq if isinstance(seq, int) else 0
-            self._latest[client] = {
-                key: delta[key]
-                for key in ("client", "metrics", "profile", "transport", "wire")
-                if key in delta}
-            self._open[client] = list(delta.get("open_spans") or [])
-            if delta.get("final"):
-                self._finals.add(client)
-                self._open[client] = []
-            if client not in self._announced:
-                self._announced.add(client)
-                announce = True
-        if self.session is None:
-            return
-        if announce:
-            self.session.append_process({
-                "event": "process", "process": delta.get("process", client),
-                "client": client, "trace_id": delta.get("trace_id"),
-                "clock_offset": delta.get("clock_offset", 0.0)})
-        spans = delta.get("spans")
-        if spans:
-            self.session.append_spans(spans)
-
-    # ------------------------------------------------------------------
-    def final_clients(self) -> set[str]:
-        with self._lock:
-            return set(self._finals)
-
-    def snapshots(self) -> dict[str, dict]:
-        """Latest cumulative snapshot per worker (the drain return shape)."""
-        with self._lock:
-            return {client: dict(snapshot)
-                    for client, snapshot in self._latest.items()}
-
-    def finalize(self) -> list[dict]:
-        """Mark never-closed spans of non-final workers as aborted.
-
-        Returns the aborted-span records (also appended to the session's
-        trace stream when one is attached).  Idempotent.
-        """
-        with self._lock:
-            if self._finalized:
-                return []
-            self._finalized = True
-            aborted = [
-                dict(open_span, t_end=None, wall_s=None, status="aborted")
-                for client, open_spans in sorted(self._open.items())
-                if client not in self._finals
-                for open_span in open_spans]
-        if aborted and self.session is not None:
-            self.session.append_spans(aborted)
-        return aborted
 
 
 class ProcessClientRunner:
@@ -468,8 +239,6 @@ class ProcessClientRunner:
                  start_method: str = "fork",
                  connect_timeout: float = 30.0,
                  runtime: WorkerRuntime | None = None,
-                 trace_id: str | None = None,
-                 telemetry_flush: float = 0.5,
                  collector: TelemetryCollector | None = None) -> None:
         hub = server.bus
         if not isinstance(hub, (SocketMessageBus, ShmMessageBus)):
@@ -495,8 +264,6 @@ class ProcessClientRunner:
         self.poll_timeout = poll_timeout
         self.connect_timeout = connect_timeout
         self.runtime = runtime
-        self.trace_id = trace_id
-        self.telemetry_flush = telemetry_flush
         # Shared with the server's telemetry_sink so mid-round deltas and
         # the final drain land in one place; created lazily when absent.
         self.collector = collector
@@ -548,9 +315,7 @@ class ProcessClientRunner:
                 fault_plan=self.fault_plan, compression=self.compression,
                 extra_result_filters=self.extra_result_filters,
                 heartbeat_interval=self.heartbeat_interval,
-                poll_timeout=self.poll_timeout,
-                trace_id=self.trace_id,
-                telemetry_flush=self.telemetry_flush)
+                poll_timeout=self.poll_timeout)
             process = self._ctx.Process(
                 target=client_process_main,
                 args=(config, self.learner_factory, gate, abort_signal),
@@ -564,16 +329,11 @@ class ProcessClientRunner:
     def drain_telemetry(self, timeout: float = 10.0) -> dict[str, dict]:
         """Drain remaining ``__telemetry__`` deltas after the stop fan-out.
 
-        The workers stream deltas throughout the run (routed into the
-        collector by ``FLServer.telemetry_sink``); this drains whatever is
-        still in flight — most importantly each worker's ``final=True``
-        goodbye — until every live worker has reported or the deadline
-        expires, then marks the open spans of anyone who never said
-        goodbye (a crashed process) as aborted in the merged trace.
-
-        Returns ``{client_name: latest cumulative snapshot}`` — a crashed
-        worker keeps the snapshot from its last streamed delta, so
-        everything it flushed before dying survives.
+        Mid-run deltas reach the collector through ``FLServer.telemetry_sink``;
+        this reads what is still in flight (above all each worker's goodbye)
+        until every live worker has said goodbye or the deadline expires,
+        then has the collector mark a crashed worker's open spans aborted.
+        Returns the collector's latest snapshot per worker.
         """
         if self.collector is None:
             self.collector = TelemetryCollector()

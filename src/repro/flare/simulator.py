@@ -19,6 +19,7 @@ import numpy as np
 
 from ..autograd._blas import recommended_blas_threads, set_blas_threads
 from ..obs.health import HealthMonitor
+from ..obs.rundir import STATS_FILE
 from ..obs.session import TelemetrySession, _sysmon_interval
 from . import codec as wire_codec_module
 from .client import FederatedClient
@@ -32,7 +33,7 @@ from .fl_context import FLContext
 from .job import FLJob
 from .persistor import ModelPersistor
 from .provision import Provisioner, default_project
-from .runner import ProcessClientRunner, TelemetryCollector, WorkerRuntime
+from .runner import ProcessClientRunner, WorkerRuntime
 from .sampling import make_sampler
 from .server import FLServer
 from .shm_transport import ShmMessageBus
@@ -210,51 +211,28 @@ class SimulatorRunner:
                    if self.fault_plan is not None else MessageBus())
         server = FLServer(kits["server"], bus, seed=self.seed)
         server.log_info("Create the simulate clients.")
-        exporter = session.exporter if session is not None else None
-        if exporter is not None:
-            # A scrape sees the transport/codec registries live, not just
-            # after the end-of-run merge into the session registry.
-            exporter.add_source(bus.metrics.to_dict)
-            exporter.add_source(wire_codec_module.wire_metrics.to_dict)
+        if session is not None:
+            # the bus's always-on registry (delivery totals, per-topic
+            # latency, injected faults) joins the scrape and metrics.json
+            session.registries.append(bus.metrics)
 
         clients: list[FederatedClient] = []
         runner: ProcessClientRunner | None = None
         client_names = [spec.name for spec in project.clients]
         if self.transport in ("socket", "shm"):
-            collector: TelemetryCollector | None = None
-            trace_id = None
-            if self.telemetry:
-                # One collector joins the workers' streamed deltas to the
-                # parent session: mid-round deltas arrive through the
-                # server's result loop, the rest through the final drain.
-                collector = TelemetryCollector(session)
-                server.telemetry_sink = collector.ingest
-                if session is not None and session.tracer is not None:
-                    trace_id = session.tracer.trace_id
-                if exporter is not None:
-                    # Mid-run scrapes show every worker's latest streamed
-                    # snapshot: sys.rss_bytes{process=site-N}, training
-                    # counters, transport/wire registries.
-                    def _worker_metrics(collector=collector):
-                        return [part
-                                for snapshot in collector.snapshots().values()
-                                for key in ("metrics", "transport", "wire")
-                                for part in [snapshot.get(key)]
-                                if isinstance(part, dict)]
-
-                    exporter.add_source(_worker_metrics)
             runner = ProcessClientRunner(
                 self.job.learner_factory, kits, server,
                 compression=self.compression,
                 extra_result_filters=list(self.job.task_result_filters),
                 fault_plan=self.fault_plan,
                 max_parallel=self.max_parallel,
-                runtime=WorkerRuntime.capture(self.concurrent_trainers,
-                                              telemetry=self.telemetry,
-                                              sysmon=self.sysmon_interval),
-                trace_id=trace_id,
-                telemetry_flush=self.telemetry_flush,
-                collector=collector)
+                runtime=WorkerRuntime.capture(
+                    self.concurrent_trainers,
+                    telemetry=(session.worker_telemetry(self.telemetry_flush)
+                               if session is not None else None)),
+                collector=session.workers if session is not None else None)
+            if session is not None:
+                server.telemetry_sink = session.workers.ingest
             runner.launch(client_names)
         else:
             gate = threading.Semaphore(self.max_parallel)
@@ -314,7 +292,6 @@ class SimulatorRunner:
             listeners=[] if self.threads else [_SequentialDriver(clients)],
         )
         wire_before = wire_codec_module.wire_totals()
-        worker_snapshots: dict[str, dict] = {}
 
         try:
             stats = controller.run()
@@ -326,10 +303,10 @@ class SimulatorRunner:
                 # Stop fan-out may be partially undeliverable on a faulty
                 # fabric; join() terminates any straggler processes anyway.
                 server.stop_clients(client_names)
-                if self.telemetry:
+                if session is not None:
                     # each worker ships its metrics/profile on the way out;
                     # collect before join() so nothing is lost to teardown
-                    worker_snapshots = runner.drain_telemetry()
+                    runner.drain_telemetry()
                 runner.join()
                 bus.close()
             elif self.threads:
@@ -361,23 +338,6 @@ class SimulatorRunner:
         stats.wire_bytes_raw = _wire_delta("transport.bytes_raw")
         stats.wire_bytes_encoded = _wire_delta("transport.bytes_encoded")
         if session is not None:
-            # Fold the bus's always-on registry (delivery totals, per-topic
-            # latency, injected faults) into the run's metrics.json and point
-            # the stats at the artifacts the session will write on stop().
-            if session.registry is not None:
-                session.registry.merge(bus.metrics)
-                session.registry.merge(wire_codec_module.wire_metrics)
-            # Per-worker snapshots (process-per-client runs): fold each
-            # child's registries and op profile in, so metrics.json /
-            # profile.json cover the training work done in every process.
-            for name, snapshot in sorted(worker_snapshots.items()):
-                if session.registry is not None:
-                    for key in ("metrics", "transport", "wire"):
-                        if isinstance(snapshot.get(key), dict):
-                            session.registry.merge_dict(snapshot[key])
-                if session.profiler is not None \
-                        and isinstance(snapshot.get("profile"), dict):
-                    session.profiler.merge_dict(snapshot["profile"])
             if session.sysmon is not None:
                 session.sysmon.sample()  # capture the end-of-run high water
                 stats.peak_rss_bytes = int(session.sysmon.peak_rss_bytes)
@@ -387,7 +347,7 @@ class SimulatorRunner:
         if session is not None or monitor is not None:
             # Registry fodder: a run dir with stats.json + health.jsonl is
             # self-describing for ``python -m repro.obs runs list/diff``.
-            stats.save_json(self.run_dir / "stats.json")
+            stats.save_json(self.run_dir / STATS_FILE)
         try:
             best_weights = persistor.load_best()
         except FileNotFoundError:

@@ -55,7 +55,16 @@ class RoundRecord:
 
 @dataclass
 class RunStats:
-    """Everything measured during a run."""
+    """Everything measured during a run.
+
+    ``wire_bytes_raw`` / ``wire_bytes_encoded`` count the codec work of the
+    process that ran the job.  On the memory fabric that is every
+    participant, and the run's ``metrics.json`` holds the same
+    ``transport.bytes_raw`` / ``transport.bytes_encoded`` totals.  On the
+    process fabrics (socket, shm) it is the server's share only: the
+    workers encode and decode in their own processes, and only
+    ``metrics.json`` adds their counts in.
+    """
 
     rounds: list[RoundRecord] = field(default_factory=list)
     messages_delivered: int = 0
@@ -80,9 +89,8 @@ class RunStats:
     # by the resource monitor (repro.obs.sysmon); 0 when sysmon was off.
     # A registry dimension: ``runs diff`` compares it across runs.
     peak_rss_bytes: int = 0
-    # Paths of the telemetry artifacts a TelemetrySession wrote for this run
-    # (keys "metrics"/"trace"/"profile"/"health"), empty when telemetry was
-    # off.
+    # Paths of the telemetry artifacts a TelemetrySession wrote for this run,
+    # keyed metrics / trace / profile / health; empty when telemetry was off.
     telemetry: dict[str, str] = field(default_factory=dict)
     # Severity-ranked anomaly verdicts from the health monitor, in round
     # order (empty when health monitoring was off).

@@ -11,7 +11,12 @@ The instrument panel every other subsystem reports into:
   forward/backward kernels (per-op calls, seconds, bytes).
 - :mod:`repro.obs.session` — :class:`TelemetrySession`, the one switch that
   arms all three and writes ``metrics.json`` / ``trace.jsonl`` /
-  ``profile.json`` under a run directory.
+  ``profile.json`` under a run directory; in a federation's worker
+  processes the same session streams deltas to the parent's
+  :class:`~repro.obs.session.TelemetryCollector` instead.
+- :mod:`repro.obs.rundir` — the run directory's artifact names and the one
+  reader of its JSONL streams (read once, or incrementally while a run
+  writes them).
 - :mod:`repro.obs.health` — :class:`HealthMonitor` + pluggable anomaly
   :class:`Detector` rules: per-client drift diagnostics, severity-ranked
   :class:`Alert` events and optional quarantine, streamed to

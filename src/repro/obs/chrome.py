@@ -20,6 +20,8 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+from .rundir import read_records
+
 __all__ = ["to_chrome_trace", "export_chrome_trace"]
 
 
@@ -92,10 +94,8 @@ def to_chrome_trace(records: list[dict],
 def export_chrome_trace(trace_path: str | Path,
                         out_path: str | Path | None = None) -> Path:
     """Convert a ``trace.jsonl`` into ``<stem>.chrome.json`` (or ``out_path``)."""
-    from .report import load_trace_events
-
     trace_path = Path(trace_path)
-    payload = to_chrome_trace(load_trace_events(trace_path))
+    payload = to_chrome_trace(read_records(trace_path))
     if out_path is None:
         out_path = trace_path.parent / (trace_path.stem + ".chrome.json")
     out_path = Path(out_path)

@@ -3,9 +3,10 @@
 The operator's view of a federation in flight.  Two data paths feed one
 ANSI dashboard:
 
-- **run-dir mode** (``watch runs/my-run``) — follows the streaming
-  ``trace.jsonl`` and ``health.jsonl`` with the same incremental,
-  partial-line-safe follower ``repro.obs tail`` uses, so it works on any
+- **run-dir mode** (``watch runs/my-run``) — reads what the streaming
+  ``trace.jsonl`` and ``health.jsonl`` gained since the last frame with the
+  same incremental, partial-line-safe reader ``repro.obs tail`` uses
+  (:class:`~repro.obs.rundir.JsonlReader`), so it works on any
   telemetry-armed run with no exporter at all;
 - **URL mode** (``watch http://127.0.0.1:9100``) — polls a
   :class:`~repro.obs.exporter.MetricsExporter`'s ``/metrics`` and
@@ -22,21 +23,18 @@ its own when the followed run writes its trace footer.
 from __future__ import annotations
 
 import json
-import queue
 import sys
-import threading
 import time
 import urllib.request
 from collections import deque
 from pathlib import Path
 
 from .exporter import parse_prometheus_text
-from .session import TRACE_FILE
-from .tail import iter_trace_records
+from .report import _fmt_bytes
+from .rundir import HEALTH_FILE, TRACE_FILE, JsonlReader
 
 __all__ = ["Dashboard", "watch", "sparkline"]
 
-HEALTH_FILE = "health.jsonl"
 BLOCKS = "▁▂▃▄▅▆▇█"
 CLEAR = "\x1b[H\x1b[2J"
 HISTORY = 48
@@ -51,14 +49,6 @@ def sparkline(values, width: int = 24) -> str:
     span = (hi - lo) or 1.0
     return "".join(BLOCKS[int((v - lo) / span * (len(BLOCKS) - 1))]
                    for v in values)
-
-
-def _fmt_bytes(value: float) -> str:
-    for unit in ("B", "KiB", "MiB", "GiB"):
-        if abs(value) < 1024.0 or unit == "GiB":
-            return f"{value:.1f}{unit}" if unit != "B" else f"{int(value)}B"
-        value /= 1024.0
-    return f"{value:.1f}GiB"
 
 
 def _fmt_ago(seconds: float) -> str:
@@ -253,14 +243,6 @@ class Dashboard:
 # ---------------------------------------------------------------------------
 # follow loops
 # ---------------------------------------------------------------------------
-def _follow_file(path: Path, sink: "queue.Queue", kind: str,
-                 stop: threading.Event, poll: float) -> None:
-    for record in iter_trace_records(path, poll=poll, idle_timeout=None):
-        sink.put((kind, record))
-        if stop.is_set():
-            return
-
-
 def _fetch(url: str, timeout: float = 2.0) -> bytes | None:
     try:
         with urllib.request.urlopen(url, timeout=timeout) as response:
@@ -298,18 +280,9 @@ def watch(target: str, refresh: float = 1.0, stream=None,
     frames = 0
     is_url = target.startswith(("http://", "https://"))
 
-    sink: queue.Queue = queue.Queue()
-    stop = threading.Event()
-    threads: list[threading.Thread] = []
     if not is_url:
-        run_dir = Path(target)
-        for kind, name in (("trace", TRACE_FILE), ("health", HEALTH_FILE)):
-            thread = threading.Thread(
-                target=_follow_file,
-                args=(run_dir / name, sink, kind, stop, min(refresh, 0.25)),
-                daemon=True)
-            thread.start()
-            threads.append(thread)
+        trace = JsonlReader(Path(target) / TRACE_FILE)
+        health = JsonlReader(Path(target) / HEALTH_FILE)
 
     last_progress = time.monotonic()
     try:
@@ -331,16 +304,12 @@ def watch(target: str, refresh: float = 1.0, stream=None,
                     except json.JSONDecodeError:
                         pass
             else:
-                try:
-                    while True:
-                        kind, record = sink.get_nowait()
-                        progressed = True
-                        if kind == "trace":
-                            board.feed_trace_record(record)
-                        else:
-                            board.feed_health_record(record)
-                except queue.Empty:
-                    pass
+                for record in trace.poll():
+                    progressed = True
+                    board.feed_trace_record(record)
+                for record in health.poll():
+                    progressed = True
+                    board.feed_health_record(record)
 
             if progressed:
                 last_progress = time.monotonic()
@@ -363,6 +332,4 @@ def watch(target: str, refresh: float = 1.0, stream=None,
             time.sleep(refresh)
     except KeyboardInterrupt:
         pass
-    finally:
-        stop.set()
     return frames

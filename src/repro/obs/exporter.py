@@ -4,9 +4,10 @@ Zero new dependencies: :class:`MetricsExporter` runs a stdlib
 ``http.server`` in a daemon thread, bound to loopback only, serving
 
 - ``/metrics`` — the live :class:`~repro.obs.metrics.MetricsRegistry`
-  (plus any extra snapshot sources: the bus's private registry, the wire
-  codec's, each worker's latest streamed snapshot) rendered in the
-  Prometheus text exposition format, tags mapped to labels;
+  snapshot sources (a :class:`~repro.obs.session.TelemetrySession`
+  serves one: its registry, the bus's and every worker's latest streamed
+  snapshot, summed) rendered in the Prometheus text exposition format,
+  tags mapped to labels;
 - ``/healthz`` — a JSON view of the
   :class:`~repro.obs.health.HealthMonitor`'s current state: alert feed,
   per-severity counts, quarantine set, rounds observed.
@@ -80,10 +81,8 @@ def _fmt(value: float) -> str:
 def render_prometheus(snapshots: list[dict]) -> str:
     """Render ``repro.obs.metrics/v1`` snapshots as Prometheus text.
 
-    Later snapshots win on exact (name, labelset) collisions — sources are
-    ordered live-registry-first, so a worker's fresher streamed snapshot
-    overrides a stale merge, and the output never carries the duplicate
-    series real scrapers reject.
+    Later snapshots win on exact (name, labelset) collisions, so the
+    output never carries the duplicate series real scrapers reject.
     """
     types: dict[str, str] = {}
     # family -> {labelstr: line(s)}; insertion-ordered for stable output

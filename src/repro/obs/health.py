@@ -40,6 +40,7 @@ from pathlib import Path
 import numpy as np
 
 from . import metrics as obs_metrics
+from .rundir import HEALTH_FILE
 
 __all__ = [
     "Alert", "ClientRoundHealth", "RoundHealth", "Detector",
@@ -48,7 +49,6 @@ __all__ = [
     "HealthMonitor", "default_detectors", "HEALTH_FILE",
 ]
 
-HEALTH_FILE = "health.jsonl"
 HEALTH_SCHEMA = "repro.obs.health/v1"
 
 SEVERITIES = ("info", "warning", "critical")

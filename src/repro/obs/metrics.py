@@ -327,35 +327,35 @@ class MetricsRegistry:
         """Fold another registry's totals into this one.
 
         Counters add, gauges take the other's value, histograms add bucket
-        by bucket (exact — both sides share the fixed bucket layout).  Used
-        to fold a message bus's private registry into a run's telemetry
-        registry before export.
+        by bucket (exact — both sides share the fixed bucket layout).  The
+        other registry is read under its lock, so it may be live.
         """
         if not self.enabled or not other.enabled:
             return
-        for key, src in other._counters.items():
-            self.counter(src.name, **src.tags).inc(src.value)
-        for key, src in other._gauges.items():
-            self.merge_dict({"gauges": [src.to_dict()]})
-        for key, src in other._histograms.items():
-            dst = self.histogram(src.name, buckets=src.buckets, **src.tags)
-            if dst.buckets != src.buckets:
-                raise ValueError(
-                    f"cannot merge histogram {src.name!r}: bucket layouts differ")
-            with dst._lock:
-                for i, c in enumerate(src._counts):
-                    dst._counts[i] += c
-                dst._count += src._count
-                dst._sum += src._sum
-                dst._min = min(dst._min, src._min)
-                dst._max = max(dst._max, src._max)
-                # keep exact percentiles when both reservoirs fit
-                if dst._samples is not None and src._samples is not None \
-                        and len(dst._samples) + len(src._samples) \
-                        <= EXACT_SAMPLE_LIMIT:
-                    dst._samples = dst._samples + list(src._samples)
-                else:
-                    dst._samples = None
+        with other._lock:
+            for key, src in other._counters.items():
+                self.counter(src.name, **src.tags).inc(src.value)
+            for key, src in other._gauges.items():
+                self.merge_dict({"gauges": [src.to_dict()]})
+            for key, src in other._histograms.items():
+                dst = self.histogram(src.name, buckets=src.buckets, **src.tags)
+                if dst.buckets != src.buckets:
+                    raise ValueError(
+                        f"cannot merge histogram {src.name!r}: bucket layouts differ")
+                with dst._lock:
+                    for i, c in enumerate(src._counts):
+                        dst._counts[i] += c
+                    dst._count += src._count
+                    dst._sum += src._sum
+                    dst._min = min(dst._min, src._min)
+                    dst._max = max(dst._max, src._max)
+                    # keep exact percentiles when both reservoirs fit
+                    if dst._samples is not None and src._samples is not None \
+                            and len(dst._samples) + len(src._samples) \
+                            <= EXACT_SAMPLE_LIMIT:
+                        dst._samples = dst._samples + list(src._samples)
+                    else:
+                        dst._samples = None
 
     def merge_dict(self, snapshot: dict) -> None:
         """Fold a :meth:`to_dict` snapshot into this registry.

@@ -29,6 +29,8 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .rundir import HEALTH_FILE, METRICS_FILE, RUN_ARTIFACTS, STATS_FILE, read_records
+
 __all__ = ["RunRegistry", "DiffThresholds", "DiffLine", "DiffReport",
            "summarize_run", "diff_runs", "render_list", "render_show",
            "render_diff", "REGISTRY_FILE"]
@@ -36,10 +38,6 @@ __all__ = ["RunRegistry", "DiffThresholds", "DiffLine", "DiffReport",
 REGISTRY_FILE = "registry.json"
 REGISTRY_SCHEMA = "repro.obs.registry/v1"
 
-STATS_FILE = "stats.json"
-# Artifact names that make a directory a run (any one of them).
-RUN_ARTIFACTS = ("stats.json", "metrics.json", "health.jsonl", "trace.jsonl",
-                 "profile.json")
 
 
 # ---------------------------------------------------------------------------
@@ -59,17 +57,10 @@ def _load_health(path: Path) -> dict:
     quarantined: set[str] = set()
     detectors: dict[str, int] = {}
     try:
-        lines = path.read_text().splitlines()
+        records = read_records(path)
     except OSError:
         return {}
-    for line in lines:
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError:
-            continue  # aborted run, truncated tail
+    for record in records:
         event = record.get("event")
         if event == "round":
             rounds += 1
@@ -183,24 +174,24 @@ def summarize_run(path: str | Path) -> dict:
     else:
         summary["absent"].append(STATS_FILE)
 
-    metrics_payload = _load_json(path / "metrics.json")
+    metrics_payload = _load_json(path / METRICS_FILE)
     if metrics_payload is not None:
-        summary["artifacts"].append("metrics.json")
+        summary["artifacts"].append(METRICS_FILE)
         dims.update(_metric_dims(metrics_payload))
     else:
-        summary["absent"].append("metrics.json")
+        summary["absent"].append(METRICS_FILE)
 
-    health_path = path / "health.jsonl"
+    health_path = path / HEALTH_FILE
     if health_path.exists():
         health = _load_health(health_path)
         if health:
-            summary["artifacts"].append("health.jsonl")
+            summary["artifacts"].append(HEALTH_FILE)
             summary["health"] = health
             counts = health.get("alerts", {})
             dims["alerts_critical"] = float(counts.get("critical", 0))
             dims["alerts_warning"] = float(counts.get("warning", 0))
     else:
-        summary["absent"].append("health.jsonl")
+        summary["absent"].append(HEALTH_FILE)
     return summary
 
 

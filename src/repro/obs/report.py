@@ -16,13 +16,11 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .session import METRICS_FILE, PROFILE_FILE, TRACE_FILE
+from .rundir import HEALTH_FILE, METRICS_FILE, PROFILE_FILE, TRACE_FILE, read_records
 
 __all__ = ["render_report", "render_metrics", "render_trace",
            "render_profile", "render_health", "load_trace",
            "load_trace_events", "load_health", "main"]
-
-HEALTH_FILE = "health.jsonl"
 
 
 def _fmt_seconds(value: float) -> str:
@@ -199,22 +197,8 @@ def render_profile(payload: dict) -> str:
 # health
 # ---------------------------------------------------------------------------
 def load_health(path: Path) -> list[dict]:
-    """Parse a health.jsonl file, skipping the header and truncated lines.
-
-    An aborted run leaves a half-written final line; that line is dropped
-    rather than failing the whole report.
-    """
-    records = []
-    for line in path.read_text().splitlines():
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError:
-            continue  # truncated tail of an aborted run
-        if "event" in record:
-            records.append(record)
-    return records
+    """The events of a health.jsonl file (the header line is skipped)."""
+    return [record for record in read_records(path) if "event" in record]
 
 
 def render_health(records: list[dict]) -> str:
@@ -250,28 +234,11 @@ def render_health(records: list[dict]) -> str:
 # whole-run report
 # ---------------------------------------------------------------------------
 def load_trace(path: Path) -> list[dict]:
-    """Parse a trace.jsonl file into span records.
-
-    Skips the header, ``process``/``end`` event markers and truncated
-    lines — only records carrying a ``span_id`` are spans.  Use
-    :func:`load_trace_events` when the markers matter.
-    """
-    return [r for r in load_trace_events(path) if "span_id" in r]
+    """The spans of a trace.jsonl file (header and event markers skipped)."""
+    return [record for record in read_records(path) if "span_id" in record]
 
 
-def load_trace_events(path: Path) -> list[dict]:
-    """Every parseable record in a trace.jsonl: header, spans, markers."""
-    records = []
-    for line in path.read_text().splitlines():
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError:
-            continue  # truncated tail of an aborted run
-        if isinstance(record, dict):
-            records.append(record)
-    return records
+load_trace_events = read_records  # every record: header, spans, markers
 
 
 def render_report(run_dir: str | Path) -> str:
@@ -331,9 +298,9 @@ def main(argv: list[str] | None = None) -> int:
                     "run registry.")
     sub = parser.add_subparsers(dest="command", required=True)
     report = sub.add_parser("report", help="render a run directory's telemetry")
-    report.add_argument("run_dir", help="directory holding metrics.json / "
-                                        "trace.jsonl / profile.json / "
-                                        "health.jsonl")
+    report.add_argument("run_dir", help=f"directory holding {METRICS_FILE} / "
+                                        f"{TRACE_FILE} / {PROFILE_FILE} / "
+                                        f"{HEALTH_FILE}")
     report.add_argument("--format", choices=["text", "chrome-trace"],
                         default="text",
                         help="text report (default) or Chrome trace-event "
@@ -347,8 +314,8 @@ def main(argv: list[str] | None = None) -> int:
                                "trace data (default 30)")
     watch_cmd = sub.add_parser(
         "watch", help="live terminal dashboard over a run dir or exporter URL")
-    watch_cmd.add_argument("target", help="run directory (follows trace.jsonl "
-                                          "+ health.jsonl) or an exporter "
+    watch_cmd.add_argument("target", help=f"run directory (follows {TRACE_FILE} "
+                                          f"+ {HEALTH_FILE}) or an exporter "
                                           "http://host:port URL")
     watch_cmd.add_argument("--refresh", type=float, default=1.0,
                            help="seconds between frames (default 1)")

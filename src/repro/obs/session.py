@@ -1,4 +1,4 @@
-"""TelemetrySession: one switch that arms every instrument for a run.
+"""TelemetrySession: one switch that arms every instrument in a process.
 
 Entering a session installs an enabled :class:`MetricsRegistry` as the
 process-wide registry, a :class:`Tracer` as the process-wide tracer and an
@@ -13,11 +13,18 @@ was installed before and writes three artifacts under the run directory::
 spans every ``flush_interval`` seconds (and promptly after any span wider
 than ``flush_threshold`` closes), so ``python -m repro.obs tail <run_dir>``
 can follow a run while it executes and a crash loses at most one interval
-of spans.  Spans harvested from worker processes enter the same file via
-:meth:`append_spans` / :meth:`append_process` (see
-:class:`~repro.flare.runner.TelemetryCollector`); the stream ends with one
-``{"event": "end", ...}`` footer so readers can tell a finished trace from
-an aborted one.
+of spans.  The stream ends with one ``{"event": "end", ...}`` footer so
+readers can tell a finished trace from an aborted one.
+
+A federation's worker processes run the same session with a ``send``
+callable as their flush target instead of a run directory
+(:meth:`WorkerTelemetry.session`).  Each flush then ships one *delta* to
+the parent: the spans finished since the previous delta plus *cumulative*
+metric and op-profile snapshots.  The parent session's
+:class:`TelemetryCollector` folds the deltas in: worker spans join the live
+``trace.jsonl``, and the latest snapshot per worker joins the exporter
+scrape, ``metrics.json`` and ``profile.json``.  This module is the only one
+that knows the delta's layout.
 
 Render the artifacts with ``python -m repro.obs report <run_dir>``.
 """
@@ -26,20 +33,20 @@ from __future__ import annotations
 
 import json
 import threading
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 from . import metrics as _metrics
 from . import trace as _trace
 from .health import HealthMonitor
 from .metrics import MetricsRegistry
-from .profiler import OpProfiler
+from .profiler import OpProfiler, get_profiler
+from .rundir import METRICS_FILE, PROFILE_FILE, TRACE_FILE
 from .trace import Tracer
 
-__all__ = ["TelemetrySession", "TraceStreamWriter"]
-
-METRICS_FILE = "metrics.json"
-TRACE_FILE = "trace.jsonl"
-PROFILE_FILE = "profile.json"
+__all__ = ["TelemetrySession", "TraceStreamWriter", "TelemetryCollector",
+           "WorkerTelemetry"]
 
 
 def _sysmon_interval(value: bool | float) -> float | None:
@@ -104,13 +111,38 @@ class TraceStreamWriter:
             self._closed = True
 
 
+@dataclass(frozen=True)
+class WorkerTelemetry:
+    """How a worker process joins its parent's telemetry session.
+
+    Minted by :meth:`TelemetrySession.worker_telemetry` in the parent and
+    carried to each worker, which arms it with :meth:`session`.
+    """
+
+    trace_id: str | None = None
+    # Cadence of the streamed deltas; each finished span wider than 50 ms
+    # also kicks an immediate flush, so mid-run progress reaches the parent
+    # promptly and a crash loses at most one interval of spans.
+    flush_interval: float = 0.5
+    # Sampling interval of the worker's resource monitor (None = off).
+    sysmon: float | None = None
+
+    def session(self, process: str,
+                send: Callable[[dict], None]) -> "TelemetrySession":
+        """The worker's session, flushing each delta through ``send``."""
+        return TelemetrySession(None, trace_id=self.trace_id, process=process,
+                                flush_interval=max(self.flush_interval, 0.05),
+                                flush_threshold=0.05,
+                                sysmon=self.sysmon or False, send=send)
+
+
 class TelemetrySession:
     """Scoped enable-everything telemetry for one run directory.
 
     Parameters
     ----------
     run_dir:
-        Where the artifacts land on exit.
+        Where the artifacts land on exit (``None`` with ``send``).
     metrics, trace, profile:
         Individually disable a subsystem (all on by default).  A disabled
         subsystem writes no artifact and its pointer is absent from
@@ -126,9 +158,9 @@ class TelemetrySession:
         the parent tracer ``server`` and hands the minted ``trace_id`` to
         every worker process.
     flush_interval:
-        Cadence of the live ``trace.jsonl`` flusher (seconds).  ``None``
-        disables streaming: the trace is then written once at
-        :meth:`stop`, exactly like the metrics/profile artifacts.
+        Cadence of the live flusher (seconds).  ``None`` disables
+        streaming: the trace is then written once at :meth:`stop`, exactly
+        like the metrics/profile artifacts.
     flush_threshold:
         Spans at least this wide kick an immediate flush when they close
         (a finished round shows up in ``tail`` without waiting out the
@@ -141,36 +173,50 @@ class TelemetrySession:
     exporter:
         Off by default.  An int arms a
         :class:`~repro.obs.exporter.MetricsExporter` on that loopback
-        port (0 = ephemeral) serving ``/metrics`` from the live session
-        registry and ``/healthz`` from the health monitor; pass a
-        pre-built exporter to add extra snapshot sources first.
+        port (0 = ephemeral) serving ``/metrics`` from
+        :meth:`metrics_snapshot` and ``/healthz`` from the health monitor;
+        pass a pre-built exporter to add extra snapshot sources first.
+    send:
+        Worker mode: each flush ships a delta through this callable, and
+        :meth:`stop` a final one, instead of writing artifacts.  The tracer
+        then adopts the parent's clock from the first task envelope.
+
+    Registries outside the process-wide one (a message bus's) go in
+    :attr:`registries` and join every snapshot the session exports.
     """
 
-    def __init__(self, run_dir: str | Path, metrics: bool = True,
+    def __init__(self, run_dir: str | Path | None, metrics: bool = True,
                  trace: bool = True, profile: bool = True,
                  health: bool | HealthMonitor = False,
                  trace_id: str | None = None, process: str | None = None,
                  flush_interval: float | None = 0.5,
                  flush_threshold: float = 0.2,
                  sysmon: bool | float = False,
-                 exporter: "int | object | None" = None) -> None:
-        self.run_dir = Path(run_dir)
+                 exporter: "int | object | None" = None,
+                 send: Callable[[dict], None] | None = None) -> None:
+        self.run_dir = Path(run_dir) if run_dir is not None else None
         self.process = process
         self.registry: MetricsRegistry | None = MetricsRegistry() if metrics else None
+        self.registries: list[MetricsRegistry] = []
         self.tracer: Tracer | None = (
-            Tracer(trace_id=trace_id, process=process) if trace else None)
+            Tracer(trace_id=trace_id, process=process,
+                   adopt_clock=send is not None) if trace else None)
         self.profiler: OpProfiler | None = OpProfiler() if profile else None
         if health is True:
             health = HealthMonitor(run_dir=self.run_dir)
         self.health: HealthMonitor | None = health or None
         self.sysmon = None
-        sysmon_interval = _sysmon_interval(sysmon)
-        if sysmon_interval is not None and self.registry is not None:
+        self.sysmon_interval = _sysmon_interval(sysmon)
+        if self.sysmon_interval is not None and self.registry is not None:
             from .sysmon import SysMonitor
 
             self.sysmon = SysMonitor(registry=self.registry,
-                                     interval=sysmon_interval,
+                                     interval=self.sysmon_interval,
                                      process=process or "main")
+        self._send = send
+        self._seq = 0
+        # the parent side of worker streaming
+        self.workers = TelemetryCollector(self) if send is None else None
         self.exporter = None
         if exporter is not None:
             if isinstance(exporter, (int, bool)):
@@ -179,7 +225,7 @@ class TelemetrySession:
                 exporter = MetricsExporter(port=int(exporter))
             self.exporter = exporter
             if self.registry is not None:
-                self.exporter.add_source(self.registry.to_dict)
+                self.exporter.add_source(self.metrics_snapshot)
             if self.exporter.health is None:
                 self.exporter.health = self.health
         self.flush_interval = flush_interval
@@ -188,6 +234,7 @@ class TelemetrySession:
         self._flusher: threading.Thread | None = None
         self._flush_kick = threading.Event()
         self._flusher_stop = threading.Event()
+        self._flush_lock = threading.Lock()
         self._previous_registry: MetricsRegistry | None = None
         self._previous_tracer: Tracer | None = None
         self._active = False
@@ -196,6 +243,8 @@ class TelemetrySession:
     def artifact_paths(self) -> dict[str, str]:
         """Run-dir artifact pointers (deterministic, also valid pre-write)."""
         paths: dict[str, str] = {}
+        if self.run_dir is None:
+            return paths
         if self.registry is not None:
             paths["metrics"] = str(self.run_dir / METRICS_FILE)
         if self.tracer is not None:
@@ -206,19 +255,60 @@ class TelemetrySession:
             paths["health"] = str(self.health.health_path)
         return paths
 
+    def worker_telemetry(self, flush_interval: float = 0.5) -> WorkerTelemetry:
+        """The settings a worker process needs to join this session."""
+        return WorkerTelemetry(
+            trace_id=self.tracer.trace_id if self.tracer is not None else None,
+            flush_interval=flush_interval,
+            sysmon=self.sysmon_interval if self.sysmon is not None else None)
+
+    def metrics_snapshot(self) -> dict:
+        """What ``metrics.json`` and a scrape show: the session registry,
+        :attr:`registries` and every worker's latest snapshot, summed."""
+        merged = MetricsRegistry()
+        for registry in [self.registry, *self.registries]:
+            if registry is not None:
+                merged.merge(registry)
+        if self.workers is not None:
+            for snapshot in self.workers.latest("metrics"):
+                merged.merge_dict(snapshot)
+        return merged.to_dict()
+
     # ------------------------------------------------------------------
     # live streaming
     # ------------------------------------------------------------------
     def _ensure_writer(self) -> TraceStreamWriter | None:
-        if self.tracer is None:
+        if self.tracer is None or self._send is not None:
             return None
         if self._writer is None:
             self._writer = TraceStreamWriter(self.run_dir / TRACE_FILE,
                                              self.tracer.header())
         return self._writer
 
-    def flush(self) -> None:
-        """Drain the session tracer's finished spans into ``trace.jsonl``."""
+    def _delta(self, final: bool) -> dict:
+        delta = {"client": self.process, "seq": self._seq, "final": final}
+        if self.registry is not None:
+            delta["metrics"] = self.metrics_snapshot()
+        if self.profiler is not None:
+            delta["profile"] = self.profiler.to_dict()
+        if self.tracer is not None:
+            delta["process"] = self.tracer.process
+            delta["trace_id"] = self.tracer.trace_id
+            delta["clock_offset"] = round(self.tracer.clock_offset, 6)
+            delta["spans"] = self.tracer.drain()
+            delta["open_spans"] = [] if final else self.tracer.open_spans()
+        return delta
+
+    def flush(self, final: bool = False) -> None:
+        """Drain the session tracer's finished spans to the flush target:
+        ``trace.jsonl``, or one delta through ``send`` (``final`` marks a
+        worker's goodbye)."""
+        if self._send is not None:
+            with self._flush_lock:
+                delta = self._delta(final)
+                self._seq += 1
+                self._send(delta)
+            return
         writer = self._ensure_writer()
         if writer is not None and self.tracer is not None:
             writer.append(self.tracer.drain())
@@ -235,9 +325,6 @@ class TelemetrySession:
         if writer is not None:
             writer.append([dict(record, event=record.get("event", "process"))])
 
-    def _kick(self) -> None:
-        self._flush_kick.set()
-
     def _flush_loop(self) -> None:
         while not self._flusher_stop.is_set():
             self._flush_kick.wait(self.flush_interval)
@@ -245,6 +332,9 @@ class TelemetrySession:
             if self._flusher_stop.is_set():
                 break
             self.flush()
+            # coalesce kick bursts: one flush covers every span that
+            # closed during it
+            self._flusher_stop.wait(0.05)
 
     # ------------------------------------------------------------------
     def start(self) -> "TelemetrySession":
@@ -256,12 +346,17 @@ class TelemetrySession:
             self._previous_tracer = _trace.set_tracer(self.tracer)
             if self.flush_interval is not None:
                 self._ensure_writer()
-                self.tracer.set_flush_hook(self._kick, self.flush_threshold)
+                self.tracer.set_flush_hook(self._flush_kick.set, self.flush_threshold)
                 self._flusher_stop.clear()
                 self._flusher = threading.Thread(
                     target=self._flush_loop, name="telemetry-flusher", daemon=True)
                 self._flusher.start()
         if self.profiler is not None:
+            inherited = get_profiler()
+            if self._send is not None and inherited is not None:
+                # a forked worker inherits its parent's profiler hook, which
+                # records into dicts nobody here will read
+                inherited.uninstall()
             self.profiler.install()
         if self.sysmon is not None:
             self.sysmon.start()
@@ -271,7 +366,8 @@ class TelemetrySession:
         return self
 
     def stop(self) -> dict[str, str]:
-        """Restore previous instruments and write the artifacts."""
+        """Restore previous instruments and write the artifacts (a worker
+        session ships its final delta instead)."""
         if not self._active:
             return {}
         if self.sysmon is not None:
@@ -290,16 +386,22 @@ class TelemetrySession:
         if self.registry is not None and self._previous_registry is not None:
             _metrics.set_registry(self._previous_registry)
         self._active = False
+        if self._send is not None:
+            self.flush(final=True)
+            return {}
 
         self.run_dir.mkdir(parents=True, exist_ok=True)
         if self.registry is not None:
-            self.registry.save_json(self.run_dir / METRICS_FILE)
+            (self.run_dir / METRICS_FILE).write_text(
+                json.dumps(self.metrics_snapshot(), indent=2))
         if self.tracer is not None:
             self.flush()
             if self._writer is not None:
                 self._writer.close({"event": "end",
                                     "trace_id": self.tracer.trace_id})
         if self.profiler is not None:
+            for snapshot in self.workers.latest("profile"):
+                self.profiler.merge_dict(snapshot)
             self.profiler.save_json(self.run_dir / PROFILE_FILE)
         if self.health is not None:
             self.health.finalize()
@@ -314,3 +416,98 @@ class TelemetrySession:
     def __exit__(self, exc_type, exc, tb) -> bool:
         self.stop()
         return False
+
+
+class TelemetryCollector:
+    """Parent-side sink for the workers' streamed telemetry deltas.
+
+    Ingests every delta a worker session sends, from any thread, and keeps:
+
+    - the **latest cumulative** metric/profile snapshot per worker
+      (idempotent under lost or reordered deltas, since each delta carries
+      full totals; a delta whose ``seq`` is not newer is dropped);
+    - the merged span stream: a ``process`` marker on each worker's first
+      delta, then its spans, appended to the parent session's live
+      ``trace.jsonl`` as they arrive;
+    - crash forensics: the open spans reported by each worker's most
+      recent delta.  :meth:`finalize` writes those of any worker that
+      never sent its ``final=True`` goodbye as ``status="aborted"``
+      records, so a crashed client's task is visible in the merged trace
+      instead of silently missing.
+    """
+
+    def __init__(self, session: TelemetrySession | None = None) -> None:
+        self.session = session
+        self._lock = threading.Lock()
+        self._latest: dict[str, dict] = {}
+        self._open: dict[str, list[dict]] = {}
+        self._seen_seq: dict[str, int] = {}
+        self._finals: set[str] = set()
+        self._finalized = False
+
+    # ------------------------------------------------------------------
+    def ingest(self, delta: dict) -> None:
+        """Fold one worker delta in (safe from any thread)."""
+        client = delta.get("client")
+        if not isinstance(client, str):
+            return
+        seq = delta.get("seq", 0)
+        with self._lock:
+            if isinstance(seq, int) and seq <= self._seen_seq.get(client, -1):
+                return  # stale or duplicated delta
+            self._seen_seq[client] = seq if isinstance(seq, int) else 0
+            announce = client not in self._latest
+            self._latest[client] = {key: delta[key]
+                                    for key in ("client", "metrics", "profile")
+                                    if key in delta}
+            self._open[client] = list(delta.get("open_spans") or [])
+            if delta.get("final"):
+                self._finals.add(client)
+                self._open[client] = []
+        if self.session is None:
+            return
+        if announce:
+            self.session.append_process({
+                "event": "process", "process": delta.get("process", client),
+                "client": client, "trace_id": delta.get("trace_id"),
+                "clock_offset": delta.get("clock_offset", 0.0)})
+        spans = delta.get("spans")
+        if spans:
+            self.session.append_spans(spans)
+
+    # ------------------------------------------------------------------
+    def final_clients(self) -> set[str]:
+        with self._lock:
+            return set(self._finals)
+
+    def snapshots(self) -> dict[str, dict]:
+        """Latest cumulative snapshot per worker."""
+        with self._lock:
+            return {client: dict(snapshot)
+                    for client, snapshot in self._latest.items()}
+
+    def latest(self, part: str) -> list[dict]:
+        """Each worker's latest ``"metrics"`` or ``"profile"`` snapshot, in
+        client order."""
+        with self._lock:
+            return [self._latest[client][part] for client in sorted(self._latest)
+                    if isinstance(self._latest[client].get(part), dict)]
+
+    def finalize(self) -> list[dict]:
+        """Mark never-closed spans of non-final workers as aborted.
+
+        Returns the aborted-span records (also appended to the session's
+        trace stream when one is attached).  Idempotent.
+        """
+        with self._lock:
+            if self._finalized:
+                return []
+            self._finalized = True
+            aborted = [
+                dict(open_span, t_end=None, wall_s=None, status="aborted")
+                for client, open_spans in sorted(self._open.items())
+                if client not in self._finals
+                for open_span in open_spans]
+        if aborted and self.session is not None:
+            self.session.append_spans(aborted)
+        return aborted

@@ -19,7 +19,7 @@ a :class:`~repro.obs.metrics.MetricsRegistry`:
 Every gauge carries a ``process=`` tag, so the server's samples and every
 forked worker's samples coexist in one merged ``metrics.json`` (worker
 samples ride the normal streamed-telemetry deltas — see
-:class:`~repro.flare.runner.TelemetryCollector`) and in one exporter
+:class:`~repro.obs.session.TelemetryCollector`) and in one exporter
 scrape.  The monitor takes one synchronous sample on :meth:`start` and one
 on :meth:`stop`, so even a sub-interval run records real numbers.
 

@@ -9,74 +9,46 @@ follower exits when it sees the ``{"event": "end"}`` footer the session
 writes on shutdown, or after ``idle_timeout`` seconds without new bytes
 (covering runs that died without a footer).
 
-The reader is a plain incremental line tailer — it buffers a partial final
-line until the writer finishes it, so it never misparses a record that is
-mid-append.
+The records come from :class:`~repro.obs.rundir.JsonlReader`, which holds a
+partial final line back until the writer finishes it, so the follower never
+misparses a record that is mid-append.
 """
 
 from __future__ import annotations
 
-import json
 import sys
 import time
 from pathlib import Path
 
-from .session import TRACE_FILE
+from .rundir import TRACE_FILE, JsonlReader
 
-__all__ = ["iter_trace_records", "render_event", "tail", "tail_run"]
+__all__ = ["iter_trace_records", "tail_run"]
 
 
 def iter_trace_records(path: str | Path, poll: float = 0.2,
                        idle_timeout: float | None = None,
                        _clock=time.monotonic):
-    """Yield parsed records from a (possibly still growing) trace.jsonl.
+    """Yield records from a (possibly still growing) trace.jsonl.
 
     Waits for the file to appear, then streams complete lines as the writer
     flushes them.  Stops after the ``end`` footer (which is yielded) or once
     ``idle_timeout`` seconds pass with no new data.
     """
-    path = Path(path)
-    buffer = ""
-    position = 0
+    reader = JsonlReader(path)
     last_progress = _clock()
-    handle = None
-    try:
-        while True:
-            if handle is None:
-                if path.exists():
-                    handle = path.open("r")
-                elif idle_timeout is not None and \
-                        _clock() - last_progress > idle_timeout:
-                    return
-                else:
-                    time.sleep(poll)
-                    continue
-            handle.seek(position)
-            chunk = handle.read()
-            position = handle.tell()
-            if chunk:
-                last_progress = _clock()
-                buffer += chunk
-                while "\n" in buffer:
-                    line, buffer = buffer.split("\n", 1)
-                    if not line.strip():
-                        continue
-                    try:
-                        record = json.loads(line)
-                    except json.JSONDecodeError:
-                        continue
-                    if isinstance(record, dict):
-                        yield record
-                        if record.get("event") == "end":
-                            return
-            elif idle_timeout is not None and \
-                    _clock() - last_progress > idle_timeout:
+    while True:
+        offset = reader.offset
+        for record in reader.poll():
+            yield record
+            if record.get("event") == "end":
                 return
-            else:
-                time.sleep(poll)
-    finally:
-        if handle is not None:
-            handle.close()
+        if reader.offset != offset:
+            last_progress = _clock()
+        elif idle_timeout is not None and \
+                _clock() - last_progress > idle_timeout:
+            return
+        else:
+            time.sleep(poll)
 
 
 def _fmt_s(value: float) -> str:
@@ -137,28 +109,17 @@ class _RoundTracker:
         return None
 
 
-def render_event(record: dict, tracker: _RoundTracker | None = None) -> str | None:
-    """One human-readable line for a trace record, or None to stay quiet."""
-    return (tracker or _RoundTracker()).feed(record)
-
-
-def tail(trace_path: str | Path, stream=None, poll: float = 0.2,
-         idle_timeout: float | None = 30.0) -> int:
-    """Follow one trace.jsonl, printing progress lines; returns #records seen."""
+def tail_run(run_dir: str | Path, stream=None, poll: float = 0.2,
+             idle_timeout: float | None = 30.0) -> int:
+    """Follow ``<run_dir>/trace.jsonl``, printing progress lines; returns
+    the number of records seen."""
     stream = stream if stream is not None else sys.stdout
     tracker = _RoundTracker()
     count = 0
-    for record in iter_trace_records(trace_path, poll=poll,
+    for record in iter_trace_records(Path(run_dir) / TRACE_FILE, poll=poll,
                                      idle_timeout=idle_timeout):
         count += 1
         line = tracker.feed(record)
         if line is not None:
             print(line, file=stream, flush=True)
     return count
-
-
-def tail_run(run_dir: str | Path, stream=None, poll: float = 0.2,
-             idle_timeout: float | None = 30.0) -> int:
-    """``tail`` for a run directory (follows ``<run_dir>/trace.jsonl``)."""
-    return tail(Path(run_dir) / TRACE_FILE, stream=stream, poll=poll,
-                idle_timeout=idle_timeout)

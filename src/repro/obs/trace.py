@@ -180,7 +180,7 @@ class Tracer:
     trace_id:
         32-hex run-level id shared by every tracer participating in one
         federation (the parent mints it, workers inherit it through
-        :class:`~repro.flare.runner.ClientProcessConfig`).  A fresh random
+        :class:`~repro.obs.session.WorkerTelemetry`).  A fresh random
         id is minted when omitted.
     process:
         Label prefixed to every span id minted here (a worker uses its

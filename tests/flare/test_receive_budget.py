@@ -319,7 +319,8 @@ class TestNoNewWayToHang:
         """Replies nobody will fold hold both credits and block the senders
         behind them; the two end-of-run readers still get through."""
         from repro.flare.provision import Provisioner, default_project
-        from repro.flare.runner import ProcessClientRunner, TelemetryCollector
+        from repro.flare.runner import ProcessClientRunner
+        from repro.obs.session import TelemetryCollector
 
         group = fleet(5)
         hub = group.hub

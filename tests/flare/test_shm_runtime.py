@@ -38,6 +38,7 @@ from repro.flare import (
 )
 from repro.flare.codec import decode_tensors, encode_tensors
 from repro.flare.runner import TELEMETRY_TOPIC
+from repro.obs.session import WorkerTelemetry
 
 from .helpers import ToyLearner, toy_weights
 
@@ -252,7 +253,7 @@ class TestRunnerOnShm:
 
     def test_drain_telemetry_collects_every_worker(self):
         kits, hub, server = self._provision()
-        runtime = WorkerRuntime.capture(2, telemetry=True)
+        runtime = WorkerRuntime.capture(2, telemetry=WorkerTelemetry())
         runner = ProcessClientRunner(lambda name: ToyLearner(name), kits,
                                      server, runtime=runtime)
         names = ["site-1", "site-2"]
@@ -289,7 +290,7 @@ class TestRunnerOnShm:
 
 class TestWorkerRuntime:
     def test_capture_snapshots_parent_state(self):
-        runtime = WorkerRuntime.capture(4, telemetry=True)
+        runtime = WorkerRuntime.capture(4, telemetry=WorkerTelemetry())
         assert runtime.default_dtype == np.dtype(get_default_dtype()).name
         assert runtime.backend == get_backend()
         assert runtime.blas_threads >= 1

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import sys
+import threading
 
 import pytest
 
@@ -169,6 +171,37 @@ class TestMerge:
         b.counter("c").inc()
         a.merge(b)
         assert a.to_dict()["counters"] == []
+
+    def test_merge_reads_a_live_registry(self):
+        """Writers keep adding instruments and observations while another
+        thread merges: every merged copy is a consistent snapshot."""
+        live = MetricsRegistry()
+        stop = threading.Event()
+
+        def write(offset):
+            i = offset
+            while not stop.is_set():
+                live.counter("c", n=i).inc()
+                live.histogram("h", n=i % 7).observe(0.01 * (i % 3))
+                i += 4
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        writers = [threading.Thread(target=write, args=(k,)) for k in range(4)]
+        try:
+            for writer in writers:
+                writer.start()
+            for _ in range(50):
+                merged = MetricsRegistry()
+                merged.merge(live)
+                for hist in merged.to_dict()["histograms"]:
+                    assert hist["count"] == sum(hist["bucket_counts"])
+        finally:
+            stop.set()
+            for writer in writers:
+                writer.join(timeout=5.0)
+            sys.setswitchinterval(switch)
+        assert not any(writer.is_alive() for writer in writers)
 
 
 class TestExport:

@@ -104,6 +104,50 @@ class TestSimulatorTelemetry:
         assert "client_task" in text
 
 
+def wire_job() -> FLJob:
+    return FLJob(name="wire", learner_factory=ToyLearner, num_rounds=2,
+                 initial_weights={"w": np.zeros((64, 64), dtype=np.float32)})
+
+
+def metrics_wire_bytes(run_dir) -> tuple[float, float]:
+    """``transport.bytes_raw`` / ``bytes_encoded`` as metrics.json has them."""
+    payload = json.loads((Path(run_dir) / "metrics.json").read_text())
+    return tuple(sum(c["value"] for c in payload["counters"] if c["name"] == name)
+                 for name in ("transport.bytes_raw", "transport.bytes_encoded"))
+
+
+class TestWireAccounting:
+    """metrics.json counts each codec pass once, whatever ran before."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_wire_registry(self):
+        from repro.flare import codec
+
+        old = codec.reset_wire_metrics()  # what a fresh process starts with
+        yield
+        codec.wire_metrics = old
+
+    def run(self, run_dir, transport):
+        return SimulatorRunner(wire_job(), n_clients=2, seed=0, run_dir=run_dir,
+                               transport=transport, telemetry=True,
+                               capture_log=False).run().stats
+
+    def test_memory_metrics_equal_run_stats(self, tmp_path):
+        for attempt in ("fresh", "warm"):
+            stats = self.run(tmp_path / attempt, "memory")
+            assert metrics_wire_bytes(tmp_path / attempt) == (
+                stats.wire_bytes_raw, stats.wire_bytes_encoded)
+
+    @pytest.mark.parametrize("transport", ["shm", "socket"])
+    def test_process_fabrics_ignore_earlier_runs(self, tmp_path, transport):
+        stats = self.run(tmp_path / "fresh", transport)
+        fresh = metrics_wire_bytes(tmp_path / "fresh")
+        self.run(tmp_path / "warm", transport)
+        assert metrics_wire_bytes(tmp_path / "warm") == fresh
+        # the server's share is in stats; metrics.json adds the workers'
+        assert fresh[0] > stats.wire_bytes_raw > 0
+
+
 class TestTrainingTelemetry:
     @pytest.fixture(scope="class")
     def trained_session(self, tmp_path_factory, tiny_split, vocab_size):
