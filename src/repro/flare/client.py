@@ -100,6 +100,8 @@ class FederatedClient(FLComponent):
                      shareable: Shareable) -> Shareable | None:
         """Execute one task against the learner, applying filter chains;
         ``None`` (send nothing) for a TRAIN task the abort signal overtook.
+        The task's ``"DXO"`` is taken out of ``shareable`` once decoded, so
+        the payload is freed with the task, before the reply is sent.
 
         The transport attaches the server's trace context to the received
         shareable; opening the task span with it as ``remote_parent``
@@ -129,6 +131,8 @@ class FederatedClient(FLComponent):
         self.fl_ctx.set_prop(ReservedKey.ABORT_SIGNAL, abort)
         try:
             dxo = to_dxo(shareable)
+            # from here the received buffer lives only in the task's arrays
+            del shareable["DXO"]
             # Decompression/reconstruction filters (fp16 dequantize, delta
             # decode) also signal unusable task data via ValueError — e.g. a
             # delta against a model version this client does not hold.
@@ -140,10 +144,29 @@ class FederatedClient(FLComponent):
             self.log_warning("task data for %r unusable: %s", task_name, error)
             return make_reply(ReturnCode.BAD_TASK_DATA)
         if dxo.data_kind == DataKind.WEIGHTS:
-            # Remember the round's received global model: DeltaEncode diffs
+            # Remember the task's global model for DeltaEncode, which diffs
             # the outgoing result against it.  These arrays may be read-only
             # views into the received blob; every consumer copies on write.
             self.fl_ctx.set_prop(ReservedKey.GLOBAL_MODEL, dxo.data)
+        try:
+            result = self._run_task(task_name, dxo)
+        finally:
+            # the task's last reference outside this frame: once it returns,
+            # the reply is encoded beside the result alone
+            self.fl_ctx.remove_prop(ReservedKey.GLOBAL_MODEL)
+        if not isinstance(result, DXO):
+            return result  # None (aborted) or a payload-less reply
+        result.set_meta_prop(MetaKey.CLIENT_NAME, self.name)
+        reply = from_dxo(result)
+        reply.set_return_code(ReturnCode.OK)
+        reply.set_header(ReservedKey.CLIENT_NAME, self.name)
+        reply.set_header(ReservedKey.TASK_NAME, task_name)
+        return reply
+
+    def _run_task(self, task_name: str, dxo: DXO) -> DXO | Shareable | None:
+        """The learner and the result filters: the filtered result DXO, a
+        payload-less error reply, or ``None`` for an aborted TRAIN task."""
+        abort = self.abort_signal
         gate = self.task_semaphore
         try:
             if gate is not None:
@@ -178,12 +201,7 @@ class FederatedClient(FLComponent):
             with obs_trace.span("filter", stage="task_result",
                                 filter=type(result_filter).__name__):
                 result = result_filter.process(result, self.fl_ctx)
-        result.set_meta_prop(MetaKey.CLIENT_NAME, self.name)
-        reply = from_dxo(result)
-        reply.set_return_code(ReturnCode.OK)
-        reply.set_header(ReservedKey.CLIENT_NAME, self.name)
-        reply.set_header(ReservedKey.TASK_NAME, task_name)
-        return reply
+        return result
 
     # ------------------------------------------------------------------
     # message loop

@@ -13,8 +13,10 @@ offset, byte length) plus a free-form ``extra`` JSON document for whoever is
 framing the blob (the DXO stores its ``data_kind``/``meta``/scalars there).
 Tensor data starts at a 64-byte-aligned offset and every tensor is aligned
 within the block, so decoding is ``np.frombuffer`` — a view into the blob,
-no copy at all — and encoding is a single ``np.copyto`` into a preallocated
-``memoryview`` per tensor (the one unavoidable copy onto the wire).
+no copy at all — and encoding is a single ``np.copyto`` per tensor into a
+preallocated buffer (the one unavoidable copy onto the wire).  The transport
+preallocates that buffer as the whole message envelope
+(:func:`encode_tensors_after`), so nothing copies the blob afterwards.
 
 Decoded arrays are **read-only views** over the received blob; callers that
 need to mutate must copy (``decode_tensors(..., copy=True)`` does it for
@@ -57,8 +59,8 @@ from ..obs import trace as obs_trace
 from ..obs.metrics import MetricsRegistry
 
 __all__ = [
-    "MAGIC", "ALIGNMENT", "encode_tensors", "encode_tensors_into",
-    "encoded_size", "decode_tensors",
+    "MAGIC", "ALIGNMENT", "encode_tensors", "encode_tensors_after",
+    "decode_tensors",
     "encode_tensors_npz", "decode_tensors_npz",
     "wire_metrics", "wire_totals", "reset_wire_metrics",
 ]
@@ -143,13 +145,9 @@ def _unshuffle_bytes(blob: bytes, itemsize: int) -> bytes:
 # encode
 # ---------------------------------------------------------------------------
 class _RawPlan:
-    """Layout of one raw (non-deflated) blob, computed before any copying.
-
-    Shared by :func:`encode_tensors`, :func:`encode_tensors_into` and
-    :func:`encoded_size` so a caller that owns the destination buffer (the
-    shared-memory transport writes straight into an mmap) produces bytes
-    bit-identical to the allocate-and-return path.
-    """
+    """Layout of one raw (non-deflated) blob, computed before any copying,
+    so the blob can be written into a buffer that also holds other bytes
+    (:func:`encode_tensors_after`)."""
 
     __slots__ = ("normalized", "specs", "manifest_bytes", "block_start",
                  "total", "raw_payload")
@@ -185,8 +183,8 @@ class _RawPlan:
         self.block_start = head_len + _pad(head_len)
         self.total = self.block_start + raw_block_len
 
-    def write(self, view: memoryview) -> int:
-        """Write the full blob into ``view``; returns the bytes written."""
+    def write(self, view: memoryview) -> None:
+        """Write the full blob into ``view`` (``self.total`` bytes)."""
         view[:4] = MAGIC
         struct.pack_into("<I", view, 4, len(self.manifest_bytes))
         view[8:8 + len(self.manifest_bytes)] = self.manifest_bytes
@@ -197,72 +195,54 @@ class _RawPlan:
             destination = np.frombuffer(view[start:start + spec["nbytes"]],
                                         dtype=array.dtype).reshape(array.shape)
             np.copyto(destination, array)
-        return self.total
 
 
-def encoded_size(arrays: Mapping[str, Any],
-                 extra: Mapping[str, Any] | None = None) -> int:
-    """Exact byte length :func:`encode_tensors` (raw) would produce."""
-    return _RawPlan(arrays, extra).total
+def encode_tensors_after(prefix: bytes, arrays: Mapping[str, Any],
+                         extra: Mapping[str, Any] | None = None) -> bytearray:
+    """``prefix`` followed by the raw blob of :func:`encode_tensors`, in one
+    new buffer.
 
-
-def encode_tensors_into(arrays: Mapping[str, Any], buffer,
-                        extra: Mapping[str, Any] | None = None) -> int:
-    """Encode straight into a caller-owned writable buffer (no allocation).
-
-    ``buffer`` is anything supporting the writable buffer protocol — an
-    mmap, a ``bytearray``, a shared-memory block — of at least
-    :func:`encoded_size` bytes.  The bytes written are bit-identical to
-    ``encode_tensors(arrays, extra)``; returns the length used.  This is
-    the zero-extra-copy path the shared-memory transport uses: each tensor
-    is copied exactly once, from its source array into the destination.
+    This is the send path: the transport passes its envelope header as
+    ``prefix``, and each tensor is copied exactly once, from its array to
+    its place in the envelope.  The blob's bytes equal
+    ``encode_tensors(arrays, extra)``.
     """
     started = time.perf_counter()
     plan = _RawPlan(arrays, extra)
-    view = memoryview(buffer)
-    if len(view) < plan.total:
-        raise ValueError(f"destination buffer of {len(view)} byte(s) cannot "
-                         f"hold a {plan.total}-byte blob")
-    written = plan.write(view[:plan.total])
-    _account("encode", "raw", plan.raw_payload, written,
+    buffer = bytearray(len(prefix) + plan.total)
+    buffer[:len(prefix)] = prefix
+    plan.write(memoryview(buffer)[len(prefix):])
+    _account("encode", "raw", plan.raw_payload, plan.total,
              time.perf_counter() - started)
-    return written
+    return buffer
 
 
 def encode_tensors(arrays: Mapping[str, Any], extra: Mapping[str, Any] | None = None,
                    deflate: bool = False) -> bytes:
     """Pack named arrays (plus a JSON ``extra`` document) into one blob.
 
-    With ``deflate=False`` (default) the tensor block is raw aligned bytes
-    and each array is copied exactly once, straight into the output buffer.
+    With ``deflate=False`` (default) the tensor block is raw aligned bytes.
     With ``deflate=True`` the block is byte-shuffled per tensor and zlib-
     compressed — smaller, but no longer zero-copy.
     """
+    if not deflate:
+        return bytes(encode_tensors_after(b"", arrays, extra))
     started = time.perf_counter()
     plan = _RawPlan(arrays, extra)
-
-    if deflate:
-        chunks = []
-        position = 0
-        for spec, array in zip(plan.specs, plan.normalized.values()):
-            chunks.append(b"\x00" * (spec["offset"] - position))
-            chunks.append(_shuffle_bytes(array))
-            position = spec["offset"] + spec["nbytes"]
-        block = zlib.compress(b"".join(chunks), level=6)
-        manifest = json.loads(plan.manifest_bytes)
-        manifest["transform"] = "shuffle-deflate"
-        manifest["block_len"] = len(block)
-        manifest_bytes = json.dumps(manifest).encode("utf-8")
-        head = MAGIC + struct.pack("<I", len(manifest_bytes)) + manifest_bytes
-        blob = head + b"\x00" * _pad(len(head)) + block
-        _account("encode", "raw+deflate", plan.raw_payload, len(blob),
-                 time.perf_counter() - started)
-        return blob
-
-    buffer = bytearray(plan.total)
-    plan.write(memoryview(buffer))
-    blob = bytes(buffer)
-    _account("encode", "raw", plan.raw_payload, len(blob),
+    chunks = []
+    position = 0
+    for spec, array in zip(plan.specs, plan.normalized.values()):
+        chunks.append(b"\x00" * (spec["offset"] - position))
+        chunks.append(_shuffle_bytes(array))
+        position = spec["offset"] + spec["nbytes"]
+    block = zlib.compress(b"".join(chunks), level=6)
+    manifest = json.loads(plan.manifest_bytes)
+    manifest["transform"] = "shuffle-deflate"
+    manifest["block_len"] = len(block)
+    manifest_bytes = json.dumps(manifest).encode("utf-8")
+    head = MAGIC + struct.pack("<I", len(manifest_bytes)) + manifest_bytes
+    blob = head + b"\x00" * _pad(len(head)) + block
+    _account("encode", "raw+deflate", plan.raw_payload, len(blob),
              time.perf_counter() - started)
     return blob
 
@@ -279,8 +259,10 @@ def decode_tensors(blob: bytes, copy: bool = False
     """Inverse of :func:`encode_tensors`; returns ``(arrays, extra)``.
 
     Without ``copy`` the arrays are read-only zero-copy views over ``blob``
-    (deflated blobs are decompressed once and viewed).  With ``copy=True``
-    each array is an owned, writable copy.
+    (deflated blobs are decompressed once and viewed) — read-only even when
+    ``blob`` is writable, because one envelope may back the arrays of
+    several recipients.  With ``copy=True`` each array is an owned,
+    writable copy.
     """
     started = time.perf_counter()
     if len(blob) < 8:
@@ -301,7 +283,7 @@ def decode_tensors(blob: bytes, copy: bool = False
 
     head_len = 8 + manifest_len
     block_start = head_len + _pad(head_len)
-    block = memoryview(blob)[block_start:]
+    block = memoryview(blob).toreadonly()[block_start:]
     transform = manifest.get("transform")
     declared_len = manifest.get("block_len", len(block))
     if declared_len > len(block):

@@ -63,6 +63,9 @@ class ReservedKey:
     NUM_STEPS = "__num_steps_current_round__"
     TOKEN = "__token__"
     CURRENT_ROUND = "current_round"
+    # The current task's decoded global model, set by FederatedClient from
+    # decode until its result filters have run (DeltaEncode is the reader),
+    # then removed, so neither the reply's encode nor an idle client holds it.
     GLOBAL_MODEL = "global_model"
     RUN_DIR = "run_dir"
     ABORT_SIGNAL = "abort_signal"

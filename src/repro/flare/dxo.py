@@ -11,7 +11,8 @@ Two codecs are supported and auto-detected by magic on decode:
 ``raw`` (default)
     The zero-copy binary tensor codec of :mod:`repro.flare.codec` — JSON
     manifest + aligned little-endian buffers.  Decoded arrays are read-only
-    views over the blob.
+    views over the blob, and :meth:`DXO.to_bytes_after` encodes straight
+    into the transport's envelope.
 ``npz``
     The original JSON-header + ``np.savez`` block.  Kept as a correctness
     oracle (the raw codec must round-trip bit-identically against it) and
@@ -110,14 +111,15 @@ class DXO:
                 raise TypeError(f"cannot serialize data entry {key!r} of type {type(value)!r}")
         return arrays, scalars
 
+    def _wire_extra(self, scalars: dict[str, Any]) -> dict[str, Any]:
+        return {"data_kind": self.data_kind, "meta": self.meta, "scalars": scalars}
+
     def to_bytes(self, codec: str | None = None) -> bytes:
         """Serialize with the given codec (default: the process-wide one)."""
         codec = codec or _default_codec
         arrays, scalars = self._split_payload()
         if codec in ("raw", "raw+deflate"):
-            extra = {"data_kind": self.data_kind, "meta": self.meta,
-                     "scalars": scalars}
-            return _codec.encode_tensors(arrays, extra,
+            return _codec.encode_tensors(arrays, self._wire_extra(scalars),
                                          deflate=(codec == "raw+deflate"))
         if codec != "npz":
             raise ValueError(f"unknown wire codec {codec!r} (choose from {_WIRE_CODECS})")
@@ -133,9 +135,44 @@ class DXO:
         tensor_block = _codec.encode_tensors_npz(arrays) if arrays else b""
         return _MAGIC + struct.pack("<I", len(header)) + header + tensor_block
 
+    def to_bytes_after(self, prefix: bytes,
+                       codec: str | None = None) -> bytes | bytearray:
+        """``prefix + self.to_bytes(codec)``, built for the transport.
+
+        With the raw codec this is one allocation and each tensor is copied
+        once, straight from its array into place; ``raw+deflate`` and
+        ``npz`` learn their size only by encoding, so they join a finished
+        blob (one extra pass).
+        """
+        if (codec or _default_codec) == "raw":
+            arrays, scalars = self._split_payload()
+            return _codec.encode_tensors_after(prefix, arrays,
+                                               self._wire_extra(scalars))
+        return b"".join((prefix, self.to_bytes(codec)))
+
+    def read_only_view(self) -> "DXO":
+        """The DXO a receiver decodes from :meth:`to_bytes`, without encoding.
+
+        Scalars and meta go through JSON as on the wire; the arrays are
+        read-only views of this DXO's own (normalised) arrays, so no tensor
+        is copied and a later change to them shows through.
+        """
+        arrays, scalars = self._split_payload()
+        extra = json.loads(json.dumps(self._wire_extra(scalars)))
+        data: dict[str, Any] = dict(extra["scalars"])
+        for key, value in arrays.items():
+            view = _codec._normalize(value).view()
+            view.flags.writeable = False
+            data[key] = view
+        return DXO(data_kind=self.data_kind, data=data, meta=extra["meta"])
+
     @classmethod
-    def from_bytes(cls, blob: bytes) -> "DXO":
+    def from_bytes(cls, blob) -> "DXO":
         """Decode either wire format; raises ``ValueError`` on corrupt blobs.
+
+        ``blob`` is any bytes-like buffer (``bytes``, a ``memoryview`` of a
+        socket receive buffer or an mmap).  The arrays are read-only with
+        either codec.
 
         A blob off a faulty transport may be truncated or bit-flipped, so
         every length is validated before it is used for slicing: short or
@@ -165,7 +202,7 @@ class DXO:
             raise ValueError(f"truncated DXO blob: header length {header_len} "
                              f"overruns the {len(blob)}-byte blob")
         try:
-            header = json.loads(blob[8:8 + header_len].decode("utf-8"))
+            header = json.loads(bytes(blob[8:8 + header_len]).decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as error:
             raise ValueError(f"corrupted DXO blob: header is not valid JSON "
                              f"({error})") from error
@@ -176,6 +213,8 @@ class DXO:
         array_keys = header.get("array_keys", [])
         if array_keys:
             arrays = _codec.decode_tensors_npz(tensor_block, keys=list(array_keys))
+            for array in arrays.values():
+                array.flags.writeable = False  # like the raw codec's views
             data.update(arrays)
         return cls(data_kind=header["data_kind"], data=data, meta=header.get("meta", {}))
 

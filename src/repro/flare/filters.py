@@ -239,10 +239,11 @@ class DeltaEncode(DXOFilter):
     received global model.
 
     The client stashes the (decompressed) task payload under
-    ``ReservedKey.GLOBAL_MODEL`` in its FLContext before training; this
-    filter subtracts it on the way out, so only the local update — small in
-    magnitude, friendlier to quantization and sparsification — crosses the
-    wire.  Keys absent from the base (e.g. dropped by :class:`ExcludeVars`
+    ``ReservedKey.GLOBAL_MODEL`` in its FLContext before training and removes
+    it once its result filters have run, so this filter reads it only from
+    the client's result chain.  It subtracts it on the way out, so only the
+    local update — small in magnitude, friendlier to quantization and
+    sparsification — crosses the wire.  Keys absent from the base (e.g. dropped by :class:`ExcludeVars`
     upstream) are dropped with a warning, matching the learners' own
     ``send_diff`` behaviour.  Results that are already diffs, metrics, or
     rounds with no recorded base pass through untouched.

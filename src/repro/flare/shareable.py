@@ -13,8 +13,10 @@ __all__ = ["Shareable", "make_reply", "from_dxo", "to_dxo"]
 class Shareable(dict):
     """A dict with well-known header helpers (NVFlare's task envelope).
 
-    The DXO payload, when present, lives under the ``"DXO"`` key as bytes so
-    that a Shareable is always transport-ready.
+    The DXO payload, when present, lives under the ``"DXO"`` key: the
+    :class:`DXO` itself on a Shareable built locally (:func:`from_dxo`),
+    which the transport encodes straight into the message envelope, and the
+    received buffer on one that came off the wire.
     """
 
     def set_header(self, key: str, value: Any) -> None:
@@ -40,18 +42,29 @@ class Shareable(dict):
 
 
 def from_dxo(dxo: DXO) -> Shareable:
-    """Wrap a DXO (serialized) in a fresh Shareable."""
+    """Wrap a DXO in a fresh Shareable.
+
+    The DXO is not encoded here: the transport encodes it when the
+    Shareable is sent (:class:`~repro.flare.transport.EncodedShareable`),
+    so a change to its arrays before then is what goes on the wire.
+    """
     shareable = Shareable()
-    shareable["DXO"] = dxo.to_bytes()
+    shareable["DXO"] = dxo
     return shareable
 
 
 def to_dxo(shareable: Shareable) -> DXO:
-    """Extract and decode the DXO payload of a Shareable."""
-    blob = shareable.get("DXO")
-    if blob is None:
+    """Extract and decode the DXO payload of a Shareable.
+
+    Either way the arrays are read-only: views of the received buffer, or of
+    a local DXO's own arrays (:meth:`DXO.read_only_view`).
+    """
+    payload = shareable.get("DXO")
+    if payload is None:
         raise ValueError("shareable carries no DXO payload")
-    return DXO.from_bytes(blob)
+    if isinstance(payload, DXO):
+        return payload.read_only_view()
+    return DXO.from_bytes(payload)
 
 
 def make_reply(code: str) -> Shareable:

@@ -22,14 +22,18 @@ injection, compression filters, telemetry, the health monitor — is written
 against :class:`Transport` and behaves identically on every fabric (pinned
 by ``tests/flare/test_transport_conformance.py``).
 
-One body, hashed once: a Shareable is serialised into a single buffer
-(:class:`EncodedShareable`) that every fabric carries as-is, and the HMAC
-covers ``body || 0x00 || header_json``.  With the body first, a sender
-keeps the HMAC state that absorbed it and finishes a copy per envelope
-header, so a fan-out of one payload to N recipients — and every resend —
-costs one pass over the body, not N.  On receive the body is whatever
-buffer the fabric delivered (``bytes``, a view of a socket receive buffer,
-a view of an mmap) and is verified and decoded in place.
+One body, written once and hashed once: a Shareable is serialised into a
+single buffer (:class:`EncodedShareable`) that every fabric carries as-is,
+and the HMAC covers ``body || 0x00 || header_json``.  A local Shareable
+holds its DXO unencoded, and the raw codec writes each tensor straight into
+that buffer behind the Shareable's header, so the body is the only
+model-sized buffer between the arrays and the wire.  With the body first in
+the signed string, a sender keeps the HMAC state that absorbed it and
+finishes a copy per envelope header, so a fan-out of one payload to N
+recipients — and every resend — costs one pass over the body, not N.  On
+receive the body is whatever buffer the fabric delivered (the sender's own
+envelope on the memory bus, a view of a socket receive buffer, a view of an
+mmap) and is verified and decoded in place through a read-only view.
 
 Reliability layer: every send carries an idempotency header
 (``ReservedKey.MSG_ID``, stable across resends) plus an attempt counter, the
@@ -52,6 +56,7 @@ from typing import Any
 from ..obs import trace as obs_trace
 from ..obs.metrics import MetricsRegistry
 from .constants import ReservedKey
+from .dxo import DXO
 from .security import hmac_absorb, hmac_verify_parts
 from .shareable import Shareable
 
@@ -103,10 +108,12 @@ class SignatureError(TransportError):
 class Message:
     """One envelope on the wire.
 
-    ``body`` is usually ``bytes`` but any buffer works: the shared-memory
-    fabric delivers a ``memoryview`` over an mmap and the socket fabric one
-    over its receive buffer, so the payload is hashed and decoded in place,
-    never copied again in the receiving process.
+    ``body`` is one contiguous buffer of any kind: a sender's
+    :class:`EncodedShareable` body (``bytearray`` or ``bytes``, shared by
+    every recipient on the memory bus), or a ``memoryview`` over the
+    shared-memory fabric's mmap or the socket fabric's receive buffer.  It
+    is hashed and decoded in place, never copied again in the receiving
+    process.
     """
 
     sender: str
@@ -188,12 +195,21 @@ def send_with_retry(bus: "Transport", sender: str, recipient: str, topic: str,
         f"after {policy.max_attempts} attempt(s): {last_error}") from last_error
 
 
-def _encode_shareable(shareable: Shareable) -> bytes:
-    """Shareable → bytes: JSON headers + raw DXO block (its one copy)."""
+def _encode_shareable(shareable: Shareable) -> bytes | bytearray:
+    """Shareable → ``u32le(len h) | h | DXO bytes``, ``h`` its sorted-JSON
+    headers.
+
+    A local :class:`DXO` is encoded straight after ``h`` into the one body
+    buffer (:meth:`DXO.to_bytes_after`); a payload that is already a buffer
+    is joined behind it.
+    """
     headers = {key: value for key, value in shareable.items() if key != "DXO"}
     header_bytes = json.dumps(headers, sort_keys=True).encode("utf-8")
-    return b"".join((len(header_bytes).to_bytes(4, "little"), header_bytes,
-                     shareable.get("DXO", b"")))
+    prefix = len(header_bytes).to_bytes(4, "little") + header_bytes
+    payload = shareable.get("DXO", b"")
+    if isinstance(payload, DXO):
+        return payload.to_bytes_after(prefix)
+    return b"".join((prefix, payload))
 
 
 class EncodedShareable:
@@ -202,8 +218,10 @@ class EncodedShareable:
     ``send_shareable`` builds one per call; a caller that sends the same
     payload more than once (a task fan-out, a resend) builds it up front and
     passes it *in place of* the Shareable, so the payload is serialised once
-    and hashed once per signing key.  It is a snapshot: later changes to the
-    source Shareable are not seen.
+    and hashed once per signing key.  This is the snapshot point: a local
+    Shareable's DXO is encoded here, from its arrays straight into
+    ``body`` — the only model-sized buffer between the arrays and the wire
+    — and later changes to the Shareable or its arrays are not seen.
     """
 
     __slots__ = ("body", "_absorbed")
@@ -222,17 +240,18 @@ class EncodedShareable:
         return mac.hexdigest()
 
 
-def _decode_shareable(blob: bytes) -> Shareable:
-    """bytes/memoryview → Shareable.
+def _decode_shareable(blob) -> Shareable:
+    """Body buffer → Shareable.
 
-    Slicing a memoryview yields another view, so when ``blob`` lives in
-    shared memory or a socket receive buffer the DXO block is handed to the
-    codec without a copy.
+    The DXO block is a read-only view of ``blob`` on every fabric — the
+    memory bus's shared envelope, a socket receive buffer, an mmap — so it
+    reaches the codec without a copy and no recipient can write into it.
     """
-    header_len = int.from_bytes(blob[:4], "little")
-    headers = json.loads(bytes(blob[4:4 + header_len]).decode("utf-8"))
+    view = memoryview(blob).toreadonly()
+    header_len = int.from_bytes(view[:4], "little")
+    headers = json.loads(bytes(view[4:4 + header_len]).decode("utf-8"))
     shareable = Shareable(headers)
-    body = blob[4 + header_len:]
+    body = view[4 + header_len:]
     if len(body):
         shareable["DXO"] = body
     return shareable

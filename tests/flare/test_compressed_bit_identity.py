@@ -96,12 +96,12 @@ class Reference:
                 weights[key].dtype, copy=False) for key in weights}
             self.residual = {key: delta[key] - diff_tensors(weights[key], self.last[key])
                              for key in delta if delta[key].dtype.kind == "f"}
-            delta_bytes = from_dxo(payload)["DXO"]
+            delta_bytes = payload.to_bytes()
         full = DXO(DataKind.WEIGHTS, weights, meta={MetaKey.MODEL_VERSION: version})
         for task_filter in config.downlink_task_filters():
             full = task_filter.process(full, CTX)
         self.last = weights
-        return weights, delta_bytes, from_dxo(full)["DXO"]
+        return weights, delta_bytes, full.to_bytes()
 
 
 def assert_bitwise(actual: dict, expected: dict) -> None:
@@ -126,13 +126,13 @@ def test_per_tensor_downlink_matches_whole_model_chain(config, seed, waves, stra
         assert_bitwise(canonical, expected)
         assert_bitwise(downlink._residual, reference.residual)
         if version == 0:
-            assert overrides is None and task["DXO"] == full_bytes
+            assert overrides is None and task["DXO"].to_bytes() == full_bytes
         else:
-            assert overrides["site-1"]["DXO"] == delta_bytes
+            assert overrides["site-1"]["DXO"].to_bytes() == delta_bytes
             # the full model is encoded only when a site needs it
             assert (task is None) == ("site-2" in overrides)
             if task is not None:
-                assert task["DXO"] == full_bytes
+                assert task["DXO"].to_bytes() == full_bytes
         downlink.ack("site-1")
         if not straggler:
             downlink.ack("site-2")

@@ -84,6 +84,20 @@ def test_npz_codec_matches_raw_codec_bit_exactly(tmp_path):
     assert get_wire_codec() == "raw"
 
 
+@pytest.mark.parametrize("transport", ["memory", "socket", "shm"])
+def test_npz_codec_finishes_rounds_on_every_fabric(tmp_path, transport):
+    """Socket and shm deliver bodies as views (shm past 4 KiB inline), and
+    the npz decode must take them like the memory bus's buffers."""
+    job = FLJob(name=f"npz-{transport}",
+                initial_weights={"w": np.zeros((64, 64), dtype=np.float32)},
+                learner_factory=ToyLearner, num_rounds=2, result_timeout=8.0)
+    result = SimulatorRunner(job, n_clients=2, seed=0, transport=transport,
+                             wire_codec="npz", run_dir=tmp_path / transport,
+                             capture_log=False).run()
+    assert result.stats.failed_rounds == 0
+    np.testing.assert_array_equal(result.final_weights["w"], 2.0)
+
+
 def test_topk_run_converges_with_bounded_distortion(tmp_path):
     plain = run_sim(tmp_path, "plain", rounds=3)
     sparse = run_sim(tmp_path, "topk", rounds=3,

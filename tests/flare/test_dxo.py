@@ -78,6 +78,22 @@ class TestWireCodec:
         with pytest.raises(TypeError):
             DXO(DataKind.COLLECTION, data={"f": object()}).to_bytes()
 
+    @pytest.mark.parametrize("codec", ["raw", "raw+deflate", "npz"])
+    def test_decodes_from_a_view(self, codec):
+        """Socket and shm bodies arrive as memoryviews."""
+        restored = DXO.from_bytes(memoryview(weights_dxo().to_bytes(codec)))
+        np.testing.assert_array_equal(restored.data["layer.weight"],
+                                      weights_dxo().data["layer.weight"])
+        assert restored.meta == weights_dxo().meta
+
+    @pytest.mark.parametrize("codec", ["raw", "raw+deflate", "npz"])
+    def test_arrays_from_a_writable_buffer_are_read_only(self, codec):
+        """One envelope can back several recipients' arrays (the memory bus
+        shares the sender's buffer), so none may be written through."""
+        restored = DXO.from_bytes(bytearray(weights_dxo().to_bytes(codec)))
+        for key, value in restored.data.items():
+            assert not value.flags.writeable, key
+
     def test_empty_data(self):
         restored = DXO.from_bytes(DXO(DataKind.METRICS, data={}).to_bytes())
         assert restored.data == {}

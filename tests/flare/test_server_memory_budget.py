@@ -73,7 +73,7 @@ def site_updates(state: dict[str, np.ndarray], config: CompressionConfig,
                   meta={MetaKey.NUM_STEPS_CURRENT_ROUND: 1})
         for result_filter in config.client_result_filters()[1:]:  # after DeltaEncode
             dxo = result_filter.process(dxo, ctx)
-        updates.append(from_dxo(dxo)["DXO"])
+        updates.append(dxo.to_bytes())
     return updates
 
 

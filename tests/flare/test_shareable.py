@@ -48,6 +48,19 @@ def test_dxo_roundtrip_through_shareable():
     assert restored.meta["site"] == "s1"
 
 
+def test_local_shareable_decodes_like_the_wire_without_copying():
+    weights = np.ones(3, dtype=np.float32)
+    dxo = DXO(DataKind.WEIGHTS, data={"w": weights, "n": np.int64(3)},
+              meta={"pair": (1, 2)})
+    restored = to_dxo(from_dxo(dxo))
+    assert np.shares_memory(restored.data["w"], weights)
+    assert not restored.data["w"].flags.writeable
+    assert type(restored.data["n"]) is int and restored.data["n"] == 3
+    assert restored.meta == {"pair": [1, 2]}  # through JSON, as received
+    restored.meta["extra"] = 1
+    assert "extra" not in dxo.meta
+
+
 def test_to_dxo_without_payload_raises():
     with pytest.raises(ValueError, match="DXO"):
         to_dxo(Shareable())
