@@ -19,15 +19,12 @@ from .constants import DataKind
 from .dxo import DXO, MetaKey
 from .events import FLComponent
 from .filters import (
-    TOPK_IDX,
-    TOPK_MIN_SIZE,
-    TOPK_VAL,
     CompressionConfig,
-    densify,
+    WireForm,
+    apply_delta,
     dequantize_fp16,
     diff_tensors,
     quantize_fp16,
-    topk_indices,
 )
 from .fl_context import FLContext
 from .shareable import Shareable, from_dxo
@@ -136,20 +133,19 @@ class Downlink(FLComponent):
         clients bit-identical.
 
         Per tensor: fp16-round, diff against the base, add the residual,
-        keep the top-k, quantize — the filters' own per-tensor helpers.  The
-        payload as the clients reconstruct it defines the canonical global,
-        rebuilt with the ``base + shipped`` arithmetic of DeltaDecode, so
-        synced sites and server agree bit for bit (even lossless f32 needs
-        this: ``base + (g - base)`` can differ from ``g`` by an ulp).  What
-        truncation/rounding did not deliver becomes the tensor's residual,
-        carried into the next wave.  Base and residual are replaced per
-        tensor: the canonical global is the only model-sized thing built.
+        keep the top-k, quantize — through the :class:`WireForm` the site's
+        filters encode with.  The payload as the clients reconstruct it
+        defines the canonical global, rebuilt with :func:`apply_delta`, the
+        arithmetic of DeltaDecode, so synced sites and server agree bit for
+        bit (even lossless f32 needs this: ``base + (g - base)`` can differ
+        from ``g`` by an ulp).  What truncation/rounding did not deliver
+        becomes the tensor's residual, carried into the next wave.  Base and
+        residual are replaced per tensor: the canonical global is the only
+        model-sized thing built.
         """
         config = self.compression
         canonical: Weights = {}
-        data: Weights = {}
-        spec: dict[str, dict] = {}
-        dtypes: dict[str, str] = {}
+        wire = WireForm(top_k=config.top_k, float16=config.float16)
         for key, value in global_weights.items():
             value = _through_fp16(value) if config.float16 else np.asarray(value)
             base = self._last_broadcast[key]
@@ -157,29 +153,17 @@ class Downlink(FLComponent):
             floating = delta.dtype.kind == "f"
             if floating and key in self._residual:
                 delta = delta + self._residual[key]
-            indices = None
-            if config.top_k and floating and delta.size >= TOPK_MIN_SIZE:
-                indices = topk_indices(delta.reshape(-1), config.top_k)
-                data[key + TOPK_IDX] = indices
-                spec[key] = {"shape": list(delta.shape), "dtype": delta.dtype.str}
-                wire_key, shipped = key + TOPK_VAL, delta.reshape(-1)[indices]
-            else:
-                wire_key, shipped = key, delta
-            data[wire_key], dtype = (quantize_fp16(shipped) if config.float16
-                                     else (shipped, None))
-            if dtype is not None:
+            wire_key, indices = wire.add(key, delta)
+            shipped = wire.data[wire_key]
+            if wire_key in wire.dtypes:
                 # ship what the wire delivers, so the model matches it
-                dtypes[wire_key] = dtype
-                shipped = dequantize_fp16(data[wire_key], dtype)
-            # same expression DeltaDecode evaluates, so the result is bit-equal
-            canonical[key] = (base + densify(shipped, indices, delta.shape)
-                              ).astype(value.dtype, copy=False)
+                shipped = dequantize_fp16(shipped, wire.dtypes[wire_key])
+            # the helper DeltaDecode restores with, so the result is bit-equal
+            canonical[key] = apply_delta(base, shipped, indices, delta.shape,
+                                         value.dtype)
             if floating:
                 self._residual[key] = delta - diff_tensors(canonical[key], base)
             self._last_broadcast[key] = canonical[key]
-        meta = {MetaKey.MODEL_VERSION: version, MetaKey.BASE_VERSION: self._version}
-        if spec:
-            meta[MetaKey.TOPK_SPEC] = spec
-        if dtypes:
-            meta[MetaKey.FP16_DTYPES] = dtypes
-        return canonical, DXO(data_kind=DataKind.WEIGHT_DIFF, data=data, meta=meta)
+        return canonical, wire.to_dxo(
+            DataKind.WEIGHT_DIFF,
+            {MetaKey.MODEL_VERSION: version, MetaKey.BASE_VERSION: self._version})

@@ -190,6 +190,68 @@ def densify(values: np.ndarray, indices: np.ndarray | None, shape) -> np.ndarray
     return restored.reshape(shape)
 
 
+def apply_delta(base: np.ndarray, values: np.ndarray, indices: np.ndarray | None,
+                shape, dtype) -> np.ndarray:
+    """``base`` plus one shipped delta tensor (a top-k pair when ``indices``
+    is set), cast to ``dtype``.  Both ends of a delta downlink evaluate this
+    one expression, so the server's canonical global and a site's
+    reconstruction are bit-equal."""
+    return (base + densify(values, indices, shape)).astype(dtype, copy=False)
+
+
+class WireForm:
+    """A compressed payload built one tensor at a time: the top-k stage,
+    then the fp16 stage.  The whole-model filters, :class:`DeltaEncode` and
+    :class:`~repro.flare.downlink.Downlink` all encode through it, so the
+    wire format's rules exist once."""
+
+    def __init__(self, top_k: float | None = None, float16: bool = False,
+                 min_size: int = TOPK_MIN_SIZE) -> None:
+        self.top_k = top_k
+        self.float16 = float16
+        self.min_size = min_size
+        self.data: dict[str, np.ndarray] = {}
+        self.spec: dict[str, dict] = {}
+        self.dtypes: dict[str, str] = {}
+
+    def add(self, key: str, value) -> tuple[str, np.ndarray | None]:
+        """Encode one tensor.  With ``top_k``, a float tensor of at least
+        ``min_size`` entries becomes its ``@topk_idx`` / ``@topk_val`` pair
+        and a ``TOPK_SPEC`` entry (shape, dtype); with ``float16``, the
+        shipped values go through :func:`quantize_fp16` and a recorded
+        dtype lands in ``FP16_DTYPES``.  Returns the values' wire key and
+        the kept flat indices (``None``: shipped dense)."""
+        value = np.asarray(value)
+        indices = None
+        if self.top_k and value.dtype.kind == "f" and value.size >= self.min_size:
+            flat = value.reshape(-1)
+            self.data[key + TOPK_IDX] = indices = topk_indices(flat, self.top_k)
+            self.spec[key] = {"shape": list(value.shape), "dtype": value.dtype.str}
+            key, value = key + TOPK_VAL, flat[indices]
+        if self.float16:
+            value, dtype = quantize_fp16(value)
+            if dtype is not None:
+                self.dtypes[key] = dtype
+        self.data[key] = value
+        return key, indices
+
+    def to_dxo(self, data_kind: str, meta: dict) -> DXO:
+        """The payload, with ``meta``'s ``TOPK_SPEC`` and ``FP16_DTYPES``
+        extended by this form's entries."""
+        meta = dict(meta)
+        for prop, entries in ((MetaKey.TOPK_SPEC, self.spec),
+                              (MetaKey.FP16_DTYPES, self.dtypes)):
+            if entries:
+                meta[prop] = {**meta.get(prop, {}), **entries}
+        return DXO(data_kind=data_kind, data=self.data, meta=meta)
+
+
+def _read_only(value: np.ndarray) -> np.ndarray:
+    view = value.view()
+    view.flags.writeable = False
+    return view
+
+
 def topk_tensors(dxo: DXO) -> dict[str, tuple[np.ndarray, np.ndarray | None, tuple]]:
     """Each tensor of a (possibly top-k sparsified) DXO as ``(values,
     indices, shape)``: dense ones first (``indices=None``), then each top-k
@@ -236,27 +298,51 @@ def diff_tensors(value, reference) -> np.ndarray:
 
 class DeltaEncode(DXOFilter):
     """Turn a client's WEIGHTS result into a WEIGHT_DIFF against the round's
-    received global model.
+    received global model, and compress it for the uplink.
 
     The client stashes the (decompressed) task payload under
     ``ReservedKey.GLOBAL_MODEL`` in its FLContext before training and removes
     it once its result filters have run, so this filter reads it only from
     the client's result chain.  It subtracts it on the way out, so only the
     local update — small in magnitude, friendlier to quantization and
-    sparsification — crosses the wire.  Keys absent from the base (e.g. dropped by :class:`ExcludeVars`
-    upstream) are dropped with a warning, matching the learners' own
-    ``send_diff`` behaviour.  Results that are already diffs, metrics, or
-    rounds with no recorded base pass through untouched.
+    sparsification — crosses the wire.  Keys absent from the base (e.g.
+    dropped by :class:`ExcludeVars` upstream) are dropped with a warning,
+    matching the learners' own ``send_diff`` behaviour.
+
+    With ``top_k`` and/or ``float16`` set it also runs the uplink's later
+    stages, one tensor at a time: each diff goes straight into a
+    :class:`WireForm`, the encoder :class:`TopKSparsify` and
+    :class:`Float16Quantize` loop over, so no whole-model diff is built
+    beside the result.  The payload is the one the three filters chained
+    would produce, key order included: each tensor in result order, a
+    top-k'd one as its ``@topk_idx`` / ``@topk_val`` pair.  Results that
+    are already diffs or metrics, and rounds with no recorded base, are not
+    diffed; they get only the top-k and fp16 stages, as in that chain.
     """
+
+    def __init__(self, top_k: float | None = None, float16: bool = False,
+                 name: str | None = None) -> None:
+        super().__init__(name=name)
+        if top_k is not None and not 0.0 < top_k <= 1.0:
+            raise ValueError("top_k must be in (0, 1]")
+        self.top_k = top_k
+        self.float16 = float16
+
+    def _compress(self, dxo: DXO, fl_ctx: FLContext) -> DXO:
+        if self.top_k:
+            dxo = TopKSparsify(ratio=self.top_k).process(dxo, fl_ctx)
+        if self.float16:
+            dxo = Float16Quantize().process(dxo, fl_ctx)
+        return dxo
 
     def process(self, dxo: DXO, fl_ctx: FLContext) -> DXO:
         if dxo.data_kind != DataKind.WEIGHTS:
-            return dxo
+            return self._compress(dxo, fl_ctx)
         base = fl_ctx.get_prop(ReservedKey.GLOBAL_MODEL)
         if not base:
             self.log_warning("no received global model recorded; sending full weights")
-            return dxo
-        diff: dict[str, np.ndarray] = {}
+            return self._compress(dxo, fl_ctx)
+        wire = WireForm(top_k=self.top_k, float16=self.float16)
         dropped = 0
         for key, value in dxo.data.items():
             value = np.asarray(value)
@@ -264,11 +350,11 @@ class DeltaEncode(DXOFilter):
             if reference is None or np.asarray(reference).shape != value.shape:
                 dropped += 1
                 continue
-            diff[key] = diff_tensors(value, reference)
+            wire.add(key, diff_tensors(value, reference))
         if dropped:
             self.log_warning("delta-encode dropped %d variable(s) with no matching base",
                              dropped)
-        return DXO(data_kind=DataKind.WEIGHT_DIFF, data=diff, meta=dict(dxo.meta))
+        return wire.to_dxo(DataKind.WEIGHT_DIFF, dxo.meta)
 
 
 class DeltaDecode(DXOFilter):
@@ -279,9 +365,23 @@ class DeltaDecode(DXOFilter):
     (see :class:`~repro.flare.downlink.Downlink`).  One instance per
     client: it caches the reconstructed model between rounds.  A diff whose
     base version does not match the cache (e.g. a delayed, reordered task
-    off a faulty bus) raises :class:`ValueError`, which the client surfaces
-    as ``BAD_TASK_DATA`` — the controller then falls back to a full
+    off a faulty bus), or that names other parameters or shapes than the
+    cache, raises :class:`ValueError`, which the client surfaces as
+    ``BAD_TASK_DATA`` — the controller then falls back to a full
     broadcast for this site.
+
+    It is the whole downlink decode, run one tensor at a time: it reads
+    ``MetaKey.FP16_DTYPES`` (:class:`Float16Dequantize`'s stage) and
+    ``MetaKey.TOPK_SPEC`` (:class:`TopKDensify`'s) itself.  A versioned
+    full model is dequantized straight into the cache.  A delta is added to
+    the cache tensor by tensor (:func:`apply_delta`), each entry replaced
+    as it is restored, so the cache is the only model-sized thing it holds.
+    The task it returns is read-only views of the cache: a learner that
+    writes into its input cannot corrupt the base of the next delta.  A
+    reconstructed delta task lists the dense tensors first, then the top-k
+    ones in ``TOPK_SPEC`` order (the order of :func:`topk_tensors`); a full
+    model keeps its wire order.  Payloads without a version only pass
+    through the two decompression stages.
     """
 
     def __init__(self, name: str | None = None) -> None:
@@ -295,34 +395,51 @@ class DeltaDecode(DXOFilter):
 
     def process(self, dxo: DXO, fl_ctx: FLContext) -> DXO:
         version = dxo.get_meta_prop(MetaKey.MODEL_VERSION)
-        if dxo.data_kind == DataKind.WEIGHTS:
-            if version is not None:
-                # own the arrays: decoded payloads are views into the blob
-                self._cache = {key: np.array(value, copy=True)
-                               for key, value in dxo.data.items()}
-                self._version = int(version)
-            return dxo
         base_version = dxo.get_meta_prop(MetaKey.BASE_VERSION)
-        if dxo.data_kind != DataKind.WEIGHT_DIFF or base_version is None:
-            return dxo
-        if self._cache is None or self._version != int(base_version):
+        full = dxo.data_kind == DataKind.WEIGHTS and version is not None
+        if not full and (dxo.data_kind != DataKind.WEIGHT_DIFF or base_version is None):
+            return TopKDensify().process(Float16Dequantize().process(dxo, fl_ctx), fl_ctx)
+        if not full and (self._cache is None or self._version != int(base_version)):
             raise ValueError(
                 f"delta task against model version {base_version} but this "
                 f"client holds {self._version}; need a full broadcast")
-        if set(dxo.data) != set(self._cache):
-            raise ValueError("delta task names different parameters than the "
-                             "cached global model")
-        # cast back to the cached dtype: diffs may arrive wider (float64
-        # aggregates, int8 bool-diffs) and must not promote the model
-        restored = {key: (self._cache[key] + np.asarray(value))
-                    .astype(self._cache[key].dtype, copy=False)
-                    for key, value in dxo.data.items()}
-        self._cache = restored
-        self._version = int(version) if version is not None else self._version
-        meta = {key: value for key, value in dxo.meta.items()
-                if key not in (MetaKey.MODEL_VERSION, MetaKey.BASE_VERSION)}
+        # validate everything before the first cache entry is replaced: a
+        # rejected delta must leave the cache whole for the next one
+        tensors = topk_tensors(dxo)
+        if not full and (set(tensors) != set(self._cache) or any(
+                tuple(shape) != self._cache[key].shape
+                for key, (_, _, shape) in tensors.items())):
+            raise ValueError("delta task names different parameters or shapes "
+                             "than the cached global model")
+        recorded = dxo.get_meta_prop(MetaKey.FP16_DTYPES) or {}
+        if full:
+            self._cache = {}
+        for key, (values, indices, shape) in tensors.items():
+            # topk_tensors already cast a pair's values to the spec dtype
+            dtype = recorded.get(key) if indices is None else None
+            if dtype is not None:
+                values = dequantize_fp16(values, dtype)
+            if not full:
+                # cast back to the cached dtype: diffs may arrive wider
+                # (float64 aggregates, int8 bool-diffs) and must not
+                # promote the model
+                cached = self._cache[key]
+                self._cache[key] = apply_delta(cached, values, indices, shape,
+                                               cached.dtype)
+            elif indices is not None or dtype is not None:
+                self._cache[key] = densify(values, indices, shape)
+            else:
+                # own the array: an undecoded tensor is a view into the blob
+                self._cache[key] = np.array(values, copy=True)
+        dropped = (MetaKey.FP16_DTYPES, MetaKey.TOPK_SPEC)
+        if not full:
+            dropped += (MetaKey.MODEL_VERSION, MetaKey.BASE_VERSION)
+        meta = {key: value for key, value in dxo.meta.items() if key not in dropped}
+        if version is not None:
+            self._version = int(version)
         meta[MetaKey.MODEL_VERSION] = self._version
-        return DXO(data_kind=DataKind.WEIGHTS, data=restored, meta=meta)
+        return DXO(data_kind=DataKind.WEIGHTS, meta=meta,
+                   data={key: _read_only(self._cache[key]) for key in tensors})
 
 
 class Float16Quantize(DXOFilter):
@@ -336,18 +453,12 @@ class Float16Quantize(DXOFilter):
     def process(self, dxo: DXO, fl_ctx: FLContext) -> DXO:
         if dxo.data_kind not in (DataKind.WEIGHTS, DataKind.WEIGHT_DIFF):
             return dxo
-        quantized: dict[str, np.ndarray] = {}
-        original_dtypes: dict[str, str] = {}
+        wire = WireForm(float16=True)
         for key, value in dxo.data.items():
-            quantized[key], dtype = quantize_fp16(np.asarray(value))
-            if dtype is not None:
-                original_dtypes[key] = dtype
-        if not original_dtypes:
+            wire.add(key, value)
+        if not wire.dtypes:
             return dxo
-        meta = dict(dxo.meta)
-        meta[MetaKey.FP16_DTYPES] = {**meta.get(MetaKey.FP16_DTYPES, {}),
-                                     **original_dtypes}
-        return DXO(data_kind=dxo.data_kind, data=quantized, meta=meta)
+        return wire.to_dxo(dxo.data_kind, dxo.meta)
 
 
 class Float16Dequantize(DXOFilter):
@@ -391,23 +502,12 @@ class TopKSparsify(DXOFilter):
     def process(self, dxo: DXO, fl_ctx: FLContext) -> DXO:
         if dxo.data_kind != DataKind.WEIGHT_DIFF:
             return dxo
-        sparse: dict[str, np.ndarray] = {}
-        spec: dict[str, dict] = {}
+        wire = WireForm(top_k=self.ratio, min_size=self.min_size)
         for key, value in dxo.data.items():
-            value = np.asarray(value)
-            if value.size < self.min_size or value.dtype.kind != "f":
-                sparse[key] = value
-                continue
-            flat = value.reshape(-1)
-            indices = topk_indices(flat, self.ratio)
-            sparse[key + TOPK_IDX] = indices
-            sparse[key + TOPK_VAL] = flat[indices]
-            spec[key] = {"shape": list(value.shape), "dtype": value.dtype.str}
-        if not spec:
+            wire.add(key, value)
+        if not wire.spec:
             return dxo
-        meta = dict(dxo.meta)
-        meta[MetaKey.TOPK_SPEC] = {**meta.get(MetaKey.TOPK_SPEC, {}), **spec}
-        return DXO(data_kind=dxo.data_kind, data=sparse, meta=meta)
+        return wire.to_dxo(dxo.data_kind, dxo.meta)
 
 
 class TopKDensify(DXOFilter):
@@ -443,6 +543,13 @@ class CompressionConfig:
         sparse, with no dense copy of the update.
     ``deflate``
         Add the codec's lossless shuffle+deflate transform on top.
+
+    With ``delta`` on, a site runs one filter each way, tensor by tensor:
+    :class:`DeltaDecode` (dequantize, densify and add each tensor to its
+    cached model) and :class:`DeltaEncode` (diff, top-k, quantize), so a
+    site holds only the delta cache and its learner's result at model size.
+    The whole-model filters serve the other specs, the server side and
+    tests.
 
     Build from a spec string: ``CompressionConfig.from_spec("delta+fp16")``,
     tokens ``delta``, ``fp16``, ``topk`` / ``topk:0.05``, ``deflate``,
@@ -491,23 +598,22 @@ class CompressionConfig:
     # stateful and must not be shared between clients)
     # ------------------------------------------------------------------
     def client_task_filters(self) -> list[DXOFilter]:
-        """Applied by a client to incoming task data (downlink decode)."""
-        chain: list[DXOFilter] = []
-        if self.float16:
-            chain.append(Float16Dequantize())
+        """Applied by a client to incoming task data (downlink decode):
+        with downlink deltas, one :class:`DeltaDecode` that also runs the
+        fp16 and top-k decode stages; otherwise :class:`Float16Dequantize`
+        when fp16 is on."""
         if self.delta and self.downlink_delta:
-            if self.top_k:
-                # the controller sparsifies downlink deltas with error
-                # feedback; restore them to dense before reconstruction
-                chain.append(TopKDensify())
-            chain.append(DeltaDecode())
-        return chain
+            return [DeltaDecode()]
+        return [Float16Dequantize()] if self.float16 else []
 
     def client_result_filters(self) -> list[DXOFilter]:
-        """Applied by a client to outgoing results (uplink encode)."""
-        chain: list[DXOFilter] = []
+        """Applied by a client to outgoing results (uplink encode): with
+        delta, one :class:`DeltaEncode` that also runs the top-k and fp16
+        stages; otherwise :class:`TopKSparsify` then
+        :class:`Float16Quantize`, each when enabled."""
         if self.delta:
-            chain.append(DeltaEncode())
+            return [DeltaEncode(top_k=self.top_k, float16=self.float16)]
+        chain: list[DXOFilter] = []
         if self.top_k:
             chain.append(TopKSparsify(ratio=self.top_k))
         if self.float16:

@@ -10,8 +10,12 @@ documented error bounds.
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.flare import (
     DXO,
@@ -19,6 +23,7 @@ from repro.flare import (
     DataKind,
     DeltaDecode,
     DeltaEncode,
+    Downlink,
     ExcludeVars,
     FilterChain,
     FLContext,
@@ -32,6 +37,8 @@ from repro.flare import (
     TopKDensify,
     TopKSparsify,
 )
+
+from .test_compressed_bit_identity import CONFIGS, model, step
 
 RNG = np.random.default_rng(42)
 
@@ -148,12 +155,112 @@ def test_downlink_delta_decode_reconstructs_and_tracks_versions():
         decode.process(wire_roundtrip(renamed), ctx)
 
 
+def test_a_rejected_delta_leaves_the_cache_whole():
+    """Malformed deltas raise before any cache entry is replaced, so the
+    next good delta still applies to the model the server holds."""
+    ctx = FLContext(identity="site-1")
+    decode = DeltaDecode()
+    ones = {"a": np.ones(300, np.float32), "b": np.ones(4, np.float32)}
+    decode.process(wire_roundtrip(DXO(DataKind.WEIGHTS, data=ones,
+                                      meta={MetaKey.MODEL_VERSION: 0})), ctx)
+    versions = {MetaKey.MODEL_VERSION: 1, MetaKey.BASE_VERSION: 0}
+    reshaped = DXO(DataKind.WEIGHT_DIFF, meta=versions,
+                   data={"a": np.ones(300, np.float32), "b": np.ones((2, 4), np.float32)})
+    with pytest.raises(ValueError, match="shapes"):
+        decode.process(wire_roundtrip(reshaped), ctx)
+    broken_pair = DXO(DataKind.WEIGHT_DIFF,
+                      meta={**versions, MetaKey.TOPK_SPEC: {
+                          "b": {"shape": [4], "dtype": "<f4"}}},
+                      data={"a": np.ones(300, np.float32),
+                            "b@topk_idx": np.array([2, 1], np.uint32),
+                            "b@topk_val": np.ones(2, np.float32)})
+    with pytest.raises(ValueError, match="strictly increasing"):
+        decode.process(wire_roundtrip(broken_pair), ctx)
+    good = DXO(DataKind.WEIGHT_DIFF, meta=versions,
+               data={"a": np.full(300, 0.5, np.float32), "b": np.full(4, 0.5, np.float32)})
+    restored = decode.process(wire_roundtrip(good), ctx)
+    assert decode.cached_version == 1
+    for key in ones:
+        np.testing.assert_array_equal(restored.data[key], 1.5)
+
+
 def test_delta_encode_without_base_passes_through():
     ctx = FLContext(identity="site-1")
     dxo = make_dxo()
     out = DeltaEncode().process(dxo, ctx)
     assert out.data_kind == DataKind.WEIGHTS
     assert out is dxo
+
+
+def decode_wave(downlink: Downlink, decode: FilterChain, weights, version: int,
+                ctx: FLContext):
+    """One downlink wave to ``site-1`` through the wire: ``(canonical
+    global, received payload, the site's decoded task)``."""
+    canonical, task, overrides = downlink.build(weights, ["site-1"], version, {},
+                                                FLContext(identity="server"))
+    payload = (overrides or {}).get("site-1", task)
+    received = DXO.from_bytes(payload["DXO"].to_bytes())
+    return canonical, received, decode.process(received, ctx)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(CONFIGS), st.integers(0, 2 ** 32 - 1), st.integers(2, 4))
+def test_site_filters_match_the_whole_model_chain(config, seed, waves):
+    """The site's one-pass DeltaDecode / DeltaEncode against the
+    whole-model stages chained: same bits, same key order, both ways."""
+    rng = np.random.default_rng(seed)
+    ctx = FLContext(identity="site-1")
+    downlink = Downlink(config)
+    decode = FilterChain(config.client_task_filters())
+    encode = FilterChain(config.client_result_filters())
+    weights, cache = model(rng), None
+    for version in range(waves):
+        canonical, received, task = decode_wave(downlink, decode, weights,
+                                                version, ctx)
+        dense = TopKDensify().process(Float16Dequantize().process(received, ctx), ctx)
+        if cache is None:
+            expected = dense.data
+        else:
+            expected = {key: (cache[key] + value).astype(cache[key].dtype, copy=False)
+                        for key, value in dense.data.items()}
+        cache = {key: np.array(value) for key, value in expected.items()}
+        assert list(task.data) == list(expected)
+        for key, value in task.data.items():
+            assert value.dtype == expected[key].dtype, key
+            assert value.tobytes() == expected[key].tobytes() == canonical[key].tobytes()
+        assert task.get_meta_prop(MetaKey.MODEL_VERSION) == version
+
+        ctx.set_prop(ReservedKey.GLOBAL_MODEL, task.data)
+        trained = DXO(DataKind.WEIGHTS, data=step(task.data, rng), meta={"n": 3})
+        chain = [DeltaEncode()]
+        if config.top_k:
+            chain.append(TopKSparsify(ratio=config.top_k))
+        if config.float16:
+            chain.append(Float16Quantize())
+        assert encode.process(trained, ctx).to_bytes() == \
+            FilterChain(chain).process(trained, ctx).to_bytes()
+        downlink.ack("site-1")
+        weights = step(canonical, rng)
+
+
+@pytest.mark.parametrize("spec", ["delta", "delta+fp16", "delta+fp16+topk:0.1"])
+def test_an_in_place_write_cannot_corrupt_the_delta_base(spec):
+    """A learner that updates its task in place must not move the cache the
+    next delta is added to: the task is read-only views of it."""
+    config = CompressionConfig.from_spec(spec)
+    ctx = FLContext(identity="site-1")
+    downlink = Downlink(config)
+    decode = FilterChain(config.client_task_filters())
+    weights = {"w": np.linspace(-1.0, 1.0, 600, dtype=np.float32),
+               "b": np.arange(5, dtype=np.float64)}
+    for version in range(3):
+        canonical, _, task = decode_wave(downlink, decode, weights, version, ctx)
+        for key, value in task.data.items():
+            assert value.tobytes() == canonical[key].tobytes(), (version, key)
+            with contextlib.suppress(ValueError):
+                value += 1.0  # training in place
+        downlink.ack("site-1")
+        weights = {key: value * 0.5 + 0.25 for key, value in canonical.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -290,18 +397,26 @@ def test_from_spec_rejects_unknown_tokens(bad):
 
 def test_filter_chain_layout_matches_config():
     config = CompressionConfig(delta=True, float16=True, top_k=0.1)
-    assert [type(f).__name__ for f in config.client_result_filters()] == \
-        ["DeltaEncode", "TopKSparsify", "Float16Quantize"]
-    assert [type(f).__name__ for f in config.client_task_filters()] == \
-        ["Float16Dequantize", "TopKDensify", "DeltaDecode"]
+    # with delta a site runs one filter each way, and it runs every stage
+    [encode] = config.client_result_filters()
+    assert type(encode) is DeltaEncode
+    assert (encode.top_k, encode.float16) == (0.1, True)
+    assert [type(f).__name__ for f in config.client_task_filters()] == ["DeltaDecode"]
     no_topk = CompressionConfig(delta=True, float16=True)
-    assert [type(f).__name__ for f in no_topk.client_task_filters()] == \
-        ["Float16Dequantize", "DeltaDecode"]
+    assert [type(f).__name__ for f in no_topk.client_task_filters()] == ["DeltaDecode"]
+    assert (no_topk.client_result_filters()[0].top_k,
+            no_topk.client_result_filters()[0].float16) == (None, True)
+    # without delta the whole-model stages run, in uplink order
+    no_delta = CompressionConfig(delta=False, float16=True, top_k=0.1)
+    assert [type(f).__name__ for f in no_delta.client_result_filters()] == \
+        ["TopKSparsify", "Float16Quantize"]
+    assert [type(f).__name__ for f in no_delta.client_task_filters()] == \
+        ["Float16Dequantize"]
     # top-k updates reach the aggregator sparse: no densify on the server
     assert [type(f).__name__ for f in config.server_result_filters()] == \
         ["Float16Dequantize"]
     # fresh instances every call: DeltaDecode is per-client state
-    assert config.client_task_filters()[1] is not config.client_task_filters()[1]
+    assert config.client_task_filters()[0] is not config.client_task_filters()[0]
 
 
 def test_adapt_aggregator_flips_expected_kind():
