@@ -13,6 +13,7 @@ speedup.
 from __future__ import annotations
 
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -64,9 +65,9 @@ def test_federated_round_wallclock(benchmark, tmp_path, transport):
     rounds = 2
 
     def run():
-        return SimulatorRunner(federated_job(rounds), n_clients=4, seed=7,
-                               run_dir=tmp_path / f"{transport}-run",
-                               transport=transport).run()
+        return SimulatorRunner(replace(federated_job(rounds), transport=transport),
+                               n_clients=4, seed=7,
+                               run_dir=tmp_path / f"{transport}-run").run()
 
     result = run_once(benchmark, run)
     try:

@@ -110,14 +110,13 @@ def test_federated_round_bytes(benchmark, tmp_path, model_name, setting):
     job = FLJob(name=f"wire-{model_name}-{setting}",
                 initial_weights=model_state(model_name),
                 learner_factory=lambda name: DriftLearner(name),
-                num_rounds=rounds)
+                num_rounds=rounds, compression=COMPRESSION_SETTINGS[setting])
 
     def run():
         return SimulatorRunner(
             job, n_clients=n_clients, seed=0,
             run_dir=tmp_path / f"{model_name}-{setting}",
-            capture_log=False,
-            compression=COMPRESSION_SETTINGS[setting]).run()
+            capture_log=False).run()
 
     result = benchmark.pedantic(run, rounds=1, iterations=1, warmup_rounds=0)
     stats = result.stats

@@ -41,6 +41,7 @@ import statistics
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
@@ -102,8 +103,8 @@ def run_once(job: FLJob, transport: str, run_dir: Path, clients: int):
     # health.jsonl) for the registry diff below; it arms on both sides, so
     # its overhead cancels out of the A/B ratio
     start = time.perf_counter()
-    result = SimulatorRunner(job, n_clients=clients, seed=7, run_dir=run_dir,
-                             transport=transport,
+    result = SimulatorRunner(replace(job, transport=transport), n_clients=clients,
+                             seed=7, run_dir=run_dir,
                              health=HealthMonitor(run_dir=run_dir)).run()
     return time.perf_counter() - start, result
 

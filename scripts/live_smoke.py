@@ -108,9 +108,10 @@ def main(argv: list[str] | None = None) -> int:
         num_rounds=args.rounds,
         evaluator=lambda weights: {
             "mean_weight": float(np.mean(weights["dense.weight"]))},
+        transport="socket",
     )
     runner = SimulatorRunner(job, n_clients=args.clients, seed=3,
-                             run_dir=out_dir / "run", transport="socket",
+                             run_dir=out_dir / "run",
                              metrics_port=0, sysmon=args.scrape_period,
                              telemetry_flush=args.scrape_period)
 

@@ -66,9 +66,8 @@ def run_once(transport: str, run_dir: Path, rounds: int, clients: int):
     weights = {key: value.copy() for key, value in WEIGHTS.items()}
     job = FLJob(name="socket-smoke", initial_weights=weights,
                 learner_factory=lambda name: ArithmeticLearner(name),
-                num_rounds=rounds, min_clients=2)
+                num_rounds=rounds, min_clients=2, transport=transport)
     runner = SimulatorRunner(job, n_clients=clients, seed=0, run_dir=run_dir,
-                             transport=transport,
                              health=HealthMonitor(run_dir=run_dir))
     return runner.run()
 

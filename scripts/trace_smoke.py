@@ -86,9 +86,10 @@ def main(argv: list[str] | None = None) -> int:
                "layer.bias": np.zeros(8, dtype=np.float32)}
     job = FLJob(name="trace-smoke", initial_weights=weights,
                 learner_factory=lambda name: TracedLearner(name),
-                num_rounds=args.rounds, min_clients=args.clients)
+                num_rounds=args.rounds, min_clients=args.clients,
+                transport="socket")
     result = SimulatorRunner(job, n_clients=args.clients, seed=0,
-                             run_dir=run_dir, transport="socket",
+                             run_dir=run_dir,
                              telemetry=True, telemetry_flush=0.2).run()
     check(result.stats.num_rounds == args.rounds,
           f"run finished {result.stats.num_rounds} of {args.rounds} rounds")

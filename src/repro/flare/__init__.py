@@ -36,7 +36,7 @@ from .codec import (
 from .downlink import Downlink
 from .dxo import DXO, MetaKey, get_wire_codec, set_wire_codec
 from .events import FLComponent, LogCapture, get_fl_logger, set_console_level
-from .faults import FaultInjector, FaultPlan, FaultyMessageBus
+from .faults import FaultInjector, FaultPlan
 from .filters import (
     CompressionConfig,
     DeltaDecode,
@@ -116,7 +116,7 @@ __all__ = [
     "Transport", "BaseTransport", "SocketMessageBus", "ShmMessageBus",
     "ProcessClientRunner", "WorkerRuntime",
     "RetryPolicy", "send_with_retry",
-    "FaultPlan", "FaultInjector", "FaultyMessageBus",
+    "FaultPlan", "FaultInjector",
     "Aggregator", "InTimeAccumulateWeightedAggregator", "FedOptAggregator",
     "CoordinateMedianAggregator", "TrimmedMeanAggregator",
     "TreeAggregator", "MaterializationTracker",

@@ -1,4 +1,12 @@
-"""FederatedClient: registration handshake + task execution loop.
+"""FederatedClient: one site's lifecycle, the same on every host.
+
+A daemon thread (:meth:`FederatedClient.serve_in_thread`), a forked worker
+(:func:`~repro.flare.runner.client_process_main`) and the ``threads=False``
+sequential driver run one site: :func:`handshake` in the server's process,
+then :func:`build_site`, :meth:`~FederatedClient.join`,
+:meth:`~FederatedClient.serve` (the driver calls
+:meth:`~FederatedClient.serve_once` per dispatch wave) and
+:meth:`~FederatedClient.stop` on the host.
 
 Two run-level objects sit on every client beside its learner: the
 ``task_semaphore`` gate (how many sites train at once) and the one-shot
@@ -14,24 +22,31 @@ from __future__ import annotations
 import hashlib
 import threading
 import time
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 from ..obs import trace as obs_trace
 from .constants import DataKind, EventType, ReservedKey, ReturnCode, TaskName
 from .dxo import DXO, MetaKey
 from .events import FLComponent
-from .filters import DXOFilter
+from .filters import CompressionConfig, DXOFilter
 from .fl_context import FLContext
 from .learner import Learner
 from .provision import StartupKit
 from .security import sign
 from .shareable import Shareable, from_dxo, make_reply, to_dxo
-from .transport import MessageBus, RetryPolicy, TransportError, send_with_retry
+from .transport import (
+    ReceiveTimeout,
+    RetryPolicy,
+    SignatureError,
+    Transport,
+    TransportError,
+    send_with_retry,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .server import FLServer
 
-__all__ = ["FederatedClient", "session_key_from_token"]
+__all__ = ["FederatedClient", "build_site", "handshake", "session_key_from_token"]
 
 _STOP_TOPIC = "__stop__"
 
@@ -41,10 +56,49 @@ def session_key_from_token(token: str) -> bytes:
     return hashlib.sha256(token.encode("utf-8")).digest()
 
 
+def handshake(server: "FLServer", kit: StartupKit) -> str:
+    """The Fig. 3 "Token & SSH Protocols" stage; returns the join token.
+
+    The site signs a server-issued nonce with its provisioned private key;
+    the server verifies the certificate chain and answers with a token from
+    which both ends derive the HMAC session key.  Runs in the server's
+    process for every host, so no RSA material reaches a worker.
+    """
+    name = kit.participant.name
+    nonce = server.issue_nonce(name)
+    token = server.register_client(kit.certificate, nonce, sign(nonce, kit.keypair))
+    FLComponent(name).log_info(
+        "Successfully registered client:%s for project simulator_server. Token:%s",
+        name, token)
+    return token
+
+
+def build_site(kit: StartupKit, learner_factory: Callable[[str], Learner],
+               bus: Transport, *, result_filters: list[DXOFilter] | None = None,
+               compression: CompressionConfig | None = None,
+               gate=None, abort_signal=None) -> "FederatedClient":
+    """One site as every host assembles it: the job's ``result_filters``,
+    then fresh compression filters (DeltaDecode caches this site's model
+    between rounds), the run's training ``gate`` and shared
+    ``abort_signal`` (``threading`` or ``multiprocessing`` objects)."""
+    task_data_filters: list[DXOFilter] = []
+    task_result_filters = list(result_filters or [])
+    if compression is not None:
+        task_data_filters = compression.client_task_filters()
+        task_result_filters += compression.client_result_filters()
+    site = FederatedClient(kit, learner_factory(kit.participant.name), bus,
+                           task_result_filters=task_result_filters,
+                           task_data_filters=task_data_filters)
+    site.task_semaphore = gate
+    if abort_signal is not None:
+        site.abort_signal = abort_signal
+    return site
+
+
 class FederatedClient(FLComponent):
     """One participating site: owns a learner and a startup kit."""
 
-    def __init__(self, kit: StartupKit, learner: Learner, bus: MessageBus,
+    def __init__(self, kit: StartupKit, learner: Learner, bus: Transport,
                  task_result_filters: list[DXOFilter] | None = None,
                  task_data_filters: list[DXOFilter] | None = None,
                  retry_policy: RetryPolicy | None = None) -> None:
@@ -73,22 +127,28 @@ class FederatedClient(FLComponent):
         bus.register_endpoint(self.name)
 
     # ------------------------------------------------------------------
-    # registration (the Fig. 3 "Token & SSH Protocols" stage)
+    # registration
     # ------------------------------------------------------------------
     def register(self, server: "FLServer") -> str:
-        """Authenticate to the server and install the session key.
+        """:func:`handshake` with ``server``, then :meth:`join`; returns the
+        token.  The form for a site in the server's own process."""
+        return self.join(handshake(server, self.kit), server.name)
 
-        The client proves possession of its provisioned private key by
-        signing a server-issued nonce; the server verifies the certificate
-        chain and answers with a join token from which both ends derive the
-        HMAC session key.
+    def join(self, token: str, server_name: str,
+             server_key: bytes | None = None) -> str:
+        """Take up the session a :func:`handshake` opened: install the
+        session keys and initialize the learner.
+
+        ``server_key`` is for a site on a node of its own (a forked worker):
+        its node must learn to verify the server, whose key the server's
+        node installed at startup.
         """
-        nonce = server.issue_nonce(self.name)
-        proof = sign(nonce, self.kit.keypair)
-        token = server.register_client(self.kit.certificate, nonce, proof)
         self.token = token
-        self.server_name = server.name
+        self.server_name = server_name
         self.bus.install_session_key(self.name, session_key_from_token(token))
+        if server_key is not None:
+            self.bus.register_peer(server_name)
+            self.bus.install_session_key(server_name, server_key)
         self.fl_ctx.set_prop(ReservedKey.TOKEN, token)
         self.learner.initialize(self.fl_ctx)
         return token
@@ -227,30 +287,56 @@ class FederatedClient(FLComponent):
                              topic, self.retry_policy.max_attempts, error)
         return True
 
+    def serve_once(self, timeout: float = 1.0) -> bool:
+        """One step of the serve loop: :meth:`poll_once` with the loop's
+        error handling; False when told to stop.
+
+        An idle receive timeout keeps the loop polling, a corrupted or
+        forged task (bad HMAC) is logged and dropped without costing the
+        site, and any other transport outage is logged and waited out for
+        ``timeout`` (a socket spoke reconnects with backoff meanwhile).
+        """
+        try:
+            return self.poll_once(timeout=timeout)
+        except ReceiveTimeout:
+            return True
+        except SignatureError as error:
+            self.log_warning("rejected corrupted/forged task: %s", error)
+        except TransportError as error:
+            self.log_warning("transport hiccup: %s", error)
+            self._stopping.wait(timeout)
+        return True
+
+    def serve(self, poll_timeout: float = 1.0) -> None:
+        """Serve tasks until the server's stop message or :meth:`stop`."""
+        while not self._stopping.is_set() and self.serve_once(poll_timeout):
+            pass
+
     def serve_in_thread(self) -> threading.Thread:
-        """Run the message loop on a daemon thread (simulator mode)."""
+        """Run :meth:`serve` on a daemon thread (the threaded host)."""
         if self.token is None:
             raise RuntimeError(f"{self.name} must register before serving")
 
-        def loop() -> None:
+        def host() -> None:
             with obs_trace.span("client_thread", client=self.name):
-                while not self._stopping.is_set():
-                    try:
-                        if not self.poll_once(timeout=1.0):
-                            return
-                    except TransportError:
-                        continue  # idle timeout; check the stop flag again
+                self.serve()
 
-        self._thread = threading.Thread(target=loop, name=f"client-{self.name}", daemon=True)
+        self._thread = threading.Thread(target=host, name=f"client-{self.name}", daemon=True)
         self._thread.start()
         return self._thread
 
     def stop(self) -> None:
-        """End the message loop; a learner honouring the abort signal is
-        back within one batch, any other is waited for up to 10 s."""
+        """End the serve loop and finalize the learner.
+
+        A thread-hosted loop is aborted and joined: a learner honouring the
+        abort signal is back within one batch, any other is waited for up
+        to 10 s.  A loop that already returned (a worker after ``__stop__``,
+        the sequential host) has nothing to abort, so a run's shared signal
+        is left to the server.
+        """
         self._stopping.set()
-        self.abort_signal.set()
         if self._thread is not None:
+            self.abort_signal.set()
             self._thread.join(timeout=10.0)
             self._thread = None
         self.learner.finalize(self.fl_ctx)

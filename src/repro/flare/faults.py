@@ -5,13 +5,14 @@ dropped, delayed, duplicated or corrupted, and whole sites crash mid-job.
 A seeded :class:`FaultPlan` makes chaos scenarios reproducible bit-for-bit —
 every fault decision is a pure hash of ``(seed, kind, sender, recipient,
 topic, msg_id, attempt)``, never of wall-clock time or thread scheduling,
-so the *same plan makes the same per-message decisions on the in-memory bus
-and on the socket transport* (each node applies the plan to the messages it
-dispatches, exactly where the in-memory bus applies it).
+so the *same plan makes the same per-message decisions on every fabric*
+(each node applies the plan to the messages it dispatches).
 
-:class:`FaultyMessageBus` wraps the simulator's in-memory
-:class:`MessageBus`; ``SocketMessageBus(fault_plan=...)`` arms the same
-:class:`FaultInjector` on the socket path.
+Every fabric takes the plan as ``fault_plan=`` — ``MessageBus``,
+``SocketMessageBus`` and ``ShmMessageBus`` alike — and
+``BaseTransport.send_shareable`` runs the :class:`FaultInjector` between
+signing and dispatch, so drops surface to the sender and corruptions reach
+the receiver's HMAC check the same way on all three.
 
 Fault semantics (mirroring what a real channel does):
 
@@ -36,9 +37,9 @@ from dataclasses import dataclass, field
 
 from ..obs.metrics import MetricsRegistry
 from .constants import ReservedKey
-from .transport import Message, MessageBus, TransportError
+from .transport import Message, TransportError
 
-__all__ = ["FaultPlan", "FaultInjector", "FaultyMessageBus"]
+__all__ = ["FaultPlan", "FaultInjector"]
 
 _FAULT_KINDS = ("drop", "crash", "duplicate", "corrupt", "delay")
 
@@ -92,10 +93,14 @@ class FaultPlan:
 class FaultInjector:
     """Applies a :class:`FaultPlan` to messages at dispatch time.
 
-    Transport-agnostic: :class:`FaultyMessageBus` runs it in front of the
-    in-memory enqueue, ``SocketMessageBus`` in front of the frame write.
-    Injections are tagged counters in the owning bus's registry, so a
-    telemetry session exports them alongside delivery totals.
+    Transport-agnostic: ``BaseTransport.send_shareable`` runs it on every
+    signed envelope before the fabric's dispatch.  Drop/crash faults
+    surface to the *sender* as :class:`TransportError` (like a failed
+    socket write), which drives the retry/backoff layer; duplicate/corrupt/
+    delay faults happen silently in flight, which drives the receiver-side
+    dedup and HMAC defenses.  Injections are tagged counters in the owning
+    bus's registry, so a telemetry session exports them alongside delivery
+    totals.
     """
 
     def __init__(self, plan: FaultPlan, registry: MetricsRegistry) -> None:
@@ -154,51 +159,3 @@ class FaultInjector:
             self._counters["duplicate"].inc()
             return [message, message]
         return [message]
-
-
-class FaultyMessageBus(MessageBus):
-    """A :class:`MessageBus` that injects the faults described by a plan.
-
-    Drop/crash faults surface to the *sender* as :class:`TransportError`
-    (like a failed socket write), which is what drives the retry/backoff
-    layer; duplicate/corrupt/delay faults happen silently in flight, which
-    is what drives the receiver-side dedup and HMAC defenses.
-    """
-
-    def __init__(self, plan: FaultPlan) -> None:
-        super().__init__()
-        self.plan = plan
-        self._injector = FaultInjector(plan, self.metrics)
-
-    @property
-    def injected_drops(self) -> int:
-        return self._injector.count("drop")
-
-    @property
-    def injected_crash_drops(self) -> int:
-        return self._injector.count("crash")
-
-    @property
-    def injected_duplicates(self) -> int:
-        return self._injector.count("duplicate")
-
-    @property
-    def injected_corruptions(self) -> int:
-        return self._injector.count("corrupt")
-
-    @property
-    def injected_delays(self) -> int:
-        return self._injector.count("delay")
-
-    def fault_counts(self) -> dict[str, int]:
-        """JSON-safe summary of everything injected so far."""
-        return {"drops": self.injected_drops,
-                "crash_drops": self.injected_crash_drops,
-                "duplicates": self.injected_duplicates,
-                "corruptions": self.injected_corruptions,
-                "delays": self.injected_delays}
-
-    # ------------------------------------------------------------------
-    def _enqueue(self, message: Message) -> None:
-        for copy in self._injector.apply(message):
-            super()._enqueue(copy)

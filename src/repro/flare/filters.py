@@ -11,8 +11,8 @@ Learning for Massive Models with NVIDIA FLARE", arXiv:2402.07792): delta
 encoding against the round's received global model, float16 quantization
 with server-side dequantize-on-aggregate, and top-k sparsification of
 weight diffs.  :class:`CompressionConfig` composes them into matching
-client/server chains; ``SimulatorRunner(compression="delta+fp16")`` wires
-the whole thing up.
+client/server chains; ``FLJob(compression="delta+fp16")`` wires the whole
+thing up.
 """
 
 from __future__ import annotations

@@ -26,7 +26,8 @@ Evaluator = Callable[[dict[str, np.ndarray]], dict[str, float]]
 
 @dataclass
 class FLJob:
-    """Everything needed to run one federated job.
+    """Everything needed to run one federated job: what it computes and on
+    which fabric (``SimulatorRunner`` says how it is hosted and observed).
 
     Parameters
     ----------
@@ -56,14 +57,14 @@ class FLJob:
         :class:`CompressionConfig`, a spec string like ``"delta+fp16"``, or
         ``None`` (full weights both ways).  ``SimulatorRunner`` installs the
         matching client and server filter chains and switches the wire
-        codec accordingly; its own ``compression=`` argument overrides this.
+        codec accordingly.
     transport:
         Which fabric carries the job's messages: ``"memory"`` (threaded
         clients on the in-process bus), ``"socket"`` (one OS process per
         client over TCP loopback), ``"shm"`` (one OS process per client
         over fork-inherited shared memory — the persistent worker pool),
-        or ``None`` to let ``SimulatorRunner`` decide (its own
-        ``transport=`` argument overrides this).
+        or ``None`` for ``"memory"``.  Run one job on another fabric with
+        ``dataclasses.replace(job, transport=...)``.
     mode:
         Which commit policy :class:`ScatterAndGather` runs under:
         ``"sync"`` is the paper's round barrier (:class:`Barrier`);

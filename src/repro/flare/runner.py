@@ -8,22 +8,24 @@ own NVFlare process talking to the server — reproduced with
   loopback, the network-realistic path;
 - :class:`~repro.flare.shm_transport.ShmMessageBus` — fork-inherited queues
   plus mmap'd tensor segments, the fast path for the persistent worker
-  pool (``SimulatorRunner(transport="shm")``).
+  pool (``FLJob(transport="shm")``).
 
 The parent process hosts the server (hub node +
 :class:`~repro.flare.controller.ScatterAndGather`); each client process
-hosts a :class:`~repro.flare.client.FederatedClient` serving the task loop
-until the server's ``__stop__`` fan-out.  Workers stay warm across rounds:
-they are forked once per run and keep their learner state, tuned allocator
-and BLAS pool for every round they serve.
+hosts the same site a thread would — :func:`~repro.flare.client.build_site`,
+``join``, ``serve``, ``stop`` — serving the task loop until the server's
+``__stop__`` fan-out.  Workers stay warm across rounds: they are forked
+once per run and keep their learner state, tuned allocator and BLAS pool
+for every round they serve.
 
 Control plane vs data plane: the certificate/nonce registration handshake
-(the Fig. 3 "Token & SSH Protocols" stage) runs in the parent *before* the
-fork — it is the provisioning/admission step, and running it in-process
+(:func:`~repro.flare.client.handshake`, the Fig. 3 "Token & SSH Protocols"
+stage) runs in the parent *before* the fork, as it does for a threaded
+site — it is the provisioning/admission step, and running it in-process
 keeps the RSA material out of the child argument surface.  The child gets
 only its startup kit, its join token and the server's session key, from
 which both ends derive the HMAC channel; every task/result/heartbeat byte
-after that crosses a real TCP socket.
+after that crosses the fabric.
 
 The default start method is ``fork`` (the only one that does not require
 picklable learner factories); jobs whose factories pickle cleanly may pass
@@ -46,11 +48,10 @@ from typing import TYPE_CHECKING, Callable
 import numpy as np
 
 from ..obs.session import TelemetryCollector, WorkerTelemetry
-from .client import FederatedClient, session_key_from_token
-from .constants import TELEMETRY_TOPIC, ReservedKey
+from .client import build_site, handshake
+from .constants import TELEMETRY_TOPIC
 from .filters import CompressionConfig
 from .provision import StartupKit
-from .security import sign
 from .shareable import Shareable
 from .shm_transport import ShmMessageBus
 from .socket_transport import SocketMessageBus
@@ -135,43 +136,30 @@ class ClientProcessConfig:
 def client_process_main(config: ClientProcessConfig,
                         learner_factory: Callable[[str], "Learner"],
                         gate=None, abort_signal=None) -> None:
-    """Entry point of one client process: connect, serve tasks, exit on stop.
+    """Entry point of one client process: join, serve tasks, exit on stop.
 
-    Mirrors ``FederatedClient.serve_in_thread`` on its own node: idle
-    receive timeouts keep the loop polling, corrupted frames (bad HMAC) are
-    dropped without costing the process, and transport outages ride on the
-    spoke's reconnect-with-backoff until the server's stop message lands.
+    The site is built, joined, served and stopped exactly as a threaded one
+    (see :mod:`repro.flare.client`); this process adds only its node — a
+    socket spoke, or its inherited shm bus — and, when the run is
+    telemetry-armed, the stream of deltas to the parent.
     """
     name = config.kit.participant.name
     telemetry = None
     if config.runtime is not None:
         config.runtime.apply()
         telemetry = config.runtime.telemetry
-    if config.bus is not None:
-        # fork-inherited fabric (shm): the queues already exist; this
-        # process just claims its endpoint and installs its keys below
-        bus = config.bus
-        owns_bus = False
-    else:
-        bus = SocketMessageBus.connect(config.address,
-                                       fault_plan=config.fault_plan,
-                                       heartbeat_interval=config.heartbeat_interval)
-        owns_bus = True
-    session = None
+    # fork-inherited fabric (shm): the queues already exist; the site just
+    # claims its endpoint and installs its keys
+    bus = config.bus if config.bus is not None else SocketMessageBus.connect(
+        config.address, fault_plan=config.fault_plan,
+        heartbeat_interval=config.heartbeat_interval)
     try:
-        task_data_filters: list = []
-        task_result_filters: list = list(config.extra_result_filters)
-        if config.compression is not None:
-            task_data_filters = config.compression.client_task_filters()
-            task_result_filters += config.compression.client_result_filters()
-        client = FederatedClient(config.kit, learner_factory(name), bus,
-                                 task_result_filters=task_result_filters,
-                                 task_data_filters=task_data_filters)
-        client.token = config.token
-        client.server_name = config.server_name
-        bus.install_session_key(name, session_key_from_token(config.token))
-        bus.register_peer(config.server_name)
-        bus.install_session_key(config.server_name, config.server_key)
+        site = build_site(config.kit, learner_factory, bus,
+                          result_filters=config.extra_result_filters,
+                          compression=config.compression,
+                          gate=gate, abort_signal=abort_signal)
+        site.join(config.token, config.server_name, config.server_key)
+        session = None
         if telemetry is not None:
             # keys are installed: stream deltas to the server from here on
             def send(delta: dict) -> None:
@@ -184,29 +172,14 @@ def client_process_main(config: ClientProcessConfig,
             session = telemetry.session(name, send)
             session.registries.append(bus.metrics)
             session.start()
-        client.fl_ctx.set_prop(ReservedKey.TOKEN, config.token)
-        client.learner.initialize(client.fl_ctx)
-        client.task_semaphore = gate
-        if abort_signal is not None:
-            client.abort_signal = abort_signal
         try:
-            while True:
-                try:
-                    if not client.poll_once(timeout=config.poll_timeout):
-                        break
-                except ReceiveTimeout:
-                    continue  # idle; keep serving
-                except SignatureError as error:
-                    client.log_warning("rejected corrupted/forged task: %s", error)
-                except TransportError as error:
-                    client.log_warning("transport hiccup: %s", error)
-                    time.sleep(config.poll_timeout)
+            site.serve(config.poll_timeout)
         finally:
-            client.learner.finalize(client.fl_ctx)
+            site.stop()
         if session is not None:
             session.stop()  # ships the final cumulative delta
     finally:
-        if owns_bus:
+        if config.bus is None:
             bus.close()
 
 
@@ -232,7 +205,6 @@ class ProcessClientRunner:
                  kits: dict[str, StartupKit], server: "FLServer", *,
                  compression: CompressionConfig | None = None,
                  extra_result_filters: list | None = None,
-                 fault_plan: "FaultPlan | None" = None,
                  max_parallel: int | None = None,
                  heartbeat_interval: float | None = 2.0,
                  poll_timeout: float = 1.0,
@@ -258,7 +230,6 @@ class ProcessClientRunner:
         self.hub = hub
         self.compression = compression
         self.extra_result_filters = list(extra_result_filters or [])
-        self.fault_plan = fault_plan
         self.max_parallel = max_parallel
         self.heartbeat_interval = heartbeat_interval
         self.poll_timeout = poll_timeout
@@ -272,18 +243,6 @@ class ProcessClientRunner:
         self.tokens: dict[str, str] = {}
 
     # ------------------------------------------------------------------
-    def register(self, name: str) -> str:
-        """Run the token handshake for ``name`` in the parent; returns the token."""
-        kit = self.kits[name]
-        nonce = self.server.issue_nonce(name)
-        proof = sign(nonce, kit.keypair)
-        token = self.server.register_client(kit.certificate, nonce, proof)
-        self.tokens[name] = token
-        self.server.log_info(
-            "Successfully registered client:%s for project simulator_server. Token:%s",
-            name, token)
-        return token
-
     def launch(self, client_names: list[str]) -> dict[str, str]:
         """Handshake, fork and wait for every client to come online."""
         server_key = self.hub.session_key(self.server.name)
@@ -306,13 +265,13 @@ class ProcessClientRunner:
         # the Event threaded clients share; the server sets it at run end.
         abort_signal = self.server.abort_signal = self._ctx.Event()
         for name in client_names:
-            token = self.tokens.get(name) or self.register(name)
+            token = self.tokens[name] = handshake(self.server, self.kits[name])
             config = ClientProcessConfig(
                 kit=self.kits[name], token=token, server_name=self.server.name,
                 server_key=server_key, address=address,
                 bus=self.hub if shm else None,
                 runtime=self.runtime,
-                fault_plan=self.fault_plan, compression=self.compression,
+                fault_plan=self.hub.fault_plan, compression=self.compression,
                 extra_result_filters=self.extra_result_filters,
                 heartbeat_interval=self.heartbeat_interval,
                 poll_timeout=self.poll_timeout)
@@ -393,10 +352,3 @@ class ProcessClientRunner:
                 process.join(timeout=5.0)
         return {name: process.exitcode
                 for name, process in self._processes.items()}
-
-    def terminate(self) -> None:
-        """Hard-stop every client process (fault cleanup path)."""
-        for process in self._processes.values():
-            if process.is_alive():
-                process.terminate()
-        self.join(timeout=5.0)

@@ -1,7 +1,7 @@
 """Shared-memory transport: fork-inherited queues + mmap'd tensor segments.
 
 The fabric behind the persistent worker pool
-(``SimulatorRunner(transport="shm")``): the parent process creates one
+(``FLJob(transport="shm")``): the parent process creates one
 :class:`ShmMessageBus` *before* forking its client workers, so every process
 shares the same :mod:`multiprocessing` queues (the control plane) and the
 same ``/dev/shm`` segment directory (the data plane).
@@ -28,8 +28,9 @@ decode and tensor decode all run in place over shared pages.  Per message
 the tensor block is copied exactly once, from the sender's arrays into the
 segment; the receiving process copies nothing.
 
-Fault injection arms at the sender's dispatch (the same seam as the other
-fabrics), so chaos plans make identical per-message decisions on shm.
+Fault injection (``fault_plan=``) runs in ``BaseTransport.send_shareable``,
+in front of this fabric's dispatch as in front of every other, so chaos plans
+make identical per-message decisions on shm.
 
 One caveat inherited from ``fork``: each process owns a private copy of the
 python-level bus state (session keys, dedup windows, metrics) from the
@@ -51,7 +52,6 @@ import time
 from typing import TYPE_CHECKING
 
 from .codec import ALIGNMENT
-from .faults import FaultInjector
 from .transport import BaseTransport, Message, TransportError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -84,10 +84,7 @@ class ShmMessageBus(BaseTransport):
                  inline_limit: int = DEFAULT_INLINE_LIMIT,
                  segment_root: str | None = None,
                  start_method: str = "fork") -> None:
-        super().__init__()
-        self._injector = (FaultInjector(fault_plan, self.metrics)
-                          if fault_plan is not None else None)
-        self.fault_plan = fault_plan
+        super().__init__(fault_plan)
         self.inline_limit = inline_limit
         self._ctx = multiprocessing.get_context(start_method)
         self._queues: dict[str, "multiprocessing.queues.Queue"] = {}
@@ -123,12 +120,6 @@ class ShmMessageBus(BaseTransport):
     def _dispatch(self, message: Message) -> None:
         if self._closed:
             raise TransportError("shm bus is closed")
-        copies = ([message] if self._injector is None
-                  else self._injector.apply(message))
-        for copy in copies:
-            self._deliver(copy)
-
-    def _deliver(self, message: Message) -> None:
         with self._lock:
             q = self._queues.get(message.recipient)
         if q is None:

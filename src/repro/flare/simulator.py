@@ -1,10 +1,15 @@
-"""SimulatorRunner: run a whole federated job in one process.
+"""SimulatorRunner: run a whole federated job on one machine.
 
 Reproduces NVFlare's simulator (the mode the paper's demonstration uses):
-provision the project, create the simulated clients, register them against
-the server with the token handshake, serve each client on its own thread,
-run the ScatterAndGather workflow, and return the final/best models with the
-collected statistics and the captured log transcript (Fig. 3).
+provision the project, register every site against the server with the
+token handshake, host the sites (threads, forked workers, or the sequential
+driver), run the ScatterAndGather workflow, and return the final/best models
+with the collected statistics and the captured log transcript (Fig. 3).
+
+Knob rule: :class:`~repro.flare.job.FLJob` says what the federation computes
+and on which fabric (``transport``, ``compression``);
+:class:`SimulatorRunner` says how it is hosted and observed (site count,
+threads, parallelism, keys, faults, telemetry).
 """
 
 from __future__ import annotations
@@ -22,13 +27,12 @@ from ..obs.health import HealthMonitor
 from ..obs.rundir import STATS_FILE
 from ..obs.session import TelemetrySession, _sysmon_interval
 from . import codec as wire_codec_module
-from .client import FederatedClient
+from .client import FederatedClient, build_site
 from .constants import EventType
 from .controller import Barrier, Buffered, ScatterAndGather
 from .dxo import set_wire_codec
 from .events import FLComponent, LogCapture
-from .faults import FaultPlan, FaultyMessageBus
-from .filters import CompressionConfig
+from .faults import FaultPlan
 from .fl_context import FLContext
 from .job import FLJob
 from .persistor import ModelPersistor
@@ -58,7 +62,8 @@ class SimulationResult:
 
 
 class SimulatorRunner:
-    """Single-process federated simulation with threaded clients."""
+    """Federated simulation: the job's sites on threads (``"memory"``) or
+    forked workers (``"socket"`` / ``"shm"``), chosen by ``job.transport``."""
 
     def __init__(self, job: FLJob, n_clients: int = 8, seed: int = 0,
                  run_dir: str | Path | None = None, threads: bool = True,
@@ -67,9 +72,7 @@ class SimulatorRunner:
                  fault_plan: FaultPlan | None = None,
                  telemetry: bool = False,
                  health: bool | HealthMonitor = False,
-                 compression: CompressionConfig | str | None = None,
                  wire_codec: str | None = None,
-                 transport: str | None = None,
                  telemetry_flush: float = 0.5,
                  metrics_port: int | None = None,
                  sysmon: bool | float | None = None) -> None:
@@ -77,15 +80,8 @@ class SimulatorRunner:
             raise ValueError("n_clients must be positive")
         if max_parallel <= 0:
             raise ValueError("max_parallel must be positive")
-        # Which fabric carries the job: "memory" = threaded clients on the
-        # in-process bus, "socket" = one OS process per client over TCP
-        # loopback, "shm" = one OS process per client over the fork-
-        # inherited shared-memory fabric (the persistent worker pool).
-        # The runner argument overrides the job's setting.
-        self.transport = transport or job.transport or "memory"
-        if self.transport not in ("memory", "socket", "shm"):
-            raise ValueError("transport must be 'memory', 'socket' or "
-                             f"'shm', got {self.transport!r}")
+        # the job's fabric (FLJob documents and validates it)
+        self.transport = job.transport or "memory"
         if self.transport in ("socket", "shm") and not threads:
             raise ValueError(f"transport={self.transport!r} requires "
                              "threads=True (clients run in their own processes)")
@@ -125,13 +121,10 @@ class SimulatorRunner:
         # stats.alerts.  ``True`` uses the default detector set (quarantine
         # off); pass a HealthMonitor to configure detectors/quarantine.
         self.health = health
-        # Wire-efficiency knobs: ``compression`` ("delta+fp16", a
-        # CompressionConfig, or None; overrides job.compression) turns on
-        # the whole delta/quantize/sparsify chain on both sides, and
         # ``wire_codec`` pins the tensor codec ("raw", "raw+deflate" or the
-        # legacy "npz" oracle) for the duration of the run.
-        self.compression = CompressionConfig.from_spec(compression) \
-            if compression is not None else job.compression
+        # legacy "npz" oracle) for the duration of the run; by default the
+        # job's compression chain picks it.
+        self.compression = job.compression
         if wire_codec is None and self.compression is not None:
             wire_codec = self.compression.wire_codec
         self.wire_codec = wire_codec
@@ -194,136 +187,55 @@ class SimulatorRunner:
                    session: TelemetrySession | None = None,
                    monitor: HealthMonitor | None = None) -> SimulationResult:
         project = default_project(n_clients=self.n_clients, name=self.job.name)
-        provisioner = Provisioner(project, seed=self.seed, key_bits=self.key_bits)
-        kits = provisioner.provision()
-
-        bus: Transport
-        if self.transport == "socket":
-            # Hub node: listens on loopback, routes frames between the
-            # server endpoint (local) and the per-process client spokes.
-            bus = SocketMessageBus(fault_plan=self.fault_plan)
-        elif self.transport == "shm":
-            # One fabric shared by parent and forked workers: queues for
-            # control, mmap'd /dev/shm segments for tensor bodies.
-            bus = ShmMessageBus(fault_plan=self.fault_plan)
-        else:
-            bus = (FaultyMessageBus(self.fault_plan)
-                   if self.fault_plan is not None else MessageBus())
-        server = FLServer(kits["server"], bus, seed=self.seed)
-        server.log_info("Create the simulate clients.")
-        if session is not None:
-            # the bus's always-on registry (delivery totals, per-topic
-            # latency, injected faults) joins the scrape and metrics.json
-            session.registries.append(bus.metrics)
-
-        clients: list[FederatedClient] = []
-        runner: ProcessClientRunner | None = None
+        kits = Provisioner(project, seed=self.seed, key_bits=self.key_bits).provision()
         client_names = [spec.name for spec in project.clients]
-        if self.transport in ("socket", "shm"):
-            runner = ProcessClientRunner(
-                self.job.learner_factory, kits, server,
-                compression=self.compression,
-                extra_result_filters=list(self.job.task_result_filters),
-                fault_plan=self.fault_plan,
-                max_parallel=self.max_parallel,
-                runtime=WorkerRuntime.capture(
-                    self.concurrent_trainers,
-                    telemetry=(session.worker_telemetry(self.telemetry_flush)
-                               if session is not None else None)),
-                collector=session.workers if session is not None else None)
-            if session is not None:
-                server.telemetry_sink = session.workers.ingest
-            runner.launch(client_names)
-        else:
-            gate = threading.Semaphore(self.max_parallel)
-            for spec in project.clients:
-                learner = self.job.learner_factory(spec.name)
-                task_data_filters: list = []
-                task_result_filters = list(self.job.task_result_filters)
-                if self.compression is not None:
-                    # fresh instances per client: DeltaDecode caches this
-                    # site's reconstructed global model between rounds
-                    task_data_filters = self.compression.client_task_filters()
-                    task_result_filters += self.compression.client_result_filters()
-                client = FederatedClient(
-                    kits[spec.name], learner, bus,
-                    task_result_filters=task_result_filters,
-                    task_data_filters=task_data_filters)
-                client.task_semaphore = gate
-                client.abort_signal = server.abort_signal
-                client.register(server)
-                client.log_info(
-                    "Successfully registered client:%s for project simulator_server. Token:%s",
-                    spec.name, client.token)
-                clients.append(client)
-
-            if self.threads:
-                for client in clients:
-                    client.serve_in_thread()
-
-        persistor = ModelPersistor(self.run_dir / "models")
-        sampler = make_sampler(self.job.sampler,
-                               site_sizes=self.job.site_sizes,
-                               seed=self.job.sampling_seed)
-        if self.job.mode == "async":
-            policy = Buffered(self.job.buffer_size, self.job.concurrency,
-                              self.job.staleness_alpha, self.job.max_staleness)
-        else:
-            policy = Barrier(self.job.clients_per_round)
-        controller = ScatterAndGather(
-            server=server,
-            client_names=client_names,
-            initial_weights=self.job.initial_weights,
-            aggregator=self.job.aggregator_factory(),
-            persistor=persistor,
-            num_rounds=self.job.num_rounds,
-            evaluator=self.job.evaluator,
-            result_filters=self.job.server_result_filters,
-            min_clients=self.job.min_clients,
-            result_timeout=self.job.result_timeout,
-            max_failed_rounds=self.job.max_failed_rounds,
-            sampling_seed=self.job.sampling_seed,
-            sampler=sampler,
-            compression=self.compression,
-            health=monitor,
-            policy=policy,
-            # Deterministic single-thread mode: nobody serves the clients,
-            # so a listener runs their polls off each dispatch wave.
-            listeners=[] if self.threads else [_SequentialDriver(clients)],
-        )
-        wire_before = wire_codec_module.wire_totals()
-
+        fabric = {"memory": MessageBus, "socket": SocketMessageBus,
+                  "shm": ShmMessageBus}[self.transport]
+        # socket: the hub node, routing between the server endpoint and the
+        # per-process spokes; shm: one fabric the forked workers inherit
+        bus = fabric(fault_plan=self.fault_plan)
+        server: FLServer | None = None
+        sites: list[FederatedClient] = []  # hosted by this process
+        workers: ProcessClientRunner | None = None
         try:
+            server = FLServer(kits["server"], bus, seed=self.seed)
+            server.log_info("Create the simulate clients.")
+            if session is not None:
+                # the bus's always-on registry (delivery totals, per-topic
+                # latency, injected faults) joins the scrape and metrics.json
+                session.registries.append(bus.metrics)
+            if self.transport == "memory":
+                gate = threading.Semaphore(self.max_parallel)
+                for name in client_names:
+                    site = build_site(kits[name], self.job.learner_factory, bus,
+                                      result_filters=self.job.task_result_filters,
+                                      compression=self.compression, gate=gate,
+                                      abort_signal=server.abort_signal)
+                    site.register(server)
+                    sites.append(site)
+                    if self.threads:
+                        site.serve_in_thread()
+            else:
+                workers = ProcessClientRunner(
+                    self.job.learner_factory, kits, server,
+                    compression=self.compression,
+                    extra_result_filters=list(self.job.task_result_filters),
+                    max_parallel=self.max_parallel,
+                    runtime=WorkerRuntime.capture(
+                        self.concurrent_trainers,
+                        telemetry=(session.worker_telemetry(self.telemetry_flush)
+                                   if session is not None else None)),
+                    collector=session.workers if session is not None else None)
+                if session is not None:
+                    server.telemetry_sink = session.workers.ingest
+                # forks before the controller copies the initial weights, so
+                # no worker inherits a model copy
+                workers.launch(client_names)
+            controller = self._controller(server, client_names, monitor, sites)
+            wire_before = wire_codec_module.wire_totals()
             stats = controller.run()
         finally:
-            # already set after a completed run; an aborted one (controller
-            # or listener raised) must not leave sites training either
-            server.abort_signal.set()
-            if runner is not None:
-                # Stop fan-out may be partially undeliverable on a faulty
-                # fabric; join() terminates any straggler processes anyway.
-                server.stop_clients(client_names)
-                if session is not None:
-                    # each worker ships its metrics/profile on the way out;
-                    # collect before join() so nothing is lost to teardown
-                    runner.drain_telemetry()
-                runner.join()
-                bus.close()
-            elif self.threads:
-                # Join every worker thread even when the controller aborted
-                # mid-run or the stop fan-out itself hits a faulty bus: the
-                # stop flag (client.stop) does not depend on the __stop__
-                # message being deliverable.
-                server.stop_clients([client.name for client in clients])
-                stop_error: Exception | None = None
-                for client in clients:
-                    try:
-                        client.stop()
-                    except Exception as error:  # keep joining the rest first
-                        stop_error = stop_error or error
-                # don't mask an in-flight controller error with a stop error
-                if stop_error is not None and sys.exc_info()[0] is None:
-                    raise stop_error
+            self._teardown(server, bus, sites, workers, session)
 
         final_weights = controller.global_weights
         # Per-run wire accounting: the codec registry is cumulative per
@@ -349,7 +261,7 @@ class SimulatorRunner:
             # self-describing for ``python -m repro.obs runs list/diff``.
             stats.save_json(self.run_dir / STATS_FILE)
         try:
-            best_weights = persistor.load_best()
+            best_weights = controller.persistor.load_best()
         except FileNotFoundError:
             best_weights = dict(final_weights)
         return SimulationResult(
@@ -360,6 +272,75 @@ class SimulatorRunner:
             run_dir=self.run_dir,
             log_text=capture.text() if capture is not None else "",
         )
+
+    def _controller(self, server: FLServer, client_names: list[str],
+                    monitor: HealthMonitor | None,
+                    sites: list[FederatedClient]) -> ScatterAndGather:
+        job = self.job
+        if job.mode == "async":
+            policy = Buffered(job.buffer_size, job.concurrency,
+                              job.staleness_alpha, job.max_staleness)
+        else:
+            policy = Barrier(job.clients_per_round)
+        return ScatterAndGather(
+            server=server,
+            client_names=client_names,
+            initial_weights=job.initial_weights,
+            aggregator=job.aggregator_factory(),
+            persistor=ModelPersistor(self.run_dir / "models"),
+            num_rounds=job.num_rounds,
+            evaluator=job.evaluator,
+            result_filters=job.server_result_filters,
+            min_clients=job.min_clients,
+            result_timeout=job.result_timeout,
+            max_failed_rounds=job.max_failed_rounds,
+            sampling_seed=job.sampling_seed,
+            sampler=make_sampler(job.sampler, site_sizes=job.site_sizes,
+                                 seed=job.sampling_seed),
+            compression=self.compression,
+            health=monitor,
+            policy=policy,
+            # Deterministic single-thread mode: nobody serves the sites,
+            # so a listener runs their polls off each dispatch wave.
+            listeners=[] if self.threads else [_SequentialDriver(sites)],
+        )
+
+    @staticmethod
+    def _teardown(server: FLServer | None, bus: Transport, sites: list[FederatedClient],
+                  workers: ProcessClientRunner | None,
+                  session: TelemetrySession | None) -> None:
+        """Stop, drain, join and close whatever setup started — after a
+        completed run, a controller error or a failed setup alike."""
+        stop_error: Exception | None = None
+        try:
+            if server is None:
+                return
+            # already set after a completed run; an aborted one (controller
+            # or listener raised) must not leave sites training either
+            server.abort_signal.set()
+            # Best effort: the stop fan-out may be partially undeliverable on
+            # a faulty fabric.  A site thread's stop flag and the workers'
+            # join-or-terminate ladder do not depend on it.
+            started = [site.name for site in sites]
+            if workers is not None:
+                started += list(workers.tokens)
+            server.stop_clients(started)
+            if workers is not None:
+                if session is not None:
+                    # each worker ships its metrics/profile on the way out;
+                    # collect before join() so nothing is lost to teardown
+                    workers.drain_telemetry()
+                workers.join()
+            for site in sites:
+                try:
+                    site.stop()
+                except Exception as error:  # keep stopping the rest first
+                    stop_error = stop_error or error
+        finally:
+            bus.close()
+        # don't mask an in-flight setup or controller error with a stop error
+        if stop_error is not None and sys.exc_info()[0] is None:
+            raise stop_error
 
 
 class _SequentialDriver(FLComponent):
@@ -380,4 +361,4 @@ class _SequentialDriver(FLComponent):
             for client in self.clients:
                 # only clients actually tasked this wave have a message
                 if client.bus.pending(client.name):
-                    client.poll_once(timeout=5.0)
+                    client.serve_once(timeout=5.0)

@@ -64,7 +64,6 @@ import weakref
 from typing import TYPE_CHECKING
 
 from .events import get_fl_logger
-from .faults import FaultInjector
 from .transport import (
     BaseTransport,
     Message,
@@ -329,10 +328,10 @@ class SocketMessageBus(BaseTransport):
     (:meth:`connect`) opens one uplink to the hub and relays every
     non-local envelope through it.
 
-    ``fault_plan`` arms the same seeded :class:`~repro.flare.faults
-    .FaultPlan` injection the in-memory :class:`FaultyMessageBus` applies,
-    at the same place (the sender's dispatch), so chaos scenarios make the
-    same per-message decisions on both fabrics.
+    ``fault_plan`` arms the seeded :class:`~repro.flare.faults.FaultPlan`
+    injection every fabric runs in ``send_shareable`` (the sender's
+    dispatch), so chaos scenarios make the same per-message decisions here
+    as on the in-memory bus.
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0, *,
@@ -342,14 +341,11 @@ class SocketMessageBus(BaseTransport):
                  retry_policy: RetryPolicy | None = None,
                  heartbeat_interval: float | None = None,
                  connect_timeout: float = 10.0) -> None:
-        super().__init__()
         if listen and connect_to is not None:
             raise ValueError("a node either listens (hub) or connects (spoke)")
+        super().__init__(fault_plan)
         self._log = logging.LoggerAdapter(get_fl_logger(),
                                           {"component": type(self).__name__})
-        self._injector = (FaultInjector(fault_plan, self.metrics)
-                          if fault_plan is not None else None)
-        self.fault_plan = fault_plan
         self.retry_policy = retry_policy or RetryPolicy()
         self.heartbeat_interval = heartbeat_interval
         self.connect_timeout = connect_timeout
@@ -463,12 +459,6 @@ class SocketMessageBus(BaseTransport):
     # routing
     # ------------------------------------------------------------------
     def _dispatch(self, message: Message) -> None:
-        copies = ([message] if self._injector is None
-                  else self._injector.apply(message))
-        for copy in copies:
-            self._route(copy)
-
-    def _route(self, message: Message) -> None:
         recipient = message.recipient
         with self._lock:
             link = self._links.get(recipient)

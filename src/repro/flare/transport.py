@@ -12,10 +12,10 @@ Three fabrics implement the :class:`Transport` contract:
   one process (the historical simulator transport).
 - :class:`~repro.flare.socket_transport.SocketMessageBus` — length-prefixed
   binary frames over TCP loopback, one node per process, used by the
-  process-per-client runner (``SimulatorRunner(transport="socket")``).
+  process-per-client runner (``FLJob(transport="socket")``).
 - :class:`~repro.flare.shm_transport.ShmMessageBus` — fork-inherited queues
   plus mmap'd body segments, behind the persistent worker pool
-  (``SimulatorRunner(transport="shm")``).
+  (``FLJob(transport="shm")``).
 
 Everything above the seam — retry/backoff, message-id dedup, fault
 injection, compression filters, telemetry, the health monitor — is written
@@ -39,8 +39,8 @@ Reliability layer: every send carries an idempotency header
 (``ReservedKey.MSG_ID``, stable across resends) plus an attempt counter, the
 receive path deduplicates replayed/duplicated message ids after signature
 verification, and :func:`send_with_retry` adds bounded exponential backoff
-on top for lossy fabrics (every fabric arms the same seeded
-``faults.FaultInjector`` at its dispatch).
+on top for lossy fabrics (``fault_plan=`` on any fabric arms the same
+seeded ``faults.FaultInjector`` in :meth:`BaseTransport.send_shareable`).
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from ..obs import trace as obs_trace
 from ..obs.metrics import MetricsRegistry
@@ -59,6 +59,9 @@ from .constants import ReservedKey
 from .dxo import DXO
 from .security import hmac_absorb, hmac_verify_parts
 from .shareable import Shareable
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .faults import FaultPlan
 
 __all__ = ["Message", "EncodedShareable", "Transport", "BaseTransport", "MessageBus",
            "TransportError", "ReceiveTimeout", "SignatureError", "RetryPolicy",
@@ -312,15 +315,20 @@ class Transport:
 
 
 class BaseTransport(Transport):
-    """Shared envelope layer: keys, signing, msg-id sequencing, dedup, metrics.
+    """Shared envelope layer: keys, signing, msg-id sequencing, dedup,
+    metrics and fault injection.
 
     Subclasses provide the delivery fabric by implementing
     :meth:`_dispatch` (route one signed envelope toward its recipient) and
     :meth:`_next_message` (pop the next envelope addressed to a local
     endpoint, or ``None`` on timeout).
+
+    ``fault_plan`` arms a seeded :class:`~repro.flare.faults.FaultInjector`
+    between signing and :meth:`_dispatch`, the same point on every fabric,
+    so one plan makes the same per-message decisions on all of them.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, fault_plan: "FaultPlan | None" = None) -> None:
         self._session_keys: dict[str, bytes] = {}
         self._lock = threading.Lock()
         self._send_seq: dict[str, int] = {}
@@ -337,6 +345,12 @@ class BaseTransport(Transport):
         self._retries = self.metrics.counter("transport.retries")
         self._duplicates_dropped = self.metrics.counter("transport.duplicates_dropped")
         self._resident = self.metrics.gauge("transport.resident_frame_bytes")
+        self.fault_plan = fault_plan
+        self._injector = None
+        if fault_plan is not None:
+            from .faults import FaultInjector  # faults imports this module
+
+            self._injector = FaultInjector(fault_plan, self.metrics)
 
     # ------------------------------------------------------------------
     # registry-backed totals (the former one-off int attributes)
@@ -363,6 +377,23 @@ class BaseTransport(Transport):
     def peak_receive_buffer_bytes(self) -> int:
         """High-water of receive-buffer bytes alive at once (0 off the socket fabric)."""
         return int(self._resident.peak)
+
+    def _injected(self, kind: str) -> int:
+        return self._injector.count(kind) if self._injector is not None else 0
+
+    injected_drops = property(lambda self: self._injected("drop"))
+    injected_crash_drops = property(lambda self: self._injected("crash"))
+    injected_duplicates = property(lambda self: self._injected("duplicate"))
+    injected_corruptions = property(lambda self: self._injected("corrupt"))
+    injected_delays = property(lambda self: self._injected("delay"))
+
+    def fault_counts(self) -> dict[str, int]:
+        """JSON-safe summary of everything injected so far (zeros unarmed)."""
+        return {"drops": self.injected_drops,
+                "crash_drops": self.injected_crash_drops,
+                "duplicates": self.injected_duplicates,
+                "corruptions": self.injected_corruptions,
+                "delays": self.injected_delays}
 
     # ------------------------------------------------------------------
     def register_endpoint(self, name: str) -> None:
@@ -439,7 +470,12 @@ class BaseTransport(Transport):
         message.signature = encoded.tag(message, key)
         if attempt > 0:
             self._retries.inc()
-        self._dispatch(message)
+        if self._injector is None:
+            self._dispatch(message)
+            return
+        # drop/crash raise to the sender; a duplicate comes back twice
+        for copy in self._injector.apply(message):
+            self._dispatch(copy)
 
     def _dispatch(self, message: Message) -> None:
         """Route one signed envelope toward its recipient."""
@@ -527,11 +563,12 @@ class MessageBus(BaseTransport):
     Every send is stamped with a message id (per-sender sequence, so ids are
     deterministic under threaded sends) and an attempt counter; ``receive``
     drops already-seen ids, which makes resends and replay attacks
-    exactly-once at the application layer.
+    exactly-once at the application layer.  ``MessageBus(fault_plan=plan)``
+    is the in-memory chaos bus.
     """
 
-    def __init__(self) -> None:
-        super().__init__()
+    def __init__(self, *, fault_plan: "FaultPlan | None" = None) -> None:
+        super().__init__(fault_plan)
         self._queues: dict[str, "queue.Queue[Message]"] = {}
 
     # ------------------------------------------------------------------
@@ -543,7 +580,7 @@ class MessageBus(BaseTransport):
         self._enqueue(message)
 
     def _enqueue(self, message: Message) -> None:
-        """Deliver one signed envelope (fault-injecting buses override this)."""
+        """Deliver one signed envelope."""
         with self._lock:
             if message.recipient not in self._queues:
                 raise TransportError(f"unknown recipient {message.recipient!r}")

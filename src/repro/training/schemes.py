@@ -134,10 +134,10 @@ def run_federated(model_factory: ModelFactory,
                 learner_factory=learner_factory,
                 num_rounds=num_rounds,
                 evaluator=evaluator,
-                task_result_filters=list(task_result_filters or []))
+                task_result_filters=list(task_result_filters or []),
+                transport=transport)
     runner = SimulatorRunner(job, n_clients=len(site_names), seed=seed,
-                             threads=threads, run_dir=run_dir,
-                             transport=transport)
+                             threads=threads, run_dir=run_dir)
     simulation = runner.run()
     history = simulation.stats.global_metric_history("valid_acc")
     return FederatedResult(final_acc=history[-1] if history else 0.0,
@@ -186,8 +186,9 @@ def run_federated_mlm(model_factory: ModelFactory,
                 initial_weights=model_factory().state_dict(),
                 learner_factory=learner_factory,
                 num_rounds=num_rounds,
-                evaluator=evaluator)
+                evaluator=evaluator,
+                transport=transport)
     runner = SimulatorRunner(job, n_clients=len(shards), seed=seed,
-                             threads=threads, transport=transport)
+                             threads=threads)
     simulation = runner.run()
     return simulation.stats.global_metric_history("mlm_loss"), simulation

@@ -11,6 +11,7 @@ from __future__ import annotations
 import os
 import threading
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -222,9 +223,8 @@ class TestBufferedTeardown:
         commits = []
         job = buffered_job(
             evaluator=lambda weights: commits.append(time.monotonic()) or {})
-        result = SimulatorRunner(job, n_clients=8, seed=0, key_bits=128,
-                                 capture_log=False, max_parallel=2,
-                                 transport=transport).run()
+        result = SimulatorRunner(replace(job, transport=transport), n_clients=8, seed=0,
+                                 key_bits=128, capture_log=False, max_parallel=2).run()
         teardown = time.monotonic() - commits[-1]
         assert len(commits) == 3
         assert teardown < 1.0, teardown

@@ -59,10 +59,10 @@ def test_set_blas_threads_returns_the_previous_size():
     assert get_blas_threads() == OUTSIDE
 
 
-def run(learner_factory=PoolProbe, evaluator=None, **runner_options):
+def run(learner_factory=PoolProbe, evaluator=None, transport=None, **runner_options):
     job = FLJob(name="blas", initial_weights=toy_weights(0.0),
                 learner_factory=learner_factory, num_rounds=2,
-                evaluator=evaluator)
+                evaluator=evaluator, transport=transport)
     return SimulatorRunner(job, n_clients=N_CLIENTS, seed=0, key_bits=128,
                            capture_log=False, max_parallel=MAX_PARALLEL,
                            **runner_options).run()

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import os
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -54,8 +55,8 @@ def crashed_run(tmp_path_factory):
                 num_rounds=3, min_clients=1, result_timeout=5.0,
                 max_failed_rounds=2,
                 evaluator=lambda w: {"valid_acc": float(np.mean(w["layer.weight"]))})
-    result = SimulatorRunner(job, n_clients=2, seed=0, run_dir=run_dir,
-                             transport="socket", telemetry=True,
+    result = SimulatorRunner(replace(job, transport="socket"), n_clients=2, seed=0,
+                             run_dir=run_dir, telemetry=True,
                              telemetry_flush=0.15).run()
     return result, load_trace_events(run_dir / "trace.jsonl")
 

@@ -8,6 +8,8 @@ lossless configurations, within fp16 rounding otherwise.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -28,10 +30,10 @@ from .helpers import ToyLearner, toy_weights
 
 
 def run_sim(tmp_path, sub: str, *, learner=ToyLearner, rounds: int = 4,
-            n_clients: int = 3, **kwargs):
+            n_clients: int = 3, compression=None, **kwargs):
     job = FLJob(name=f"e2e-{sub}", initial_weights=toy_weights(),
                 learner_factory=lambda name: learner(name),
-                num_rounds=rounds)
+                num_rounds=rounds, compression=compression)
     return SimulatorRunner(job, n_clients=n_clients, seed=0,
                            run_dir=tmp_path / sub, capture_log=False,
                            **kwargs).run()
@@ -91,7 +93,7 @@ def test_npz_codec_finishes_rounds_on_every_fabric(tmp_path, transport):
     job = FLJob(name=f"npz-{transport}",
                 initial_weights={"w": np.zeros((64, 64), dtype=np.float32)},
                 learner_factory=ToyLearner, num_rounds=2, result_timeout=8.0)
-    result = SimulatorRunner(job, n_clients=2, seed=0, transport=transport,
+    result = SimulatorRunner(replace(job, transport=transport), n_clients=2, seed=0,
                              wire_codec="npz", run_dir=tmp_path / transport,
                              capture_log=False).run()
     assert result.stats.failed_rounds == 0
@@ -127,13 +129,12 @@ def test_compression_reduces_tensor_bytes_on_wire(tmp_path):
     big = {"weight": np.zeros((128, 128), dtype=np.float32),
            "bias": np.zeros(128, dtype=np.float32)}
 
-    def run(sub, **kwargs):
+    def run(sub, compression=None):
         job = FLJob(name=f"bytes-{sub}", initial_weights=big,
                     learner_factory=lambda name: ToyLearner(name, delta=0.25),
-                    num_rounds=3)
+                    num_rounds=3, compression=compression)
         return SimulatorRunner(job, n_clients=2, seed=0,
-                               run_dir=tmp_path / sub, capture_log=False,
-                               **kwargs).run()
+                               run_dir=tmp_path / sub, capture_log=False).run()
 
     plain = run("plain")
     packed = run("packed", compression="delta+fp16+deflate")
@@ -155,9 +156,8 @@ def test_failing_client_keeps_downlink_versions_in_sync(tmp_path):
     job = FLJob(name="e2e-flaky", initial_weights=toy_weights(),
                 learner_factory=lambda name: FlakyLearner(name),
                 num_rounds=4, min_clients=2)
-    result = SimulatorRunner(job, n_clients=3, seed=0,
-                             run_dir=tmp_path / "flaky", capture_log=False,
-                             compression="delta+fp16").run()
+    result = SimulatorRunner(replace(job, compression="delta+fp16"), n_clients=3, seed=0,
+                             run_dir=tmp_path / "flaky", capture_log=False).run()
     # site-1 crashed in round 1 (after decoding the task), so it stays
     # synced and the run finishes with everyone contributing again
     assert result.stats.rounds[1].dropped_clients == ["site-1"]
@@ -258,8 +258,8 @@ def test_malformed_topk_update_drops_its_site_not_the_run(tmp_path, aggregator):
                 learner_factory=lambda name: (MalformedTopKLearner if name == "site-2"
                                               else ToyLearner)(name),
                 aggregator_factory=aggregator, num_rounds=3, min_clients=2)
-    result = SimulatorRunner(job, n_clients=3, seed=0, run_dir=tmp_path / "bad",
-                             capture_log=False, compression="delta+fp16+topk").run()
+    result = SimulatorRunner(replace(job, compression="delta+fp16+topk"), n_clients=3,
+                             seed=0, run_dir=tmp_path / "bad", capture_log=False).run()
     assert result.stats.num_rounds == 3 and result.stats.failed_rounds == 0
     assert all(record.dropped_clients == ["site-2"]
                for record in result.stats.rounds)
@@ -277,10 +277,9 @@ def test_compressed_run_survives_lossy_bus(tmp_path):
                 learner_factory=lambda name: ToyLearner(name),
                 num_rounds=5, min_clients=1, result_timeout=20.0,
                 max_failed_rounds=5)
-    result = SimulatorRunner(job, n_clients=3, seed=0,
+    result = SimulatorRunner(replace(job, compression="delta+fp16"), n_clients=3, seed=0,
                              run_dir=tmp_path / "chaos", capture_log=False,
-                             fault_plan=plan,
-                             compression="delta+fp16").run()
+                             fault_plan=plan).run()
     # dropped/corrupt messages may cost contributions but never the run:
     # stale sites fall back to full broadcasts via the version protocol
     assert result.stats.num_rounds == 5

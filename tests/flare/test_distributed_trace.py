@@ -18,6 +18,7 @@ produces one merged ``trace.jsonl`` in which
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -52,8 +53,8 @@ def traced_run(request, tmp_path_factory):
                 learner_factory=lambda name: TracingLearner(name, delta=1.0),
                 num_rounds=2,
                 evaluator=lambda w: {"valid_acc": float(np.mean(w["layer.weight"]))})
-    result = SimulatorRunner(job, n_clients=2, seed=0, run_dir=run_dir,
-                             transport=transport, telemetry=True,
+    result = SimulatorRunner(replace(job, transport=transport), n_clients=2, seed=0,
+                             run_dir=run_dir, telemetry=True,
                              telemetry_flush=0.2).run()
     trace_path = run_dir / "trace.jsonl"
     return {
@@ -156,8 +157,8 @@ class TestFilterSpans:
                     learner_factory=lambda name: ToyLearner(name, delta=1.0),
                     num_rounds=1)
         run_dir = tmp_path / "filtered"
-        SimulatorRunner(job, n_clients=2, seed=0, run_dir=run_dir,
-                        telemetry=True, compression="delta+fp16").run()
+        SimulatorRunner(replace(job, compression="delta+fp16"), n_clients=2, seed=0,
+                        run_dir=run_dir, telemetry=True).run()
         filters = [s for s in load_trace(run_dir / "trace.jsonl")
                    if s["name"] == "filter"]
         stages = {s["attrs"]["stage"] for s in filters}

@@ -1,6 +1,6 @@
 """Chaos suite for the health monitor: detectors must fire under injection.
 
-The fault plans reuse the seeded :class:`FaultyMessageBus` machinery, so
+The fault plans reuse the seeded ``MessageBus(fault_plan=...)`` machinery, so
 every scenario is reproducible bit-for-bit.
 """
 

@@ -16,6 +16,7 @@ import struct
 import threading
 import time
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -409,9 +410,9 @@ class TestEndToEnd:
                     learner_factory=ShiftLearner, num_rounds=2)
         results = {
             transport: SimulatorRunner(
-                job, n_clients=n_sites, seed=0, key_bits=128, capture_log=False,
-                max_parallel=n_sites, run_dir=tmp_path / transport,
-                transport=transport).run()
+                replace(job, transport=transport), n_clients=n_sites, seed=0,
+                key_bits=128, capture_log=False, max_parallel=n_sites,
+                run_dir=tmp_path / transport).run()
             for transport in ("socket", "memory")}
         stats = results["socket"].stats
         assert payload <= stats.peak_receive_buffer_bytes <= 3 * (payload + 8192)
@@ -445,9 +446,9 @@ def test_lossy_async_socket_run_leaks_no_credit_and_no_reader(tmp_path, monkeypa
     # costs the 30 s join timeout on any fabric)
     plan = FaultPlan(seed=8, drop_prob=0.15, duplicate_prob=0.15,
                      delay_prob=0.3, max_delay=0.03)
-    result = SimulatorRunner(job, n_clients=4, seed=0, key_bits=128,
-                             capture_log=False, run_dir=tmp_path,
-                             transport="socket", fault_plan=plan).run()
+    result = SimulatorRunner(replace(job, transport="socket"), n_clients=4, seed=0,
+                             key_bits=128, capture_log=False, run_dir=tmp_path,
+                             fault_plan=plan).run()
     (hub,) = hubs
     assert result.stats.num_rounds == 4
     stats = result.stats

@@ -15,7 +15,6 @@ from repro.flare import (
     DXO,
     DataKind,
     FaultPlan,
-    FaultyMessageBus,
     FLServer,
     FederatedClient,
     MessageBus,
@@ -73,7 +72,7 @@ class TestBoundedRetries:
     @pytest.mark.parametrize("drop_prob", [0.1, 0.3, 0.5, 0.8])
     def test_attempts_bounded_for_any_drop_probability(self, drop_prob):
         for seed in range(8):
-            bus = wired_bus(FaultyMessageBus(FaultPlan(seed=seed,
+            bus = wired_bus(MessageBus(fault_plan=FaultPlan(seed=seed,
                                                        drop_prob=drop_prob)))
             try:
                 attempts = send_with_retry(bus, "server", "site-1", "train",
@@ -89,7 +88,7 @@ class TestBoundedRetries:
 
     def test_all_attempts_share_one_message_id(self):
         # drop_prob=1 with a huge budget exercises many resends of one id
-        bus = wired_bus(FaultyMessageBus(FaultPlan(seed=0, drop_prob=1.0)))
+        bus = wired_bus(MessageBus(fault_plan=FaultPlan(seed=0, drop_prob=1.0)))
         with pytest.raises(TransportError, match="undeliverable"):
             send_with_retry(bus, "server", "site-1", "train", payload(),
                             RetryPolicy(max_attempts=7, base_delay=0.0,
@@ -122,7 +121,7 @@ class TestExactlyOnceDelivery:
 
     def test_injected_duplicates_all_deduplicated(self):
         for seed in range(5):
-            bus = wired_bus(FaultyMessageBus(FaultPlan(seed=seed,
+            bus = wired_bus(MessageBus(fault_plan=FaultPlan(seed=seed,
                                                        duplicate_prob=1.0)))
             for i in range(5):
                 shareable = Shareable({"i": i})
@@ -137,14 +136,14 @@ class TestExactlyOnceDelivery:
 class TestCorruptionRejected:
     def test_corrupted_payload_fails_hmac(self):
         for seed in range(5):
-            bus = wired_bus(FaultyMessageBus(FaultPlan(seed=seed,
+            bus = wired_bus(MessageBus(fault_plan=FaultPlan(seed=seed,
                                                        corrupt_prob=1.0)))
             bus.send_shareable("server", "site-1", "train", payload())
             with pytest.raises(SignatureError, match="signature"):
                 bus.receive("site-1", timeout=1.0)
 
     def test_empty_body_corruption_still_rejected(self):
-        bus = wired_bus(FaultyMessageBus(FaultPlan(seed=0, corrupt_prob=1.0)))
+        bus = wired_bus(MessageBus(fault_plan=FaultPlan(seed=0, corrupt_prob=1.0)))
         bus.send_shareable("server", "site-1", "ping", Shareable())
         with pytest.raises(SignatureError):
             bus.receive("site-1", timeout=1.0)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -52,9 +53,8 @@ def toy_job(num_rounds: int = 2, min_clients: int = 4) -> FLJob:
 
 def run_sim(job: FLJob, transport: str, tmp_path, tag: str, n_clients=4,
             **kwargs):
-    runner = SimulatorRunner(job, n_clients=n_clients, seed=7,
-                             run_dir=tmp_path / f"{tag}-{transport}",
-                             transport=transport, **kwargs)
+    runner = SimulatorRunner(replace(job, transport=transport), n_clients=n_clients,
+                             seed=7, run_dir=tmp_path / f"{tag}-{transport}", **kwargs)
     return runner.run()
 
 
@@ -187,11 +187,11 @@ class TestShmEndToEnd:
         with monkeypatch.context() as patch:
             patch.setattr(Downlink, "build", recording_build)
             patch.setattr(DeltaDecode, "__init__", recording_init)
-            memory_result = run_sim(job, "memory", tmp_path, "chain",
-                                    n_clients=2, compression=compression)
+            memory_result = run_sim(replace(job, compression=compression), "memory",
+                                    tmp_path, "chain", n_clients=2)
         for transport in ("socket", "shm"):
-            result = run_sim(job, transport, tmp_path, "chain",
-                             n_clients=2, compression=compression)
+            result = run_sim(replace(job, compression=compression), transport,
+                             tmp_path, "chain", n_clients=2)
             for key, value in memory_result.final_weights.items():
                 np.testing.assert_array_equal(value, result.final_weights[key])
             assert [(c.client, c.staleness) for r in result.stats.rounds

@@ -31,6 +31,7 @@ import json
 import time
 import tracemalloc
 import zipfile
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -271,8 +272,8 @@ def measure_worker(spec: str | None, tmp_path, rounds: int = 4) -> list[int]:
     job = FLJob(name="worker-budget", initial_weights=layered_state(),
                 learner_factory=lambda name: TracedShift(), num_rounds=rounds,
                 server_result_filters=[recorder], compression=spec)
-    SimulatorRunner(job, n_clients=2, seed=0, run_dir=tmp_path,
-                    transport="socket", capture_log=False).run()
+    SimulatorRunner(replace(job, transport="socket"), n_clients=2, seed=0,
+                    run_dir=tmp_path, capture_log=False).run()
     assert len(recorder.peaks) == 2 * (rounds - 1)
     return recorder.peaks
 

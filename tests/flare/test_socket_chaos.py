@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import socket
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -232,9 +233,9 @@ class TestFaultParityAcrossFabrics:
                     **job_kw)
         results = {}
         for transport in ("memory", "socket"):
-            runner = SimulatorRunner(job, n_clients=4, seed=0,
-                                     run_dir=tmp_path / transport,
-                                     transport=transport, fault_plan=plan)
+            runner = SimulatorRunner(replace(job, transport=transport), n_clients=4,
+                                     seed=0, run_dir=tmp_path / transport,
+                                     fault_plan=plan)
             results[transport] = runner.run()
         return results["memory"], results["socket"]
 

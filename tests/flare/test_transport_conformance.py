@@ -16,7 +16,6 @@ import pytest
 
 from repro.flare import (
     FaultPlan,
-    FaultyMessageBus,
     MessageBus,
     ReceiveTimeout,
     ReservedKey,
@@ -59,8 +58,7 @@ def _install_keys(bus) -> None:
 
 def make_fabric(kind: str, fault_plan: FaultPlan | None = None) -> Fabric:
     if kind == "memory":
-        bus = (FaultyMessageBus(fault_plan) if fault_plan is not None
-               else MessageBus())
+        bus = MessageBus(fault_plan=fault_plan)
         bus.register_endpoint(SERVER)
         bus.register_endpoint(CLIENT)
         _install_keys(bus)

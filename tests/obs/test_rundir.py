@@ -7,6 +7,7 @@ import json
 import re
 import threading
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -120,8 +121,8 @@ def test_every_consumer_agrees_on_one_socket_run(tmp_path):
     job = FLJob(name="agree", initial_weights=toy_weights(0.0), num_rounds=2,
                 learner_factory=lambda name: ToyLearner(
                     name, delta=-40.0 if name == "site-2" else 1.0))
-    result = SimulatorRunner(job, n_clients=2, seed=0, run_dir=tmp_path,
-                             transport="socket", telemetry=True, health=True,
+    result = SimulatorRunner(replace(job, transport="socket"), n_clients=2, seed=0,
+                             run_dir=tmp_path, telemetry=True, health=True,
                              capture_log=False).run()
     n_alerts = len(result.stats.alerts)
     assert n_alerts > 0  # site-2 diverges

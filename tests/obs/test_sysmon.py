@@ -4,6 +4,7 @@ path (child samples merged into the parent's metrics.json with process tags).
 
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -95,8 +96,8 @@ def test_resolves_process_registry_lazily():
 def test_worker_sysmon_gauges_merge_with_process_tags(tmp_path):
     job = FLJob(name="sysmon-shm", initial_weights=toy_weights(0.0),
                 learner_factory=ToyLearner, num_rounds=2)
-    runner = SimulatorRunner(job, n_clients=2, seed=0, run_dir=tmp_path,
-                             transport="shm", metrics_port=0)
+    runner = SimulatorRunner(replace(job, transport="shm"), n_clients=2, seed=0,
+                             run_dir=tmp_path, metrics_port=0)
     result = runner.run()
 
     import json

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -128,8 +129,8 @@ class TestWireAccounting:
         codec.wire_metrics = old
 
     def run(self, run_dir, transport):
-        return SimulatorRunner(wire_job(), n_clients=2, seed=0, run_dir=run_dir,
-                               transport=transport, telemetry=True,
+        return SimulatorRunner(replace(wire_job(), transport=transport), n_clients=2,
+                               seed=0, run_dir=run_dir, telemetry=True,
                                capture_log=False).run().stats
 
     def test_memory_metrics_equal_run_stats(self, tmp_path):
