@@ -4,9 +4,11 @@
 Runs the same small deterministic federated job twice — once with threaded
 clients on the in-memory bus, once with one OS process per client over the
 TCP socket transport — with the health monitor armed on both, then asserts
-the two fabrics produced bit-identical global checkpoints and that the
-socket hub's receive buffers stayed within three updates
-(``stats.peak_receive_buffer_bytes``, the receive budget).  CI runs this as
+the two fabrics produced bit-identical global checkpoints, that the socket
+hub's receive buffers stayed within one update plus 64 KiB of control frames
+(``stats.peak_receive_buffer_bytes``, the receive budget) and that no node
+read a frame without a credit (``transport.credit_overdrafts`` in
+``metrics.json``).  CI runs this as
 the ``socket-smoke`` job and uploads the socket run's ``health.jsonl`` and
 ``stats.json``.
 
@@ -31,7 +33,7 @@ import numpy as np  # noqa: E402
 from repro.flare import DXO, DataKind, FLJob, Learner, MetaKey, SimulatorRunner  # noqa: E402
 from repro.obs import HealthMonitor  # noqa: E402
 from repro.obs.report import load_health  # noqa: E402
-from repro.obs.rundir import HEALTH_FILE  # noqa: E402
+from repro.obs.rundir import HEALTH_FILE, METRICS_FILE  # noqa: E402
 
 
 class ArithmeticLearner(Learner):
@@ -60,6 +62,8 @@ WEIGHTS = {"layer.weight": np.zeros((512, 512), dtype=np.float32),
            "layer.bias": np.zeros(512, dtype=np.float32)}
 # an update on the wire: the tensors plus codec manifest and envelope headers
 LARGEST_PAYLOAD = sum(value.nbytes for value in WEIGHTS.values()) + 4096
+# frames under the credit floor (control, telemetry) may sit beside it
+CONTROL_SLACK = 64 << 10
 
 
 def run_once(transport: str, run_dir: Path, rounds: int, clients: int):
@@ -68,7 +72,7 @@ def run_once(transport: str, run_dir: Path, rounds: int, clients: int):
                 learner_factory=lambda name: ArithmeticLearner(name),
                 num_rounds=rounds, min_clients=2, transport=transport)
     runner = SimulatorRunner(job, n_clients=clients, seed=0, run_dir=run_dir,
-                             health=HealthMonitor(run_dir=run_dir))
+                             health=HealthMonitor(run_dir=run_dir), telemetry=True)
     return runner.run()
 
 
@@ -119,10 +123,16 @@ def main(argv: list[str] | None = None) -> int:
     peak = socket_result.stats.peak_receive_buffer_bytes
     recorded = json.loads((socket_result.run_dir / "stats.json").read_text())
     print(f"socket hub receive buffers: peak {peak} bytes = "
-          f"{peak / LARGEST_PAYLOAD:.2f} updates (budget 3, {args.clients} sites)")
-    if not 0 < peak <= 3 * LARGEST_PAYLOAD:
+          f"{peak / LARGEST_PAYLOAD:.2f} updates (budget 1, {args.clients} sites)")
+    if not 0 < peak <= LARGEST_PAYLOAD + CONTROL_SLACK:
         print(f"error: peak_receive_buffer_bytes {peak} outside "
-              f"(0, 3 x {LARGEST_PAYLOAD}]")
+              f"(0, {LARGEST_PAYLOAD} + {CONTROL_SLACK}]")
+        return 1
+    metrics = json.loads((socket_result.run_dir / METRICS_FILE).read_text())
+    overdrafts = sum(counter["value"] for counter in metrics["counters"]
+                     if counter["name"] == "transport.credit_overdrafts")
+    if overdrafts:
+        print(f"error: {overdrafts:g} frame(s) read without a receive credit")
         return 1
     if recorded.get("peak_receive_buffer_bytes") != peak:
         print("error: stats.json does not carry peak_receive_buffer_bytes")

@@ -351,9 +351,12 @@ class ScatterAndGather(FLComponent):
                                     reference=self.global_weights)
         deadline = time.monotonic() + self.result_timeout
         # Streaming aggregation: each reply is decoded, filtered and folded
-        # into the running sums as it arrives and unbound before the next wait
-        # (and the commit): on the socket fabric the server holds O(1) model
-        # copies, the one in the fold plus the hub's two receive credits.
+        # into the running sums as it arrives and unbound before the next
+        # send or wait (and the commit): on the socket fabric the server holds
+        # one received frame, the one in the fold or the one the hub reads.
+        # A reply held across a send would also hold the hub's receive credit
+        # while the controller sits in sendmsg to a site that may itself be
+        # blocked sending to the hub.
         while self._in_flight:
             result = reply = None
             result = self.server.next_result(timeout=deadline - time.monotonic())
@@ -373,12 +376,13 @@ class ScatterAndGather(FLComponent):
                 continue
             del self._in_flight[sender]
             answered.add(sender)
-            if self._admit(sender, reply, entry, record, contributors, fl_ctx):
+            folded = self._admit(sender, reply, entry, record, contributors, fl_ctx)
+            result = reply = None
+            if folded:
                 accepted += 1
                 if self.policy.full(accepted):
                     break
             self._dispatch(eligible, False, window, accepted, fl_ctx)
-        result = reply = None
 
         if self.policy.carries_tasks:
             abandoned: set[str] = set()

@@ -40,8 +40,13 @@ writing the received view under a new prefix.  The receive buffer grows
 only as bytes arrive, so a hostile length prefix cannot make a node
 allocate what was never sent.
 
-Receive budget (``docs/FEDERATION_RUNTIME.md``): a node reads or queues at most
-:data:`_RECEIVE_CREDITS` tensor-sized frames; the rest wait in ``sendmsg``.
+Receive budget (``docs/FEDERATION_RUNTIME.md``): a node holds at most
+:data:`_RECEIVE_CREDITS` tensor-sized frame, from the first byte read until
+its consumer lets go of it (the buffer dies) or asks ``receive`` for the next
+one, whichever comes first; the other senders wait in ``sendmsg``.  A reader
+that has waited :data:`_STALL_SECONDS` for the credit reads its frame anyway
+and counts a ``transport.credit_overdrafts``: the backstop for a wait cycle
+the budget did not foresee.
 
 Reliability: spokes reconnect with :class:`RetryPolicy` backoff when the
 uplink breaks, resending their endpoint announcement so the hub re-learns
@@ -99,15 +104,17 @@ _LEN = struct.Struct("<I")
 # never grown; a larger frame doubles it as the bytes arrive (read_frame).
 _FIRST_ALLOC = 16 << 20
 
-# Receive budget.  Two credits: one frame queued while the next is read, so
-# the fold never waits for the wire (wire_raw_socket: 29.6 MB of buffers where
-# one per site was 89 MB; job_s the same with 1, 3 or 8 credits).  Frames under
-# the floor take none: control frames and telemetry deltas (largest seen 9.7 KB,
-# smallest model update 790 KB) must pass a node whose credits nobody will free.
-_RECEIVE_CREDITS = 2
+# Receive budget.  One credit, held from the first byte of a frame until its
+# consumer drops it or calls receive() again: the round engine folds one reply
+# at a time, so read-ahead only cost memory (wire_raw_socket server RSS
+# 121 -> 98 MB; job_s the same with 1, 2, 3 or 8 credits).  Frames under the
+# floor take none: control frames and telemetry deltas (largest seen 9.7 KB,
+# smallest model update 790 KB) must pass a node whose credit nobody will free.
+_RECEIVE_CREDITS = 1
 _CREDIT_FLOOR = 64 << 10
 
-# A sender silent this long inside a frame is dropped like a mid-frame disconnect.
+# A sender silent this long inside a frame is dropped like a mid-frame disconnect,
+# and a reader that waited this long for a credit reads its frame anyway.
 # The order of connect_timeout: a 9.9 MB body takes ~10 ms over loopback.
 _STALL_SECONDS = 10.0
 
@@ -284,7 +291,10 @@ def _shutdown_and_close(sock: socket.socket) -> None:
 
 
 class _Payload(bytearray):
-    """A receive buffer; ``credit()`` (or its death) returns the credit it took."""
+    """A receive buffer; ``credit()`` (or its death) returns the credit it took.
+
+    ``credit`` is ``None`` on a frame that took none (under the floor, or an
+    overdraft)."""
 
     __slots__ = ("__weakref__", "credit")
 
@@ -353,6 +363,8 @@ class SocketMessageBus(BaseTransport):
         self._links: dict[str, _Link] = {}  # endpoint name -> claiming link
         self._credits = _RECEIVE_CREDITS  # free ones; guarded by _budget
         self._budget = threading.Condition()
+        # endpoint -> credit of the frame receive() last handed it
+        self._claims: dict[str, weakref.finalize | None] = {}
         self._closed = threading.Event()
         self._threads: list[threading.Thread] = []
         self._listener: socket.socket | None = None
@@ -363,6 +375,7 @@ class SocketMessageBus(BaseTransport):
         self._routing_drops = self.metrics.counter("transport.routing_drops")
         self._reconnects = self.metrics.counter("transport.reconnects")
         self._frame_errors = self.metrics.counter("transport.frame_errors")
+        self._overdrafts = self.metrics.counter("transport.credit_overdrafts")
         self._heartbeats = {kind: self.metrics.counter("transport.heartbeats",
                                                        kind=kind)
                             for kind in ("ping", "pong")}
@@ -426,27 +439,43 @@ class SocketMessageBus(BaseTransport):
     def _next_message(self, name: str, remaining: float | None) -> Message | None:
         with self._lock:
             q = self._queues[name]
+            # asking for the next frame lets go of the last one's credit, so a
+            # consumer that keeps what it received cannot starve the node
+            claim = self._claims.pop(name, None)
+        if claim is not None:
+            claim()
         try:
             message, credit = q.get(timeout=remaining)
         except queue.Empty:
             return None
-        if credit is not None:
-            credit()  # the consumer has the frame: the next may be read
+        with self._lock:
+            self._claims[name] = credit  # until the buffer dies or the next call
         return message
 
     def _admit(self, length: int) -> bytearray:
         """``read_frame``'s allocator: a tensor-sized frame waits here for a
-        credit — its sender in ``sendmsg`` meanwhile — before it gets a byte."""
+        credit — its sender in ``sendmsg`` meanwhile — before it gets a byte.
+        After ``_STALL_SECONDS`` without one it is read anyway, uncredited."""
         credited = length >= _CREDIT_FLOOR
         if credited:
             with self._budget:
-                self._budget.wait_for(lambda: self._credits or self._closed.is_set())
+                credited = bool(self._budget.wait_for(
+                    lambda: self._credits or self._closed.is_set(), _STALL_SECONDS))
                 if self._closed.is_set():
                     raise TransportError("node closed before the frame got a credit")
-                self._credits -= 1
+                if credited:
+                    self._credits -= 1
+                else:
+                    if not self._overdrafts.value:  # the first one is news
+                        self._log.warning(
+                            "no receive credit for %.1fs: reading a %d-byte frame "
+                            "beyond the budget (transport.credit_overdrafts)",
+                            _STALL_SECONDS, length)
+                    self._overdrafts.inc()
         payload = _Payload(min(length, _FIRST_ALLOC))
         payload.credit = weakref.finalize(payload, self._return_credit) if credited else None
         self._resident.add(length)  # until the last view of the buffer dies
+        # registered last, so it runs first: the gauge drops before the credit frees
         weakref.finalize(payload, self._resident.add, -length)
         return payload
 

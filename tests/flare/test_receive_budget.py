@@ -1,11 +1,12 @@
 """The socket fabric's receive budget.
 
-A node holds at most two tensor-sized frames between "body read started"
-and "dequeued by ``receive``" — however many links feed it — plus whatever
-its consumer still uses, and nothing once the consumer has let go.  These
-tests pin the bound (gauge and tracemalloc agree), what the bound must not
-break (order, exactly-once), that every error path gives its credit back,
-and that no way of stopping in the middle of it can hang a node.
+A node holds at most one tensor-sized frame between "body read started"
+and "its consumer let go of it, or called ``receive`` again" — however many
+links feed it — plus whatever else its consumer still keeps, and nothing
+once the consumer has let go.  These tests pin the bound (gauge and
+tracemalloc agree), what the bound must not break (order, exactly-once),
+that every error path gives its credit back, and that no way of stopping in
+the middle of it can hang a node — the overdraft backstop included.
 """
 
 from __future__ import annotations
@@ -174,14 +175,14 @@ class TestBoundIndependentOfSenders:
             group.send_all(lambda index: [
                 ("train:result", big_shareable(index, seq=0)),
                 ("note", Shareable({"seq": 1}))])
-            # the consumer does not read: two updates are admitted, the other
-            # n - 2 wait in their senders' sendmsg, not in this heap
+            # the consumer does not read: one update is admitted, the other
+            # n - 1 wait in their senders' sendmsg, not in this heap
             assert wait_until(lambda: free_credits(hub) == 0)
             time.sleep(0.2)
             assert hub.pending("server") <= 2 * _RECEIVE_CREDITS
             for resident in (hub._resident.value, traced_receive_bytes()):
-                assert 2 * BODY <= resident <= 3 * BODY
-            assert sum(thread.is_alive() for thread in group.threads) == n - 2
+                assert BODY <= resident <= 2 * BODY
+            assert sum(thread.is_alive() for thread in group.threads) == n - 1
 
             received: dict[str, list[int]] = {}
             for _ in range(2 * n):
@@ -190,14 +191,14 @@ class TestBoundIndependentOfSenders:
                 if topic == "train:result":
                     index = int(sender.split("-")[1])
                     assert bytes(shareable["DXO"][:2]) == bytes([index, index])
-                    # what a fold holds, plus the two credits
-                    assert hub._resident.value <= 3 * BODY + 4096
+                    # what a fold holds: its frame keeps the one credit
+                    assert hub._resident.value <= BODY + (64 << 10)
                 del shareable  # as the round engine does before it waits again
             # per-sender FIFO, nothing lost, nothing twice
             assert received == {f"site-{i}": [0, 1] for i in range(1, n + 1)}
             assert group.senders_done() and not group.errors
             assert hub.pending("server") == 0
-            assert BODY <= hub.peak_receive_buffer_bytes <= 3 * BODY + 4096
+            assert BODY <= hub.peak_receive_buffer_bytes <= BODY + (64 << 10)
 
             # the consumer has let go and the links sit idle: nothing stays
             # pinned by a reader loop waiting for its link's next frame
@@ -244,7 +245,8 @@ class TestEveryPathReturnsItsCredit:
                 spoke.send_shareable("site-1", "server", "train:result",
                                      big_shareable(1), msg_id="site-1:0",
                                      attempt=attempt)
-            assert wait_until(lambda: hub.pending("server") == 2)
+            # the copy waits in sendmsg for the credit the first one holds
+            assert wait_until(lambda: hub.pending("server") == _RECEIVE_CREDITS)
             assert free_credits(hub) == 0
             sender, _, shareable = hub.receive("server", timeout=5.0)
             assert sender == "site-1" and len(shareable["DXO"]) == BODY
@@ -317,7 +319,7 @@ class TestNoNewWayToHang:
                     if t.is_alive()]
 
     def test_abort_and_telemetry_drain_with_both_credits_held(self, fleet, tmp_path):
-        """Replies nobody will fold hold both credits and block the senders
+        """Replies nobody will fold hold the credit and block the senders
         behind them; the two end-of-run readers still get through."""
         from repro.flare.provision import Provisioner, default_project
         from repro.flare.runner import ProcessClientRunner
@@ -377,6 +379,65 @@ class TestNoNewWayToHang:
         assert group.senders_done(timeout=0.0) and not group.errors
 
 
+class TestLivenessBackstop:
+    """A reader that waited ``_STALL_SECONDS`` for the credit reads anyway."""
+
+    def test_consumer_keeping_every_frame_gets_all_in_order(self, fleet, monkeypatch):
+        monkeypatch.setattr(socket_transport, "_STALL_SECONDS", 2.0)
+        group = fleet(4)
+        hub = group.hub
+        group.send_all(lambda index: [("train:result", big_shareable(index, seq))
+                                      for seq in range(3)])
+        kept, received = [], {}
+        for _ in range(12):
+            sender, _, shareable = hub.receive("server", timeout=5.0)
+            received.setdefault(sender, []).append(shareable["seq"])
+            kept.append(shareable)  # never let go: the next receive frees the credit
+        assert received == {f"site-{i}": [0, 1, 2] for i in range(1, 5)}
+        assert group.senders_done() and not group.errors
+        assert hub.metrics.counter("transport.credit_overdrafts").value == 0
+        del kept, shareable
+        gc.collect()
+        assert hub._resident.value == 0
+        assert free_credits(hub) == _RECEIVE_CREDITS
+
+    def test_forced_overdraft_is_counted_and_the_node_keeps_serving(
+            self, fleet, monkeypatch):
+        monkeypatch.setattr(socket_transport, "_STALL_SECONDS", 0.3)
+        group = fleet(1)
+        hub = group.hub
+        overdrafts = hub.metrics.counter("transport.credit_overdrafts")
+        # nobody reads: the second update outwaits the credit the first holds
+        group.send_all(lambda index: [("train:result", big_shareable(index, seq))
+                                      for seq in range(2)])
+        assert wait_until(lambda: hub.pending("server") == 2)
+        assert overdrafts.value == 1
+        assert group.senders_done() and not group.errors
+        for seq in range(2):
+            _, _, shareable = hub.receive("server", timeout=5.0)
+            assert shareable["seq"] == seq
+            del shareable
+        gc.collect()
+        assert free_credits(hub) == _RECEIVE_CREDITS
+        group.spokes[0].send_shareable("site-1", "server", "train:result",
+                                       big_shareable(1, seq=2))
+        _, _, shareable = hub.receive("server", timeout=5.0)
+        assert shareable["seq"] == 2 and overdrafts.value == 1
+
+    def test_close_wakes_a_reader_before_its_stall_deadline(self, fleet, monkeypatch):
+        monkeypatch.setattr(socket_transport, "_STALL_SECONDS", 3.0)
+        group = fleet(3)
+        hub = group.hub
+        group.send_all(lambda index: [("train:result", big_shareable(index))])
+        assert wait_until(lambda: free_credits(hub) == 0)
+        time.sleep(0.1)
+        started = time.monotonic()
+        hub.close()
+        assert time.monotonic() - started < 1.0
+        assert not [t.name for t in hub._threads if t.is_alive()]
+        assert hub.metrics.counter("transport.credit_overdrafts").value == 0
+
+
 class ShiftLearner(Learner):
     """Adds a per-site whole number: sums are exact, so arrival order (which
     differs between fabrics) cannot change a bit of the average."""
@@ -415,7 +476,7 @@ class TestEndToEnd:
                 run_dir=tmp_path / transport).run()
             for transport in ("socket", "memory")}
         stats = results["socket"].stats
-        assert payload <= stats.peak_receive_buffer_bytes <= 3 * (payload + 8192)
+        assert payload <= stats.peak_receive_buffer_bytes <= payload + (64 << 10)
         assert results["memory"].stats.peak_receive_buffer_bytes == 0
         assert stats.peak_materialized_updates <= 2
         for key, value in results["memory"].final_weights.items():
@@ -457,3 +518,39 @@ def test_lossy_async_socket_run_leaks_no_credit_and_no_reader(tmp_path, monkeypa
     assert 512 << 10 <= stats.peak_receive_buffer_bytes <= 3 * ((512 << 10) + 8192)
     assert free_credits(hub) + queued_credits(hub) == _RECEIVE_CREDITS
     assert not [thread.name for thread in hub._threads if thread.is_alive()]
+
+
+@pytest.mark.chaos
+def test_buffered_socket_run_holds_no_reply_across_a_send(tmp_path, monkeypatch):
+    """FedBuff under drop + duplicate + delay: every broadcast goes out with
+    no received frame still bound in the round engine (it would hold the
+    hub's one credit while the controller waits in ``sendmsg``), and the hub
+    never holds more than one update."""
+    hubs: set[SocketMessageBus] = set()
+    held_at_send: list[bool] = []
+    broadcast = FLServer.broadcast_task
+
+    def recorded_broadcast(server, *args, **kwargs):
+        hubs.add(server.bus)
+        claim = server.bus._claims.get(server.name)
+        held_at_send.append(claim is not None and claim.alive)
+        return broadcast(server, *args, **kwargs)
+
+    monkeypatch.setattr(FLServer, "broadcast_task", recorded_broadcast)
+    weights = wide_weights(512 << 10)
+    payload = sum(value.nbytes for value in weights.values())
+    job = FLJob(name="budget-buffered", initial_weights=weights,
+                learner_factory=ShiftLearner, num_rounds=4, mode="async",
+                buffer_size=2, concurrency=4, min_clients=2,
+                result_timeout=10.0, max_failed_rounds=2)
+    plan = FaultPlan(seed=8, drop_prob=0.15, duplicate_prob=0.15,
+                     delay_prob=0.3, max_delay=0.03)
+    result = SimulatorRunner(replace(job, transport="socket"), n_clients=4, seed=0,
+                             key_bits=128, capture_log=False, run_dir=tmp_path,
+                             fault_plan=plan).run()
+    (hub,) = hubs
+    stats = result.stats
+    assert stats.num_rounds == 4 and all(r.quorum_met for r in stats.rounds)
+    assert len(held_at_send) > 4 and not any(held_at_send)
+    assert payload <= stats.peak_receive_buffer_bytes <= payload + (64 << 10)
+    assert hub.metrics.counter("transport.credit_overdrafts").value == 0

@@ -14,6 +14,10 @@ phases:
 * live state when the persistor runs, above the generated inputs.
 
 The budgets do not depend on the number of sites: 8 and 64 give one bound.
+
+The last gate runs a raw job on the real socket fabric instead, sites in
+forked workers and tracemalloc in the server process: a round holds the
+float64 sums plus the one frame the hub admits, at 4 sites as at 8.
 """
 
 from __future__ import annotations
@@ -30,13 +34,17 @@ from repro.flare import (
     CompressionConfig,
     DataKind,
     FLContext,
+    FLJob,
     InTimeAccumulateWeightedAggregator,
     MetaKey,
     ReservedKey,
     ReturnCode,
     ScatterAndGather,
+    SimulatorRunner,
 )
 from repro.flare.shareable import Shareable, from_dxo
+
+from .helpers import ToyLearner
 
 SPEC = "delta+fp16+topk:0.1"
 ROUNDS = 4
@@ -195,3 +203,44 @@ def test_topk_accept_transient_is_bounded(figures):
 
 def test_live_state_at_persist_is_bounded(figures):
     assert figures["persist"] <= PERSIST_BUDGET, figures
+
+
+def socket_round_peaks(n_sites: int, monkeypatch) -> tuple[int, list[int]]:
+    """Model bytes, and each window's tracemalloc peak above its start in
+    the server process of a raw socket job."""
+    # 4 MiB in 16 tensors: the aggregator's float64 scratch (2 x the largest
+    # tensor, allocated with each window's sums) stays inside the slack
+    weights = {f"block{i}.weight": np.zeros(1 << 16, dtype=np.float32)
+               for i in range(16)}
+    peaks: list[int] = []
+    run_window = ScatterAndGather._run_window
+
+    def traced(self, window, fl_ctx, span):
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        run_window(self, window, fl_ctx, span)
+        peaks.append(tracemalloc.get_traced_memory()[1] - start)
+
+    monkeypatch.setattr(ScatterAndGather, "_run_window", traced)
+    job = FLJob(name="socket-budget", initial_weights=weights,
+                learner_factory=ToyLearner, num_rounds=ROUNDS, transport="socket")
+    tracemalloc.start()
+    try:
+        stats = SimulatorRunner(job, n_clients=n_sites, seed=0, key_bits=128,
+                                capture_log=False, max_parallel=n_sites).run().stats
+    finally:
+        tracemalloc.stop()
+    assert stats.num_rounds == ROUNDS and not stats.failed_rounds
+    return sum(value.nbytes for value in weights.values()), peaks
+
+
+def test_socket_round_peak_is_the_sums_plus_one_frame(monkeypatch):
+    """From the second window on (the first allocates what later ones
+    reuse), a round's peak is the two float64 sums plus one received frame,
+    whatever the site count; the hub's read-ahead would add a frame each."""
+    figures = {}
+    for n_sites in (4, 8):
+        model_bytes, peaks = socket_round_peaks(n_sites, monkeypatch)
+        figures[n_sites] = max(peaks[1:])
+        assert figures[n_sites] <= 3 * model_bytes + (1 << 20), (n_sites, peaks)
+    assert abs(figures[4] - figures[8]) <= 1 << 20, figures
