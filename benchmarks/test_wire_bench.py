@@ -8,9 +8,14 @@ Two families of measurements, both reported into BENCH_pr4.json by
 - ``test_federated_round_bytes`` runs a short simulated federation per
   compression setting and attaches the measured wire traffic (bytes per
   round, raw vs encoded tensor bytes) to the benchmark record.
+- ``test_topk_message_codec`` asks whether ``deflate`` still pays after
+  top-k: it times the codec encode of one ``delta+fp16+topk:0.1`` BERT
+  message with and without it, and records the bytes and the decode time.
 """
 
 from __future__ import annotations
+
+import time
 
 import numpy as np
 import pytest
@@ -31,6 +36,7 @@ from repro.flare.codec import (
     encode_tensors_npz,
 )
 from repro.models import build_classifier
+from tests.flare.helpers import bert_topk_delta
 
 MODELS = ["bert", "bert-mini", "lstm"]
 VOCAB = 200
@@ -40,6 +46,7 @@ COMPRESSION_SETTINGS = {
     "delta+fp16": "delta+fp16",
     "delta+fp16+deflate": "delta+fp16+deflate",
     "delta+fp16+topk": "delta+fp16+topk:0.1",
+    "delta+fp16+topk+deflate": "delta+fp16+topk:0.1+deflate",
 }
 
 
@@ -54,7 +61,8 @@ class DriftLearner(Learner):
 
     def __init__(self, site_name: str, scale: float = 1e-3) -> None:
         super().__init__(name="DriftLearner")
-        self.rng = np.random.default_rng(abs(hash(site_name)) % (2 ** 31))
+        # by site index: hash() of a str is salted per interpreter
+        self.rng = np.random.default_rng(int(site_name.rsplit("-", 1)[1]))
         self.scale = scale
 
     def train(self, dxo: DXO, fl_ctx: FLContext) -> DXO:
@@ -98,6 +106,22 @@ def test_codec_decode(benchmark, model_name, codec):
         arrays = benchmark(lambda: decode_tensors_npz(blob))
     assert set(arrays) == set(state)
     benchmark.extra_info["blob_bytes"] = len(blob)
+
+
+@pytest.mark.parametrize("deflate", [False, True], ids=["raw", "deflate"])
+def test_topk_message_codec(benchmark, deflate):
+    dxo, raw_bytes = bert_topk_delta()
+    blob = benchmark(encode_tensors, dxo.data, {"meta": dxo.meta}, deflate)
+    decode_s = []
+    for _ in range(9):
+        started = time.perf_counter()
+        decode_tensors(blob)
+        decode_s.append(time.perf_counter() - started)
+    benchmark.extra_info.update({
+        "raw_float32_bytes": raw_bytes,
+        "blob_bytes": len(blob),
+        "decode_s_median": float(np.median(decode_s)),
+    })
 
 
 # ---------------------------------------------------------------------------

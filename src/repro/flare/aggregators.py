@@ -93,7 +93,7 @@ class InTimeAccumulateWeightedAggregator(Aggregator):
             raise ValueError(f"cannot aggregate data kind {expected_data_kind!r}")
         self.expected_data_kind = expected_data_kind
         self._sums: dict[str, np.ndarray] | None = None
-        self._scratch = np.empty(0)  # float64, as long as the largest tensor
+        self._scratch = np.empty(0)  # float64, as long as the largest tensor yet
         self._total_weight = 0.0
         self._contributors: list[str] = []
 
@@ -130,7 +130,9 @@ class InTimeAccumulateWeightedAggregator(Aggregator):
         if self._sums is None:
             self._sums = {key: np.zeros(shape, dtype=np.float64)
                           for key, (_, _, shape) in tensors.items()}
-            self._scratch = np.empty(max(map(np.size, self._sums.values()), default=0))
+            largest = max(map(np.size, self._sums.values()), default=0)
+            if largest > self._scratch.size:  # kept across windows
+                self._scratch = np.empty(largest)
         if set(self._sums) != set(tensors) or any(
                 self._sums[key].shape != shape for key, (_, _, shape) in tensors.items()):
             self.log_error("parameter-name or shape mismatch from %s rejected",

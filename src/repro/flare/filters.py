@@ -180,6 +180,18 @@ def topk_indices(flat: np.ndarray, ratio: float) -> np.ndarray:
     return np.sort(indices).astype(np.uint32 if flat.size < 2 ** 32 else np.int64)
 
 
+def topk_gaps(indices: np.ndarray) -> np.ndarray:
+    """The wire form of strictly increasing flat ``indices``: the first
+    index, then each difference to the one before, in the narrowest
+    unsigned dtype that holds the largest of them.  Any other ``indices``
+    raise :class:`ValueError`: a cast gap would wrap, not fail."""
+    indices = np.asarray(indices)
+    if indices.size and (indices[0] < 0 or not (indices[1:] > indices[:-1]).all()):
+        raise ValueError("top-k indices must be non-negative and strictly increasing")
+    gaps = np.diff(indices, prepend=np.zeros(1, indices.dtype))
+    return gaps.astype(np.min_scalar_type(int(gaps.max(initial=0))), copy=False)
+
+
 def densify(values: np.ndarray, indices: np.ndarray | None, shape) -> np.ndarray:
     """The dense tensor of a top-k pair: kept entries exact, the rest +0.0
     (a dense tensor, ``indices=None``, is returned as is)."""
@@ -217,15 +229,17 @@ class WireForm:
     def add(self, key: str, value) -> tuple[str, np.ndarray | None]:
         """Encode one tensor.  With ``top_k``, a float tensor of at least
         ``min_size`` entries becomes its ``@topk_idx`` / ``@topk_val`` pair
-        and a ``TOPK_SPEC`` entry (shape, dtype); with ``float16``, the
-        shipped values go through :func:`quantize_fp16` and a recorded
-        dtype lands in ``FP16_DTYPES``.  Returns the values' wire key and
-        the kept flat indices (``None``: shipped dense)."""
+        and a ``TOPK_SPEC`` entry (shape, dtype), its indices shipped as
+        :func:`topk_gaps`; with ``float16``, the shipped values go through
+        :func:`quantize_fp16` and a recorded dtype lands in
+        ``FP16_DTYPES``.  Returns the values' wire key and the kept
+        absolute flat indices (``None``: shipped dense)."""
         value = np.asarray(value)
         indices = None
         if self.top_k and value.dtype.kind == "f" and value.size >= self.min_size:
             flat = value.reshape(-1)
-            self.data[key + TOPK_IDX] = indices = topk_indices(flat, self.top_k)
+            indices = topk_indices(flat, self.top_k)
+            self.data[key + TOPK_IDX] = topk_gaps(indices)
             self.spec[key] = {"shape": list(value.shape), "dtype": value.dtype.str}
             key, value = key + TOPK_VAL, flat[indices]
         if self.float16:
@@ -255,27 +269,44 @@ def _read_only(value: np.ndarray) -> np.ndarray:
 def topk_tensors(dxo: DXO) -> dict[str, tuple[np.ndarray, np.ndarray | None, tuple]]:
     """Each tensor of a (possibly top-k sparsified) DXO as ``(values,
     indices, shape)``: dense ones first (``indices=None``), then each top-k
-    pair's values in its recorded dtype with its flat indices, which must
-    be strictly increasing.  A malformed pair raises :class:`ValueError`,
-    the codec's contract for corrupt data.
+    pair's values in its recorded dtype with its absolute flat indices,
+    rebuilt from the :func:`topk_gaps` wire form.  A malformed pair raises
+    :class:`ValueError`, the codec's contract for corrupt data.
     """
     spec = dxo.get_meta_prop(MetaKey.TOPK_SPEC) or {}
     tensors = {key: (np.asarray(value), None, np.shape(value))
                for key, value in dxo.data.items()
                if not key.endswith((TOPK_IDX, TOPK_VAL))}
     for key, entry in spec.items():
-        indices = np.asarray(dxo.data.get(key + TOPK_IDX, ()))
         values = np.asarray(dxo.data.get(key + TOPK_VAL, ()))
         size = int(np.prod(entry["shape"], dtype=np.int64))
-        if (indices.ndim != 1 or indices.dtype.kind not in "iu"
-                or values.shape != indices.shape or indices.size and not (
-                    0 <= indices[0] and indices[-1] < size
-                    and (indices[1:] > indices[:-1]).all())):
-            raise ValueError(f"top-k pair for {key!r} is missing, mismatched, or "
-                             f"not strictly increasing within [0, {size})")
+        indices = _absolute_indices(key, np.asarray(dxo.data.get(key + TOPK_IDX, ())),
+                                    values, size)
         tensors[key] = (values.astype(np.dtype(entry["dtype"]), copy=False),
                         indices, tuple(entry["shape"]))
     return tensors
+
+
+def _absolute_indices(key: str, gaps: np.ndarray, values: np.ndarray,
+                      size: int) -> np.ndarray:
+    """The strictly increasing indices in ``[0, size)`` that ``gaps`` (a
+    :func:`topk_gaps` wire form) encodes, or :class:`ValueError`."""
+    if gaps.ndim != 1 or gaps.dtype.kind not in "iu" or values.shape != gaps.shape:
+        raise ValueError(f"top-k pair for {key!r} is missing or mismatched")
+    indices = np.cumsum(gaps, dtype=np.intp)
+    if not gaps.size:
+        return indices
+    if gaps[0] < 0:
+        raise ValueError(f"top-k pair for {key!r} has a negative first index")
+    if gaps[1:].min(initial=1) < 1:
+        raise ValueError(f"top-k pair for {key!r} is not strictly increasing: "
+                         f"a gap below 1")
+    # every entry below size: for any tensor size memory can hold, the
+    # cumsum cannot have overflowed
+    if gaps.max() >= size or indices[-1] >= size:
+        raise ValueError(f"top-k pair for {key!r} runs past the end of its "
+                         f"{size} entries")
+    return indices
 
 
 def dense_tensors(dxo: DXO) -> dict[str, np.ndarray]:

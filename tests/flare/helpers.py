@@ -54,3 +54,23 @@ class ToyLearner(Learner):
 def toy_weights(value: float = 0.0) -> dict[str, np.ndarray]:
     return {"layer.weight": np.full((2, 2), value, dtype=np.float32),
             "layer.bias": np.full(2, value, dtype=np.float32)}
+
+
+def bert_topk_delta(seed: int = 0) -> tuple[DXO, int]:
+    """One ``delta+fp16+topk:0.1`` update of the ``bert`` preset (the 9.87 MB
+    state of the wire e2e workloads): a σ = 1e-3 Gaussian delta on every
+    tensor through ``WireForm(top_k=0.1, float16=True)``.  Returns the
+    WEIGHT_DIFF and the delta's float32 bytes."""
+    from repro.data import build_clinical_vocab
+    from repro.flare.filters import WireForm
+    from repro.models import build_classifier
+
+    model = build_classifier("bert", vocab_size=len(build_clinical_vocab()), seed=3)
+    rng = np.random.default_rng(seed)
+    wire = WireForm(top_k=0.1, float16=True)
+    raw_bytes = 0
+    for key, value in model.state_dict().items():
+        delta = np.float32(1e-3) * rng.standard_normal(np.shape(value), dtype=np.float32)
+        raw_bytes += delta.nbytes
+        wire.add(key, delta)
+    return wire.to_dxo(DataKind.WEIGHT_DIFF, {}), raw_bytes

@@ -15,6 +15,7 @@ from repro.flare import (
     InTimeAccumulateWeightedAggregator,
     MetaKey,
 )
+from repro.flare.filters import topk_gaps
 
 
 def ctx():
@@ -121,7 +122,32 @@ class TestWeightedAggregator:
             assert agg._sums[key].tobytes() == expected[key].tobytes()
         agg.reset()
         agg.accept(weights_dxo(1.0), "a", ctx())
-        assert agg._scratch is not scratch and agg._scratch.size == 3
+        assert agg._scratch is scratch and agg._scratch.size == 35
+
+    def test_scratch_is_kept_across_windows(self):
+        """Each window folds through the buffer of the one before, bit-equal
+        to ``sums += weight * float64(value)``; only a larger tensor grows it."""
+        rng = np.random.default_rng(5)
+        agg = InTimeAccumulateWeightedAggregator(DataKind.WEIGHT_DIFF)
+        buffers = []
+        for window, shapes in enumerate(({"a": (6, 5), "b": (4,)},) * 2
+                                        + ({"a": (6, 5), "b": (40,)},)):
+            agg.reset()
+            expected = {key: np.zeros(shape) for key, shape in shapes.items()}
+            for site in range(3):
+                data = {key: rng.standard_normal(shape).astype(np.float32)
+                        for key, shape in shapes.items()}
+                weight = 1.5 + site
+                for key, value in data.items():
+                    expected[key] += weight * np.asarray(value, dtype=np.float64)
+                assert agg.accept(DXO(DataKind.WEIGHT_DIFF, data=data,
+                                      meta={MetaKey.NUM_STEPS_CURRENT_ROUND: weight}),
+                                  f"site-{site}", ctx())
+            for key in shapes:
+                assert agg._sums[key].tobytes() == expected[key].tobytes(), window
+            buffers.append(agg._scratch)
+        assert buffers[0] is buffers[1] and buffers[0].size == 30
+        assert buffers[2] is not buffers[1] and buffers[2].size == 40
 
     @settings(max_examples=30, deadline=None)
     @given(st.lists(st.tuples(st.floats(-100, 100), st.floats(0.1, 50)),
@@ -199,21 +225,22 @@ class TestAcceptIsAtomic:
         assert self.folded({"a": np.ones(4), "b": np.ones(3)},
                            weight=weight) == (False, True)
 
-    @pytest.mark.parametrize("indices,values", [
-        ([0, 4], [1.0, 1.0]),       # past the end
-        ([1, 1], [1.0, 1.0]),       # repeated
-        ([2, 0], [1.0, 1.0]),       # not increasing
-        ([0, 1, 2], [1.0, 1.0]),    # length mismatch
-        ([-1, 0], [1.0, 1.0]),      # negative
+    # wire forms (first index, then gaps), each malformed for its own reason
+    @pytest.mark.parametrize("gaps,values", [
+        (np.array([2, 2], np.uint8), [1.0, 1.0]),  # past the end: indices 2, 4
+        (np.array([1, 0], np.uint8), [1.0, 1.0]),  # repeated: a zero gap
+        ([2, -2], [1.0, 1.0]),                     # not increasing: indices 2, 0
+        ([0, 1, 1], [1.0, 1.0]),                   # length mismatch
+        ([-1, 1], [1.0, 1.0]),                     # negative first index
     ], ids=["range", "repeat", "order", "length", "negative"])
-    def test_malformed_topk_is_rejected(self, indices, values):
-        data = {"a@topk_idx": np.array(indices), "a@topk_val": np.array(values),
+    def test_malformed_topk_is_rejected(self, gaps, values):
+        data = {"a@topk_idx": np.array(gaps), "a@topk_val": np.array(values),
                 "b": np.ones(3)}
         spec = {"a": {"shape": [4], "dtype": "<f8"}}
         assert self.folded(data, **{MetaKey.TOPK_SPEC: spec}) == (False, True)
 
     def test_wellformed_topk_folds_at_its_indices(self):
-        data = {"a@topk_idx": np.array([0, 3], dtype=np.uint32),
+        data = {"a@topk_idx": topk_gaps(np.array([0, 3], dtype=np.uint32)),
                 "a@topk_val": np.array([5.0, 2.0]), "b": np.ones(3)}
         spec = {"a": {"shape": [4], "dtype": "<f8"}}
         assert self.folded(data, **{MetaKey.TOPK_SPEC: spec}) == (True, False)

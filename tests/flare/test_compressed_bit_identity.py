@@ -28,7 +28,7 @@ from repro.flare import (
     TopKDensify,
     TopKSparsify,
 )
-from repro.flare.filters import diff_tensors
+from repro.flare.filters import diff_tensors, topk_gaps
 from repro.flare.shareable import from_dxo
 
 CTX = FLContext(identity="server")
@@ -153,7 +153,7 @@ def test_sparse_fold_matches_dense_fold(seed, kept, weights):
     for index, weight in enumerate(weights):
         indices = np.sort(rng.choice(24, size=kept, replace=False)).astype(np.uint32)
         update = DXO(DataKind.WEIGHT_DIFF,
-                     data={"w@topk_idx": indices,
+                     data={"w@topk_idx": topk_gaps(indices),
                            "w@topk_val": rng.choice(FOLD_PALETTE, size=kept),
                            "b": rng.choice(FOLD_PALETTE, size=3)},
                      meta={MetaKey.TOPK_SPEC: {"w": {"shape": [4, 6], "dtype": "<f4"}},

@@ -26,6 +26,8 @@ from repro.flare import (
     set_wire_codec,
 )
 
+from repro.flare.filters import topk_gaps
+
 from .helpers import ToyLearner, toy_weights
 
 
@@ -243,7 +245,7 @@ class MalformedTopKLearner(ToyLearner):
     def train(self, dxo, fl_ctx):
         trained = super().train(dxo, fl_ctx)
         return DXO(DataKind.WEIGHT_DIFF, data={
-            "layer.weight@topk_idx": np.array([0, 1, 2, 4], dtype=np.uint32),
+            "layer.weight@topk_idx": topk_gaps(np.array([0, 1, 2, 4], dtype=np.uint32)),
             "layer.weight@topk_val": np.ones(4, dtype=np.float32),
             "layer.bias": np.ones(2, dtype=np.float32)},
             meta={**trained.meta, MetaKey.TOPK_SPEC: {

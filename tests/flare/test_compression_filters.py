@@ -38,6 +38,8 @@ from repro.flare import (
     TopKSparsify,
 )
 
+from repro.flare.filters import topk_gaps
+
 from .test_compressed_bit_identity import CONFIGS, model, step
 
 RNG = np.random.default_rng(42)
@@ -172,7 +174,7 @@ def test_a_rejected_delta_leaves_the_cache_whole():
                       meta={**versions, MetaKey.TOPK_SPEC: {
                           "b": {"shape": [4], "dtype": "<f4"}}},
                       data={"a": np.ones(300, np.float32),
-                            "b@topk_idx": np.array([2, 1], np.uint32),
+                            "b@topk_idx": np.array([2, -1]),  # indices 2, 1
                             "b@topk_val": np.ones(2, np.float32)})
     with pytest.raises(ValueError, match="strictly increasing"):
         decode.process(wire_roundtrip(broken_pair), ctx)
@@ -322,7 +324,7 @@ def test_topk_never_touches_full_weights():
 
 def test_topk_densify_missing_pair_raises():
     ctx = FLContext(identity="test")
-    broken = DXO(DataKind.WEIGHT_DIFF, data={"w@topk_idx": np.arange(3)},
+    broken = DXO(DataKind.WEIGHT_DIFF, data={"w@topk_idx": topk_gaps(np.arange(3))},
                  meta={MetaKey.TOPK_SPEC: {"w": {"shape": [10], "dtype": "<f4"}}})
     with pytest.raises(ValueError, match="missing"):
         TopKDensify().process(broken, ctx)
