@@ -3,8 +3,9 @@
 Each case times one forward + backward of a single op at the shapes the
 Table II models actually use (BERT-mini: batch 16, seq 40, hidden 50).  The
 ``impl`` axis makes the fused-vs-reference speedup directly visible in the
-pytest-benchmark report; ``scripts/run_bench.sh`` folds these numbers into
-``BENCH_pr2.json``.
+pytest-benchmark report (the PR 2 figures are in ``BENCH_pr2.json``; a
+whole training step is ``training.step_s`` of a traced ``benchmarks/e2e``
+run).
 """
 
 from __future__ import annotations

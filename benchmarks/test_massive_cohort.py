@@ -1,7 +1,6 @@
 """Massive-cohort benchmarks: hierarchical fan-in and async wall-clock.
 
-Two families of measurements, both reported into BENCH_pr9.json by
-``scripts/run_bench.sh``:
+Two families of measurements:
 
 - ``test_fanin_weighted`` / ``test_fanin_median`` time a single aggregation
   fold over a synthetic cohort of updates, flat vs :class:`TreeAggregator`.
@@ -13,8 +12,8 @@ Two families of measurements, both reported into BENCH_pr9.json by
   wire traffic and the peak-materialization high-water mark.
 
 The 1,000-site gated run (bounded materialization + peak RSS + registry
-diff) lives in ``scripts/cohort_smoke.py``; these benchmarks expose the
-same mechanisms to pytest-benchmark so regressions show up per-commit.
+diff) is ``python -m repro.smoke cohort``; these benchmarks time the same
+mechanisms under pytest-benchmark.
 """
 
 from __future__ import annotations

@@ -1,13 +1,12 @@
 """Wall-clock per federated round: serial fabric vs the shm worker pool,
 plus array-backend A/Bs at model shapes.
 
-The full interleaved serial-vs-pool protocol (bit-identity gate, registry
-diff, machine-context provenance) lives in ``scripts/bench_smoke.py``; these
-benchmarks expose the same workloads to pytest-benchmark so ``run_bench.sh``
--style tooling can track them per-commit.  Protocol notes in "Measuring
-parallel rounds" in ``docs/PERFORMANCE.md`` apply: compare back-to-back
-ratios, never absolute times, and read the core count before reading a
-speedup.
+The cross-fabric bit-identity gate is ``python -m repro.smoke fabrics``;
+a whole job's wall-clock, per layer and parent against change, is
+``benchmarks/e2e`` with ``scripts/ab_bench.py``.  Protocol notes in
+"Measuring parallel rounds" in ``docs/PERFORMANCE.md`` apply: compare
+back-to-back ratios, never absolute times, and read the core count before
+reading a speedup.
 """
 
 from __future__ import annotations

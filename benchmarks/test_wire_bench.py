@@ -1,7 +1,8 @@
 """Wire benchmark: codec throughput and federated bytes-per-round.
 
-Two families of measurements, both reported into BENCH_pr4.json by
-``scripts/run_bench.sh``:
+Three families of measurements (the PR 4 figures are in BENCH_pr4.json
+under ``"wire"``; ``codec.*`` of a traced ``benchmarks/e2e`` run is the
+codec's cost inside a round):
 
 - ``test_codec_encode`` / ``test_codec_decode`` time the raw zero-copy codec
   against the legacy npz oracle on real model state dicts (Table II sizes).

@@ -29,7 +29,7 @@ from repro.data import (
     train_valid_split,
 )
 from repro.experiments import ascii_plot, format_series
-from repro.flare import set_console_level
+from repro.flare import SimulationResult, set_console_level
 from repro.models import BertConfig, BertForMaskedLM, BertForSequenceClassification
 from repro.training import (
     TrainConfig,
@@ -41,6 +41,16 @@ from repro.training import (
 
 SEQ_LEN = 32
 EPOCHS = 4
+
+
+def pretrained_classifier(config: BertConfig, pretraining: SimulationResult
+                          ) -> BertForSequenceClassification:
+    """A classifier whose encoder is ``pretraining``'s final global model."""
+    pretrained = BertForMaskedLM(config)
+    pretrained.load_state_dict(pretraining.final_weights)
+    classifier = BertForSequenceClassification(config, rng=np.random.default_rng(1))
+    classifier.load_encoder_weights(pretrained.encoder_state_dict())
+    return classifier
 
 
 def main() -> None:
@@ -79,8 +89,9 @@ def main() -> None:
     print("pretraining (federated, 8 balanced sites) ...")
     shards = {f"site-{i + 1}": train.subset(s)
               for i, s in enumerate(partition_balanced(len(train), 8, seed=11))}
-    fl_curve, _sim = run_federated_mlm(factory, shards, valid, collator,
-                                       num_rounds=EPOCHS, local_epochs=1, lr=1e-3)
+    fl_curve, federated = run_federated_mlm(factory, shards, valid, collator,
+                                            num_rounds=EPOCHS, local_epochs=1,
+                                            lr=1e-3)
 
     print()
     print(format_series("centralized ", central_curve))
@@ -93,16 +104,13 @@ def main() -> None:
 
     # transfer: pretrain → fine-tune -------------------------------------------
     print("\ntransferring the federated-pretrained encoder into a classifier ...")
-    pretrained = factory()
-    # re-run one federated round to get weights (use last round's state dict)
     cohort = generate_cohort(CohortSpec(n_patients=600, seed=7))
     dataset = encode_cohort(cohort, EhrTokenizer(cohort.vocab, max_len=SEQ_LEN))
     train_idx, valid_idx = train_valid_split(len(dataset), 0.2, seed=7)
     clf_train, clf_valid = dataset.subset(train_idx), dataset.subset(valid_idx)
 
     scratch = BertForSequenceClassification(config, rng=np.random.default_rng(1))
-    warm = BertForSequenceClassification(config, rng=np.random.default_rng(1))
-    warm.load_encoder_weights(pretrained.encoder_state_dict())
+    warm = pretrained_classifier(config, federated)
 
     for name, model in [("from scratch", scratch), ("pretrained encoder", warm)]:
         train_classifier(model, clf_train, TrainConfig(epochs=3, lr=1e-3))

@@ -41,7 +41,9 @@ class RoundRecord:
     client_records: list[ClientRoundRecord] = field(default_factory=list)
     global_metrics: dict[str, float] = field(default_factory=dict)
     seconds: float = 0.0
-    # Encoded bytes this round put on the bus (broadcasts + results).
+    # Encoded bytes the server process's bus delivered this round:
+    # broadcasts + results on the memory and socket fabrics, the broadcasts
+    # only on shm (see ``RunStats.bytes_delivered``).
     bytes_on_wire: int = 0
     # Sites that were tasked but contributed no usable update (crashed,
     # unreachable, timed out or returned a non-OK code).
@@ -68,6 +70,10 @@ class RunStats:
 
     rounds: list[RoundRecord] = field(default_factory=list)
     messages_delivered: int = 0
+    # Message bodies delivered by the server process's bus over the run.
+    # On shm that is the parent's own sends only: each worker counts its
+    # result sends in its forked copy of the bus, so a job reads about half
+    # the bytes it reads on memory or socket, with bit-identical checkpoints.
     bytes_delivered: int = 0
     # Resend attempts made by all participants (server broadcasts + client
     # result submissions) over the whole run.

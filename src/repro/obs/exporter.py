@@ -19,7 +19,7 @@ established <3% telemetry overhead budget.
 
 Metric names are sanitized Prometheus-style (``sys.rss_bytes`` becomes
 ``sys_rss_bytes``); :func:`parse_prometheus_text` is the matching
-minimal parser used by the dashboard and the ``live-smoke`` CI gate.
+minimal parser used by the dashboard and the ``live`` smoke scenario.
 """
 
 from __future__ import annotations
@@ -137,8 +137,8 @@ def parse_prometheus_text(text: str) -> list[tuple[str, dict[str, str], float]]:
     """Minimal parser for the text format :func:`render_prometheus` emits.
 
     Returns ``(name, labels, value)`` triples, skipping comments.  Raises
-    :class:`ValueError` on a malformed sample line — the ``live-smoke`` CI
-    gate relies on that to call a scrape "parseable".
+    :class:`ValueError` on a malformed sample line — the ``live`` smoke
+    scenario relies on that to call a scrape "parseable".
     """
     samples: list[tuple[str, dict[str, str], float]] = []
     for raw in text.splitlines():

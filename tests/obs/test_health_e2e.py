@@ -1,6 +1,6 @@
 """Acceptance e2e: a seeded diverging client is named, and runs diff sees it.
 
-Mirrors the CI ``health-smoke`` job: one clean run and one run with an
+Mirrors the ``health`` smoke scenario: one clean run and one run with an
 injected diverging client, both with telemetry+health on, then a registry
 diff whose verdict must be nonzero.
 """
