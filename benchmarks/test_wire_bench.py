@@ -4,14 +4,14 @@ Three families of measurements (the PR 4 figures are in BENCH_pr4.json
 under ``"wire"``; ``codec.*`` of a traced ``benchmarks/e2e`` run is the
 codec's cost inside a round):
 
-- ``test_codec_encode`` / ``test_codec_decode`` time the raw zero-copy codec
-  against the legacy npz oracle on real model state dicts (Table II sizes).
+- ``test_codec_encode`` / ``test_codec_decode`` time the RTC1 zero-copy
+  codec on real model state dicts (Table II sizes).
 - ``test_federated_round_bytes`` runs a short simulated federation per
   compression setting and attaches the measured wire traffic (bytes per
   round, raw vs encoded tensor bytes) to the benchmark record.
-- ``test_topk_message_codec`` asks whether ``deflate`` still pays after
-  top-k: it times the codec encode of one ``delta+fp16+topk:0.1`` BERT
-  message with and without it, and records the bytes and the decode time.
+- ``test_topk_message_codec`` times the codec encode of one
+  ``delta+fp16+topk:0.1`` BERT message and records its bytes and decode
+  time.
 """
 
 from __future__ import annotations
@@ -30,12 +30,7 @@ from repro.flare import (
     MetaKey,
     SimulatorRunner,
 )
-from repro.flare.codec import (
-    decode_tensors,
-    decode_tensors_npz,
-    encode_tensors,
-    encode_tensors_npz,
-)
+from repro.flare.codec import decode_tensors, encode_tensors
 from repro.models import build_classifier
 from tests.flare.helpers import bert_topk_delta
 
@@ -45,9 +40,7 @@ VOCAB = 200
 COMPRESSION_SETTINGS = {
     "none": None,
     "delta+fp16": "delta+fp16",
-    "delta+fp16+deflate": "delta+fp16+deflate",
     "delta+fp16+topk": "delta+fp16+topk:0.1",
-    "delta+fp16+topk+deflate": "delta+fp16+topk:0.1+deflate",
 }
 
 
@@ -83,36 +76,28 @@ class DriftLearner(Learner):
 
 
 # ---------------------------------------------------------------------------
-# codec throughput: raw must beat npz on encode and decode at every size
+# codec throughput
 # ---------------------------------------------------------------------------
-@pytest.mark.parametrize("codec", ["raw", "npz"])
 @pytest.mark.parametrize("model_name", MODELS)
-def test_codec_encode(benchmark, model_name, codec):
+def test_codec_encode(benchmark, model_name):
     state = model_state(model_name)
-    encode = encode_tensors if codec == "raw" else encode_tensors_npz
-    blob = benchmark(encode, state)
+    blob = benchmark(encode_tensors, state)
     benchmark.extra_info["payload_bytes"] = int(sum(a.nbytes for a in state.values()))
     benchmark.extra_info["blob_bytes"] = len(blob)
 
 
-@pytest.mark.parametrize("codec", ["raw", "npz"])
 @pytest.mark.parametrize("model_name", MODELS)
-def test_codec_decode(benchmark, model_name, codec):
+def test_codec_decode(benchmark, model_name):
     state = model_state(model_name)
-    if codec == "raw":
-        blob = encode_tensors(state)
-        arrays = benchmark(lambda: decode_tensors(blob)[0])
-    else:
-        blob = encode_tensors_npz(state)
-        arrays = benchmark(lambda: decode_tensors_npz(blob))
+    blob = encode_tensors(state)
+    arrays = benchmark(lambda: decode_tensors(blob)[0])
     assert set(arrays) == set(state)
     benchmark.extra_info["blob_bytes"] = len(blob)
 
 
-@pytest.mark.parametrize("deflate", [False, True], ids=["raw", "deflate"])
-def test_topk_message_codec(benchmark, deflate):
+def test_topk_message_codec(benchmark):
     dxo, raw_bytes = bert_topk_delta()
-    blob = benchmark(encode_tensors, dxo.data, {"meta": dxo.meta}, deflate)
+    blob = benchmark(encode_tensors, dxo.data, {"meta": dxo.meta})
     decode_s = []
     for _ in range(9):
         started = time.perf_counter()

@@ -2,11 +2,10 @@
 
 State dicts (flat ``name -> ndarray`` mappings) are stored **on disk** as
 ``.npz`` archives — the zip container is a fine checkpoint format and stays
-byte-compatible with every run directory written so far.  The **in-memory**
-bytes codec used by the federated transport layer is the zero-copy binary
-tensor codec of :mod:`repro.flare.codec` (JSON manifest + aligned raw
-little-endian buffers); the old npz bytes path remains readable (decode
-auto-detects by magic) and selectable as a correctness oracle.
+byte-compatible with every run directory written so far.  **In memory**
+they become the federation's wire format, the zero-copy RTC1 tensor codec of
+:mod:`repro.flare.codec` (JSON manifest + aligned raw little-endian
+buffers).
 
 Note on copies: ``np.load`` materializes a fresh array per member access
 unless ``mmap_mode`` is requested (we never request it), so the historical
@@ -42,35 +41,24 @@ def load_state_dict(path: str | Path) -> "OrderedDict[str, np.ndarray]":
         return OrderedDict((key, archive[key]) for key in archive.files)
 
 
-def state_dict_to_bytes(state: dict, codec: str = "raw") -> bytes:
-    """Serialize a state dict to wire bytes (no pickle).
-
-    ``codec`` is ``"raw"`` (zero-copy binary, the default), ``"raw+deflate"``
-    (raw layout + lossless shuffle/deflate) or ``"npz"`` (the legacy path,
-    kept as a correctness oracle).
-    """
+def state_dict_to_bytes(state: dict) -> bytes:
+    """Serialize a state dict to RTC1 wire bytes (no pickle)."""
     # imported lazily: repro.flare depends on this module for checkpoints,
     # so a module-level import back into repro.flare would be cyclic
-    from ..flare.codec import encode_tensors, encode_tensors_npz
+    from ..flare.codec import encode_tensors
 
-    if codec in ("raw", "raw+deflate"):
-        return encode_tensors(state, deflate=(codec == "raw+deflate"))
-    if codec != "npz":
-        raise ValueError(f"unknown state-dict codec {codec!r}")
-    return encode_tensors_npz(state)
+    return encode_tensors(state)
 
 
 def state_dict_from_bytes(blob: bytes) -> "OrderedDict[str, np.ndarray]":
-    """Inverse of :func:`state_dict_to_bytes`; auto-detects the codec.
+    """Inverse of :func:`state_dict_to_bytes`.
 
-    Raw-codec blobs decode to read-only zero-copy views over ``blob``;
-    callers that mutate parameters in place (``Module.load_state_dict``
-    copies into its own buffers, so it is safe) need no copy, anyone else
-    should copy explicitly.
+    The arrays are read-only zero-copy views over ``blob``; callers that
+    mutate parameters in place (``Module.load_state_dict`` copies into its
+    own buffers, so it is safe) need no copy, anyone else should copy
+    explicitly.
     """
-    from ..flare.codec import MAGIC, decode_tensors, decode_tensors_npz
+    from ..flare.codec import decode_tensors
 
-    if bytes(blob[:4]) == MAGIC:
-        arrays, _extra = decode_tensors(blob)
-        return arrays
-    return decode_tensors_npz(blob)
+    arrays, _extra = decode_tensors(blob)
+    return arrays

@@ -34,7 +34,7 @@ from .codec import (
     wire_totals,
 )
 from .downlink import Downlink
-from .dxo import DXO, MetaKey, get_wire_codec, set_wire_codec
+from .dxo import DXO, MetaKey
 from .events import FLComponent, LogCapture, get_fl_logger, set_console_level
 from .faults import FaultInjector, FaultPlan
 from .filters import (
@@ -107,7 +107,6 @@ __all__ = [
     "FLContext", "FLComponent", "LogCapture", "get_fl_logger", "set_console_level",
     "DXO", "MetaKey", "Shareable", "from_dxo", "to_dxo", "make_reply",
     "encode_tensors", "decode_tensors", "wire_totals", "reset_wire_metrics",
-    "get_wire_codec", "set_wire_codec",
     "RSAKeyPair", "generate_keypair", "sign", "verify",
     "Certificate", "CertificateAuthority", "hmac_sign", "hmac_verify",
     "ParticipantSpec", "ProjectSpec", "StartupKit", "Provisioner",

@@ -1,10 +1,7 @@
-"""Zero-copy binary tensor codec — the federation's wire format.
+"""Zero-copy binary tensor codec — the federation's one wire format, RTC1.
 
-The original wire path funnelled every tensor through ``np.savez``: a zip
-container with per-member headers, CRC32 passes and several full copies of
-each array (array → npy stream → zip member → final bytes).  This codec
-replaces it with a flat layout that is written and read without intermediate
-copies:
+Every tensor that crosses a fabric travels in one flat layout, written and
+read without intermediate copies:
 
     [magic "RTC1"][u32 manifest_len][JSON manifest][pad][tensor block]
 
@@ -19,36 +16,32 @@ preallocates that buffer as the whole message envelope
 (:func:`encode_tensors_after`), so nothing copies the blob afterwards.
 
 Decoded arrays are **read-only views** over the received blob; callers that
-need to mutate must copy (``decode_tensors(..., copy=True)`` does it for
-them).  Every consumer in this repo — ``Module.load_state_dict`` writes into
-its own parameters, aggregators accumulate into float64 sums, filters build
-new arrays — is view-safe.
+need to mutate must copy.  Every consumer in this repo —
+``Module.load_state_dict`` writes into its own parameters, aggregators
+accumulate into float64 sums, filters build new arrays — is view-safe.
 
-An optional lossless ``shuffle-deflate`` transform (per-tensor byte shuffle
-followed by zlib over the whole block, the HDF5 trick) trades the zero-copy
-property of the tensor block for smaller blobs; it is applied on top of the
-same layout and recorded in the manifest, so decode is self-describing.
+The manifest's ``transform`` field is always ``null``: the tensor block is
+never transformed, and a blob whose manifest names a transform is rejected
+as corrupt.  Byte savings come from the compression filters
+(:mod:`repro.flare.filters`), which shrink the tensors before they get here.
 
 All decode failures raise :class:`ValueError` with a message naming what was
 wrong (truncated blob, bad magic, manifest overrun, tensor out of bounds,
-unsupported dtype) — corrupted bytes off a faulty transport must never
-surface as cryptic ``struct``/``json``/``zlib`` tracebacks.
+unsupported dtype, a block transform) — corrupted bytes off a faulty
+transport must never surface as cryptic ``struct``/``json`` tracebacks.
 
-Byte accounting (``transport.bytes_raw`` vs ``transport.bytes_encoded``) and
-encode/decode timings land in an always-on module registry mirrored into the
-process-wide :mod:`repro.obs` registry, so a telemetry session sees them
-without extra wiring.
+Byte accounting (``transport.bytes_raw`` vs ``transport.bytes_encoded``,
+tagged ``codec=raw``) and encode/decode timings land in an always-on module
+registry mirrored into the process-wide :mod:`repro.obs` registry, so a
+telemetry session sees them without extra wiring.
 """
 
 from __future__ import annotations
 
-import io
 import json
 import math
 import struct
 import time
-import zipfile
-import zlib
 from collections import OrderedDict
 from typing import Any, Mapping
 
@@ -61,7 +54,6 @@ from ..obs.metrics import MetricsRegistry
 __all__ = [
     "MAGIC", "ALIGNMENT", "encode_tensors", "encode_tensors_after",
     "decode_tensors",
-    "encode_tensors_npz", "decode_tensors_npz",
     "wire_metrics", "wire_totals", "reset_wire_metrics",
 ]
 
@@ -93,7 +85,8 @@ def wire_totals() -> dict[str, float]:
     return totals
 
 
-def _account(direction: str, codec: str, raw: int, encoded: int, seconds: float) -> None:
+def _account(direction: str, raw: int, encoded: int, seconds: float) -> None:
+    codec = "raw"  # one format; the tag keeps metric names comparable
     for registry in (wire_metrics, obs_metrics.get_registry()):
         registry.counter("transport.bytes_raw", codec=codec).inc(raw)
         registry.counter("transport.bytes_encoded", codec=codec).inc(encoded)
@@ -125,28 +118,12 @@ def _normalize(value: Any) -> np.ndarray:
     return array
 
 
-def _shuffle_bytes(array: np.ndarray) -> bytes:
-    """Byte-transpose: group the k-th byte of every element together."""
-    itemsize = array.dtype.itemsize
-    flat = np.frombuffer(array.tobytes(), dtype=np.uint8)
-    if itemsize <= 1 or flat.size == 0:
-        return flat.tobytes()
-    return flat.reshape(-1, itemsize).T.tobytes()
-
-
-def _unshuffle_bytes(blob: bytes, itemsize: int) -> bytes:
-    flat = np.frombuffer(blob, dtype=np.uint8)
-    if itemsize <= 1 or flat.size == 0:
-        return bytes(blob)
-    return np.ascontiguousarray(flat.reshape(itemsize, -1).T).tobytes()
-
-
 # ---------------------------------------------------------------------------
 # encode
 # ---------------------------------------------------------------------------
 class _RawPlan:
-    """Layout of one raw (non-deflated) blob, computed before any copying,
-    so the blob can be written into a buffer that also holds other bytes
+    """Layout of one blob, computed before any copying, so the blob can be
+    written into a buffer that also holds other bytes
     (:func:`encode_tensors_after`)."""
 
     __slots__ = ("normalized", "specs", "manifest_bytes", "block_start",
@@ -212,39 +189,15 @@ def encode_tensors_after(prefix: bytes, arrays: Mapping[str, Any],
     buffer = bytearray(len(prefix) + plan.total)
     buffer[:len(prefix)] = prefix
     plan.write(memoryview(buffer)[len(prefix):])
-    _account("encode", "raw", plan.raw_payload, plan.total,
+    _account("encode", plan.raw_payload, plan.total,
              time.perf_counter() - started)
     return buffer
 
 
-def encode_tensors(arrays: Mapping[str, Any], extra: Mapping[str, Any] | None = None,
-                   deflate: bool = False) -> bytes:
-    """Pack named arrays (plus a JSON ``extra`` document) into one blob.
-
-    With ``deflate=False`` (default) the tensor block is raw aligned bytes.
-    With ``deflate=True`` the block is byte-shuffled per tensor and zlib-
-    compressed — smaller, but no longer zero-copy.
-    """
-    if not deflate:
-        return bytes(encode_tensors_after(b"", arrays, extra))
-    started = time.perf_counter()
-    plan = _RawPlan(arrays, extra)
-    chunks = []
-    position = 0
-    for spec, array in zip(plan.specs, plan.normalized.values()):
-        chunks.append(b"\x00" * (spec["offset"] - position))
-        chunks.append(_shuffle_bytes(array))
-        position = spec["offset"] + spec["nbytes"]
-    block = zlib.compress(b"".join(chunks), level=6)
-    manifest = json.loads(plan.manifest_bytes)
-    manifest["transform"] = "shuffle-deflate"
-    manifest["block_len"] = len(block)
-    manifest_bytes = json.dumps(manifest).encode("utf-8")
-    head = MAGIC + struct.pack("<I", len(manifest_bytes)) + manifest_bytes
-    blob = head + b"\x00" * _pad(len(head)) + block
-    _account("encode", "raw+deflate", plan.raw_payload, len(blob),
-             time.perf_counter() - started)
-    return blob
+def encode_tensors(arrays: Mapping[str, Any],
+                   extra: Mapping[str, Any] | None = None) -> bytes:
+    """Pack named arrays (plus a JSON ``extra`` document) into one blob."""
+    return bytes(encode_tensors_after(b"", arrays, extra))
 
 
 # ---------------------------------------------------------------------------
@@ -254,15 +207,13 @@ def _manifest_error(reason: str) -> ValueError:
     return ValueError(f"corrupted tensor blob: {reason}")
 
 
-def decode_tensors(blob: bytes, copy: bool = False
+def decode_tensors(blob: bytes
                    ) -> tuple["OrderedDict[str, np.ndarray]", dict[str, Any]]:
     """Inverse of :func:`encode_tensors`; returns ``(arrays, extra)``.
 
-    Without ``copy`` the arrays are read-only zero-copy views over ``blob``
-    (deflated blobs are decompressed once and viewed) — read-only even when
-    ``blob`` is writable, because one envelope may back the arrays of
-    several recipients.  With ``copy=True`` each array is an owned,
-    writable copy.
+    The arrays are read-only zero-copy views over ``blob`` — read-only even
+    when ``blob`` is writable, because one envelope may back the arrays of
+    several recipients.
     """
     started = time.perf_counter()
     if len(blob) < 8:
@@ -285,22 +236,13 @@ def decode_tensors(blob: bytes, copy: bool = False
     block_start = head_len + _pad(head_len)
     block = memoryview(blob).toreadonly()[block_start:]
     transform = manifest.get("transform")
+    if transform is not None:
+        raise _manifest_error(f"block transform {transform!r}: RTC1 blocks "
+                              "are never transformed")
     declared_len = manifest.get("block_len", len(block))
     if declared_len > len(block):
         raise _manifest_error(f"tensor block truncated: manifest declares "
                               f"{declared_len} byte(s), blob carries {len(block)}")
-    codec_name = "raw"
-    if transform == "shuffle-deflate":
-        codec_name = "raw+deflate"
-        try:
-            raw = zlib.decompress(bytes(block[:declared_len]))
-        except zlib.error as error:
-            raise _manifest_error(f"deflate block corrupt ({error})") from error
-        if len(raw) != manifest.get("raw_block_len", len(raw)):
-            raise _manifest_error("deflate block decompressed to the wrong size")
-        block = memoryview(raw)
-    elif transform is not None:
-        raise _manifest_error(f"unknown block transform {transform!r}")
 
     arrays: "OrderedDict[str, np.ndarray]" = OrderedDict()
     for spec in manifest["tensors"]:
@@ -320,48 +262,8 @@ def decode_tensors(blob: bytes, copy: bool = False
         if offset < 0 or offset + nbytes > len(block):
             raise _manifest_error(f"tensor {name!r} at [{offset}, {offset + nbytes}) "
                                   f"overruns the {len(block)}-byte tensor block")
-        if transform == "shuffle-deflate":
-            raw_bytes = _unshuffle_bytes(bytes(block[offset:offset + nbytes]),
-                                         dtype.itemsize)
-            array = np.frombuffer(raw_bytes, dtype=dtype).reshape(shape)
-        else:
-            array = np.frombuffer(block, dtype=dtype, count=count,
-                                  offset=offset).reshape(shape)
-        arrays[name] = array.copy() if copy else array
+        arrays[name] = np.frombuffer(block, dtype=dtype, count=count,
+                                     offset=offset).reshape(shape)
     raw_total = sum(int(spec["nbytes"]) for spec in manifest["tensors"])
-    _account("decode", codec_name, raw_total, len(blob), time.perf_counter() - started)
+    _account("decode", raw_total, len(blob), time.perf_counter() - started)
     return arrays, dict(manifest.get("extra", {}))
-
-
-# ---------------------------------------------------------------------------
-# npz legacy codec — kept as a correctness oracle and for on-disk checkpoints
-# ---------------------------------------------------------------------------
-def encode_tensors_npz(arrays: Mapping[str, Any]) -> bytes:
-    """The pre-codec path: arrays → npz bytes (several copies, zip framing)."""
-    started = time.perf_counter()
-    buffer = io.BytesIO()
-    normalized = {key: np.asarray(value) for key, value in arrays.items()}
-    np.savez(buffer, **normalized)
-    blob = buffer.getvalue()
-    _account("encode", "npz", sum(a.nbytes for a in normalized.values()),
-             len(blob), time.perf_counter() - started)
-    return blob
-
-
-def decode_tensors_npz(blob: bytes, keys: list[str] | None = None
-                       ) -> "OrderedDict[str, np.ndarray]":
-    """Decode an npz blob; raises :class:`ValueError` on corrupt input."""
-    started = time.perf_counter()
-    try:
-        with np.load(io.BytesIO(bytes(blob)), allow_pickle=False) as archive:
-            # NpzFile materializes a fresh array per access; no extra copy
-            # is needed on top (the historical ``.copy()`` double-copied).
-            arrays = OrderedDict((key, archive[key])
-                                 for key in (keys if keys is not None
-                                             else archive.files))
-    except (zipfile.BadZipFile, zlib.error, struct.error, OSError, KeyError,
-            IndexError, EOFError, ValueError) as error:
-        raise ValueError(f"corrupted npz tensor block: {error}") from error
-    _account("decode", "npz", sum(a.nbytes for a in arrays.values()),
-             len(blob), time.perf_counter() - started)
-    return arrays

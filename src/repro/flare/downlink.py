@@ -1,13 +1,14 @@
 """Downlink: the task payload(s) of one dispatch wave.
 
 Without compression, one full-model shareable for everyone.  With a
-:class:`CompressionConfig` the canonical global model is (optionally)
-rounded through fp16 — making it bit-identical on both ends of the wire —
-and sites that acknowledged the previous wave receive a small versioned
-WEIGHT_DIFF while stale or unknown sites get the full weights.  Versions
-are the engine's dispatch-wave counter: the round number under a round
-barrier, finer than commits under a buffered policy (waves that ship the
-same global diff to just the error-feedback residual).
+:class:`CompressionConfig` (always a delta chain) the canonical global
+model is (optionally) rounded through fp16 — making it bit-identical on
+both ends of the wire — and sites that acknowledged the previous wave
+receive a small versioned WEIGHT_DIFF while stale or unknown sites get the
+full weights.  Versions are the engine's dispatch-wave counter: the round
+number under a round barrier, finer than commits under a buffered policy
+(waves that ship the same global diff to just the error-feedback
+residual).
 """
 
 from __future__ import annotations
@@ -50,8 +51,6 @@ class Downlink(FLComponent):
         super().__init__(name="Downlink")
         self.compression = compression
         self.shareable_generator = shareable_generator or FullModelShareableGenerator()
-        self._delta = bool(compression is not None and compression.delta
-                           and compression.downlink_delta)
         # The last wave's canonical global and version (the diff base), the
         # version last *sent* to each site and the one it *acknowledged*.
         self._last_broadcast: Weights | None = None
@@ -87,7 +86,7 @@ class Downlink(FLComponent):
             return global_weights, task, None
 
         synced: list[str] = []
-        if (self._delta and self._last_broadcast is not None
+        if (self._last_broadcast is not None
                 and set(self._last_broadcast) == set(global_weights)):
             synced = [site for site in targets
                       if self._held.get(site) == self._version]
@@ -118,12 +117,11 @@ class Downlink(FLComponent):
                     full = task_filter.process(full, fl_ctx)
             task = from_dxo(full)
             task.update(headers)
-        if self._delta:
-            # base for the next wave's diff: what this wave put on the wire
-            # (dxo_to_learnable always builds fresh arrays, so references are
-            # stable across the coming aggregation)
-            self._last_broadcast = {key: np.asarray(value)
-                                    for key, value in global_weights.items()}
+        # base for the next wave's diff: what this wave put on the wire
+        # (dxo_to_learnable always builds fresh arrays, so references are
+        # stable across the coming aggregation)
+        self._last_broadcast = {key: np.asarray(value)
+                                for key, value in global_weights.items()}
         self._version = version
         return global_weights, task, overrides
 

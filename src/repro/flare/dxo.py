@@ -2,28 +2,18 @@
 
 NVFlare moves model weights and metrics between components inside DXOs: a
 ``data_kind`` tag, a dict payload, and free-form metadata.  This module also
-provides the pickle-free wire codecs used by the transport layer, so
-everything that crosses the simulated network is actually serialized and
-deserialized.
+serializes them for the transport layer, pickle-free, so everything that
+crosses the simulated network is actually serialized and deserialized.
 
-Two codecs are supported and auto-detected by magic on decode:
-
-``raw`` (default)
-    The zero-copy binary tensor codec of :mod:`repro.flare.codec` — JSON
-    manifest + aligned little-endian buffers.  Decoded arrays are read-only
-    views over the blob, and :meth:`DXO.to_bytes_after` encodes straight
-    into the transport's envelope.
-``npz``
-    The original JSON-header + ``np.savez`` block.  Kept as a correctness
-    oracle (the raw codec must round-trip bit-identically against it) and
-    for on-disk checkpoints; select it per-call (``to_bytes(codec="npz")``)
-    or process-wide with :func:`set_wire_codec`.
+The wire form is one RTC1 blob of :mod:`repro.flare.codec`: the arrays go
+into its tensor block, and ``data_kind``, meta and scalars into its JSON
+``extra``.  Decoded arrays are read-only views over the blob, and
+:meth:`DXO.to_bytes_after` encodes straight into the transport's envelope.
 """
 
 from __future__ import annotations
 
 import json
-import struct
 from typing import Any, Mapping
 
 import numpy as np
@@ -31,26 +21,7 @@ import numpy as np
 from . import codec as _codec
 from .constants import DataKind
 
-__all__ = ["DXO", "MetaKey", "set_wire_codec", "get_wire_codec"]
-
-_MAGIC = b"DXO1"
-
-_WIRE_CODECS = ("raw", "raw+deflate", "npz")
-_default_codec = "raw"
-
-
-def set_wire_codec(name: str) -> str:
-    """Set the process-wide default wire codec; returns the previous one."""
-    global _default_codec
-    if name not in _WIRE_CODECS:
-        raise ValueError(f"unknown wire codec {name!r} (choose from {_WIRE_CODECS})")
-    old = _default_codec
-    _default_codec = name
-    return old
-
-
-def get_wire_codec() -> str:
-    return _default_codec
+__all__ = ["DXO", "MetaKey"]
 
 
 class MetaKey:
@@ -114,41 +85,18 @@ class DXO:
     def _wire_extra(self, scalars: dict[str, Any]) -> dict[str, Any]:
         return {"data_kind": self.data_kind, "meta": self.meta, "scalars": scalars}
 
-    def to_bytes(self, codec: str | None = None) -> bytes:
-        """Serialize with the given codec (default: the process-wide one)."""
-        codec = codec or _default_codec
+    def to_bytes(self) -> bytes:
+        """Serialize to one RTC1 blob."""
         arrays, scalars = self._split_payload()
-        if codec in ("raw", "raw+deflate"):
-            return _codec.encode_tensors(arrays, self._wire_extra(scalars),
-                                         deflate=(codec == "raw+deflate"))
-        if codec != "npz":
-            raise ValueError(f"unknown wire codec {codec!r} (choose from {_WIRE_CODECS})")
-        # legacy layout: [magic][u32 json_len][json header][npz tensors]
-        header = json.dumps({
-            "data_kind": self.data_kind,
-            "meta": self.meta,
-            "scalars": scalars,
-            # insertion order, not sorted: consumers iterate state dicts in
-            # order, and both codecs must reconstruct the same ordering
-            "array_keys": list(arrays),
-        }).encode("utf-8")
-        tensor_block = _codec.encode_tensors_npz(arrays) if arrays else b""
-        return _MAGIC + struct.pack("<I", len(header)) + header + tensor_block
+        return _codec.encode_tensors(arrays, self._wire_extra(scalars))
 
-    def to_bytes_after(self, prefix: bytes,
-                       codec: str | None = None) -> bytes | bytearray:
-        """``prefix + self.to_bytes(codec)``, built for the transport.
-
-        With the raw codec this is one allocation and each tensor is copied
-        once, straight from its array into place; ``raw+deflate`` and
-        ``npz`` learn their size only by encoding, so they join a finished
-        blob (one extra pass).
-        """
-        if (codec or _default_codec) == "raw":
-            arrays, scalars = self._split_payload()
-            return _codec.encode_tensors_after(prefix, arrays,
-                                               self._wire_extra(scalars))
-        return b"".join((prefix, self.to_bytes(codec)))
+    def to_bytes_after(self, prefix: bytes) -> bytearray:
+        """``prefix + self.to_bytes()``, built for the transport: one
+        allocation, and each tensor is copied once, straight from its array
+        into place."""
+        arrays, scalars = self._split_payload()
+        return _codec.encode_tensors_after(prefix, arrays,
+                                           self._wire_extra(scalars))
 
     def read_only_view(self) -> "DXO":
         """The DXO a receiver decodes from :meth:`to_bytes`, without encoding.
@@ -168,55 +116,25 @@ class DXO:
 
     @classmethod
     def from_bytes(cls, blob) -> "DXO":
-        """Decode either wire format; raises ``ValueError`` on corrupt blobs.
+        """Decode an RTC1 blob; raises ``ValueError`` on corrupt blobs.
 
         ``blob`` is any bytes-like buffer (``bytes``, a ``memoryview`` of a
-        socket receive buffer or an mmap).  The arrays are read-only with
-        either codec.
+        socket receive buffer or an mmap); the arrays are read-only views
+        over it.
 
-        A blob off a faulty transport may be truncated or bit-flipped, so
-        every length is validated before it is used for slicing: short or
-        inconsistent blobs raise a clear :class:`ValueError` instead of a
-        cryptic struct/json/zip traceback.
+        A blob off a faulty transport may be truncated or bit-flipped;
+        :func:`~repro.flare.codec.decode_tensors` validates every length
+        before it is used for slicing, so short or inconsistent blobs raise
+        a clear :class:`ValueError` instead of a cryptic traceback.
         """
-        if len(blob) < 4:
-            raise ValueError(f"not a DXO blob: {len(blob)} byte(s) is shorter "
-                             "than the 4-byte magic")
-        magic = bytes(blob[:4])
-        if magic == _codec.MAGIC:
-            arrays, extra = _codec.decode_tensors(blob)
-            if "data_kind" not in extra:
-                raise ValueError("corrupted DXO blob: tensor manifest carries "
-                                 "no data_kind")
-            data: dict[str, Any] = dict(extra.get("scalars", {}))
-            data.update(arrays)
-            return cls(data_kind=extra["data_kind"], data=data,
-                       meta=extra.get("meta", {}))
-        if magic != _MAGIC:
-            raise ValueError(f"not a DXO blob (bad magic {magic!r})")
-        if len(blob) < 8:
-            raise ValueError(f"truncated DXO blob: {len(blob)} byte(s) is "
-                             "shorter than the 8-byte header prefix")
-        (header_len,) = struct.unpack("<I", blob[4:8])
-        if 8 + header_len > len(blob):
-            raise ValueError(f"truncated DXO blob: header length {header_len} "
-                             f"overruns the {len(blob)}-byte blob")
-        try:
-            header = json.loads(bytes(blob[8:8 + header_len]).decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as error:
-            raise ValueError(f"corrupted DXO blob: header is not valid JSON "
-                             f"({error})") from error
-        if not isinstance(header, dict) or "data_kind" not in header:
-            raise ValueError("corrupted DXO blob: header carries no data_kind")
-        data = dict(header.get("scalars", {}))
-        tensor_block = blob[8 + header_len:]
-        array_keys = header.get("array_keys", [])
-        if array_keys:
-            arrays = _codec.decode_tensors_npz(tensor_block, keys=list(array_keys))
-            for array in arrays.values():
-                array.flags.writeable = False  # like the raw codec's views
-            data.update(arrays)
-        return cls(data_kind=header["data_kind"], data=data, meta=header.get("meta", {}))
+        arrays, extra = _codec.decode_tensors(blob)
+        if "data_kind" not in extra:
+            raise ValueError("corrupted DXO blob: tensor manifest carries "
+                             "no data_kind")
+        data: dict[str, Any] = dict(extra.get("scalars", {}))
+        data.update(arrays)
+        return cls(data_kind=extra["data_kind"], data=data,
+                   meta=extra.get("meta", {}))
 
     def __repr__(self) -> str:
         return f"DXO(kind={self.data_kind}, keys={sorted(self.data)[:4]}..., meta={sorted(self.meta)})"

@@ -556,42 +556,34 @@ class TopKDensify(DXOFilter):
 
 @dataclass(frozen=True)
 class CompressionConfig:
-    """One knob for the whole wire-compression chain.
+    """One knob for the whole wire-compression chain, always a delta chain.
 
-    ``delta``
-        Ship updates as WEIGHT_DIFF: clients diff against the received
-        global model, and (unless ``downlink_delta`` is off) the controller
-        broadcasts versioned diffs of the global model to every site that
-        acknowledged the previous one.
+    Updates ship as WEIGHT_DIFF: clients diff against the received global
+    model, and the controller broadcasts versioned diffs of the global model
+    to every site that acknowledged the previous one.  On top of that:
+
     ``float16``
         Quantize floating tensors to fp16 on the wire, both directions;
-        the receiving side dequantizes before use.  When combined with
-        delta the controller also rounds its canonical global model
-        through fp16 so server and clients agree on the base bit-exactly.
+        the receiving side dequantizes before use.  The controller also
+        rounds its canonical global model through fp16 so server and
+        clients agree on the base bit-exactly.
     ``top_k``
         Optionally keep only this fraction of each weight diff (largest
         magnitudes), both directions; the server folds the kept entries
         sparse, with no dense copy of the update.
-    ``deflate``
-        Add the codec's lossless shuffle+deflate transform on top.
 
-    With ``delta`` on, a site runs one filter each way, tensor by tensor:
-    :class:`DeltaDecode` (dequantize, densify and add each tensor to its
-    cached model) and :class:`DeltaEncode` (diff, top-k, quantize), so a
-    site holds only the delta cache and its learner's result at model size.
-    The whole-model filters serve the other specs, the server side and
-    tests.
+    A site runs one filter each way, tensor by tensor: :class:`DeltaDecode`
+    (dequantize, densify and add each tensor to its cached model) and
+    :class:`DeltaEncode` (diff, top-k, quantize), so a site holds only the
+    delta cache and its learner's result at model size.  The whole-model
+    filters serve the server side and tests.
 
     Build from a spec string: ``CompressionConfig.from_spec("delta+fp16")``,
-    tokens ``delta``, ``fp16``, ``topk`` / ``topk:0.05``, ``deflate``,
-    ``no-downlink-delta``.
+    tokens ``delta`` (required), ``fp16``, ``topk`` / ``topk:0.05``.
     """
 
-    delta: bool = True
     float16: bool = True
     top_k: float | None = None
-    downlink_delta: bool = True
-    deflate: bool = False
 
     @classmethod
     def from_spec(cls, spec: "str | CompressionConfig | None") -> "CompressionConfig | None":
@@ -599,7 +591,6 @@ class CompressionConfig:
             return spec
         delta = float16 = False
         top_k: float | None = None
-        downlink_delta, deflate = True, False
         for token in str(spec).lower().split("+"):
             token = token.strip()
             if token == "delta":
@@ -609,47 +600,27 @@ class CompressionConfig:
             elif token.startswith("topk"):
                 _, _, ratio = token.partition(":")
                 top_k = float(ratio) if ratio else 0.1
-            elif token == "deflate":
-                deflate = True
-            elif token == "no-downlink-delta":
-                downlink_delta = False
             elif token:
                 raise ValueError(f"unknown compression token {token!r} in {spec!r}")
-        if not (delta or float16 or top_k or deflate):
-            raise ValueError(f"compression spec {spec!r} enables nothing")
-        return cls(delta=delta, float16=float16, top_k=top_k,
-                   downlink_delta=downlink_delta, deflate=deflate)
-
-    @property
-    def wire_codec(self) -> str:
-        return "raw+deflate" if self.deflate else "raw"
+        if not delta:
+            raise ValueError(f"compression spec {spec!r} has no 'delta': "
+                             "every compressed job is a delta job")
+        return cls(float16=float16, top_k=top_k)
 
     # ------------------------------------------------------------------
     # matching filter chains (fresh instances per call: DeltaDecode is
     # stateful and must not be shared between clients)
     # ------------------------------------------------------------------
     def client_task_filters(self) -> list[DXOFilter]:
-        """Applied by a client to incoming task data (downlink decode):
-        with downlink deltas, one :class:`DeltaDecode` that also runs the
-        fp16 and top-k decode stages; otherwise :class:`Float16Dequantize`
-        when fp16 is on."""
-        if self.delta and self.downlink_delta:
-            return [DeltaDecode()]
-        return [Float16Dequantize()] if self.float16 else []
+        """Applied by a client to incoming task data (downlink decode): one
+        :class:`DeltaDecode` that also runs the fp16 and top-k decode
+        stages."""
+        return [DeltaDecode()]
 
     def client_result_filters(self) -> list[DXOFilter]:
-        """Applied by a client to outgoing results (uplink encode): with
-        delta, one :class:`DeltaEncode` that also runs the top-k and fp16
-        stages; otherwise :class:`TopKSparsify` then
-        :class:`Float16Quantize`, each when enabled."""
-        if self.delta:
-            return [DeltaEncode(top_k=self.top_k, float16=self.float16)]
-        chain: list[DXOFilter] = []
-        if self.top_k:
-            chain.append(TopKSparsify(ratio=self.top_k))
-        if self.float16:
-            chain.append(Float16Quantize())
-        return chain
+        """Applied by a client to outgoing results (uplink encode): one
+        :class:`DeltaEncode` that also runs the top-k and fp16 stages."""
+        return [DeltaEncode(top_k=self.top_k, float16=self.float16)]
 
     def server_result_filters(self) -> list[DXOFilter]:
         """Applied by the controller to each reply before aggregation.
@@ -663,7 +634,7 @@ class CompressionConfig:
         return [Float16Quantize()] if self.float16 else []
 
     def adapt_aggregator(self, aggregator) -> None:
-        """Point a WEIGHTS-expecting aggregator at WEIGHT_DIFF when delta
+        """Point a WEIGHTS-expecting aggregator at WEIGHT_DIFF: delta
         encoding rewrites the uplink data kind."""
-        if self.delta and getattr(aggregator, "expected_data_kind", None) == DataKind.WEIGHTS:
+        if getattr(aggregator, "expected_data_kind", None) == DataKind.WEIGHTS:
             aggregator.expected_data_kind = DataKind.WEIGHT_DIFF

@@ -55,9 +55,9 @@ class FLJob:
     compression:
         Wire-compression chain for the whole job: a
         :class:`CompressionConfig`, a spec string like ``"delta+fp16"``, or
-        ``None`` (full weights both ways).  ``SimulatorRunner`` installs the
-        matching client and server filter chains and switches the wire
-        codec accordingly.
+        ``None`` (full weights both ways).  Every spec names
+        ``delta``.  ``SimulatorRunner`` installs the matching client and
+        server filter chains.
     transport:
         Which fabric carries the job's messages: ``"memory"`` (threaded
         clients on the in-process bus), ``"socket"`` (one OS process per

@@ -26,11 +26,10 @@ from ..autograd._blas import recommended_blas_threads, set_blas_threads
 from ..obs.health import HealthMonitor
 from ..obs.rundir import STATS_FILE
 from ..obs.session import TelemetrySession, _sysmon_interval
-from . import codec as wire_codec_module
 from .client import FederatedClient, build_site
+from .codec import wire_totals
 from .constants import EventType
 from .controller import Barrier, Buffered, ScatterAndGather
-from .dxo import set_wire_codec
 from .events import FLComponent, LogCapture
 from .faults import FaultPlan
 from .fl_context import FLContext
@@ -72,7 +71,6 @@ class SimulatorRunner:
                  fault_plan: FaultPlan | None = None,
                  telemetry: bool = False,
                  health: bool | HealthMonitor = False,
-                 wire_codec: str | None = None,
                  telemetry_flush: float = 0.5,
                  metrics_port: int | None = None,
                  sysmon: bool | float | None = None) -> None:
@@ -121,13 +119,7 @@ class SimulatorRunner:
         # stats.alerts.  ``True`` uses the default detector set (quarantine
         # off); pass a HealthMonitor to configure detectors/quarantine.
         self.health = health
-        # ``wire_codec`` pins the tensor codec ("raw", "raw+deflate" or the
-        # legacy "npz" oracle) for the duration of the run; by default the
-        # job's compression chain picks it.
         self.compression = job.compression
-        if wire_codec is None and self.compression is not None:
-            wire_codec = self.compression.wire_codec
-        self.wire_codec = wire_codec
         # NVFlare's simulator multiplexes N clients over T threads; here all
         # clients have their own thread but at most ``max_parallel`` execute
         # a task at once, bounding peak training memory.
@@ -159,8 +151,6 @@ class SimulatorRunner:
                                     exporter=self.metrics_port).start()
                    if self.telemetry else None)
         self.metrics_exporter = session.exporter if session is not None else None
-        previous_codec = (set_wire_codec(self.wire_codec)
-                          if self.wire_codec is not None else None)
         # Threaded clients and the server's evaluator share this process's
         # BLAS pool: size it like a worker's for the run, or concurrent
         # GEMMs serialise and spin on it.  Sequential runs have one caller.
@@ -170,8 +160,6 @@ class SimulatorRunner:
         try:
             return self._run_inner(capture, session, monitor)
         finally:
-            if previous_codec is not None:
-                set_wire_codec(previous_codec)
             if previous_blas is not None:
                 set_blas_threads(previous_blas)
             if session is not None:
@@ -232,7 +220,7 @@ class SimulatorRunner:
                 # no worker inherits a model copy
                 workers.launch(client_names)
             controller = self._controller(server, client_names, monitor, sites)
-            wire_before = wire_codec_module.wire_totals()
+            wire_before = wire_totals()
             stats = controller.run()
         finally:
             self._teardown(server, bus, sites, workers, session)
@@ -240,7 +228,7 @@ class SimulatorRunner:
         final_weights = controller.global_weights
         # Per-run wire accounting: the codec registry is cumulative per
         # process, so the run's share is the before/after delta.
-        wire_after = wire_codec_module.wire_totals()
+        wire_after = wire_totals()
 
         def _wire_delta(prefix: str) -> int:
             return int(

@@ -8,7 +8,7 @@ endpoints, and exchanges envelopes through the hub, which routes by
 recipient name.
 
 The bytes on the wire are exactly the envelopes the in-memory bus passes
-around — the Shareable's JSON headers plus its RTC1/npz-encoded DXO block,
+around — the Shareable's JSON headers plus its RTC1-encoded DXO block,
 HMAC-signed under the sender's session key — wrapped in a minimal binary
 framing:
 

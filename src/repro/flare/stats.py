@@ -81,8 +81,9 @@ class RunStats:
     # Receives skipped by message-id dedup (resends and replayed duplicates).
     duplicates_dropped: int = 0
     # Wire-codec accounting for the run: tensor payload bytes before
-    # encoding vs bytes actually produced for the wire (all codecs, both
-    # directions).  With compression on, encoded < raw.
+    # encoding vs bytes actually produced for the wire (both directions).
+    # Encoded exceeds raw by the RTC1 manifests and alignment padding;
+    # compression shrinks both.
     wire_bytes_raw: int = 0
     wire_bytes_encoded: int = 0
     # High-water mark of simultaneously-materialized decoded client updates

@@ -1,7 +1,7 @@
 """Transport seam: signed envelopes over pluggable delivery fabrics.
 
 Plays the role of NVFlare's gRPC/TLS channel.  Every message body is real
-bytes (the Shareable's DXO payload is RTC1/npz-encoded) and carries an
+bytes (the Shareable's DXO payload is RTC1-encoded) and carries an
 HMAC-SHA256 tag under the session key established at registration, so the
 protocol steps — serialize, sign, dispatch, dequeue, verify, deserialize —
 all actually run.

@@ -39,9 +39,10 @@ and budgets are constants of this module, not options.
     updates materialized at once, peak RSS within 1024 MiB, identical
     weights, staleness and wire bytes, and a registry diff that exits 0.
 ``wire``
-    A 2-round 2-site job raw, under ``delta+fp16+deflate`` and under
-    ``delta+fp16+topk:0.1``: compression shrinks the tensor bytes, top-k
-    beats no compression, and top-k stays within 176,000 encoded bytes.
+    A 2-round 2-site job uncompressed, under ``delta+fp16`` and under
+    ``delta+fp16+topk:0.1``: each compressed run puts fewer encoded bytes
+    on the wire than the uncompressed one, and top-k stays within 176,000
+    encoded bytes.
 """
 
 from __future__ import annotations
@@ -381,8 +382,9 @@ def health_run(run_dir: Path, diverge: str | None):
 
 def health(run_dir: Path) -> None:
     health_run(run_dir / "clean", diverge=None)
+    # round_bytes is deterministic: any change to it is a regression
     verdict = obs("runs", "diff", HEALTH_BASELINE, run_dir / "clean",
-                  "--root", run_dir,
+                  "--root", run_dir, "--bytes-threshold", "0",
                   "--dimensions", "round_bytes,final_metric,alerts")
     check(verdict == 0, f"clean run regressed vs {HEALTH_BASELINE.name} "
                         f"(exit {verdict})")
@@ -566,6 +568,7 @@ def cohort(run_dir: Path) -> None:
 # ---------------------------------------------------------------------------
 # wire
 # ---------------------------------------------------------------------------
+FP16 = "delta+fp16"
 TOPK = "delta+fp16+topk:0.1"
 # 159,748 B with 1-byte index gaps (+10% headroom); 4-byte absolute indices
 # put 213,956 B on the wire
@@ -577,8 +580,7 @@ def wire(run_dir: Path) -> None:
                 initial_weights={"w": np.zeros((128, 128), dtype=np.float32)},
                 learner_factory=DriftLearner, num_rounds=2)
     stats = {}
-    for name, spec in (("raw", None), ("deflate", "delta+fp16+deflate"),
-                       ("topk", TOPK)):
+    for name, spec in (("raw", None), ("fp16", FP16), ("topk", TOPK)):
         stats[spec] = SimulatorRunner(replace(job, compression=spec),
                                       n_clients=2, seed=0,
                                       run_dir=run_dir / name,
@@ -586,11 +588,8 @@ def wire(run_dir: Path) -> None:
         stats[spec].save_json(run_dir / name / STATS_FILE)
         print(f"{spec}: raw={stats[spec].wire_bytes_raw} "
               f"encoded={stats[spec].wire_bytes_encoded}")
-    deflate = stats["delta+fp16+deflate"]
-    check(deflate.wire_bytes_encoded < deflate.wire_bytes_raw,
+    check(stats[FP16].wire_bytes_encoded < stats[None].wire_bytes_encoded,
           "compression must shrink tensor bytes on the wire")
-    # no deflate: the codec cannot shrink top-k's index/value pairs, so
-    # top-k is measured against the uncompressed run instead
     check(stats[TOPK].wire_bytes_encoded < stats[None].wire_bytes_encoded,
           "top-k must put fewer bytes on the wire than no compression")
     check(stats[TOPK].wire_bytes_encoded <= TOPK_MAX_ENCODED,

@@ -32,7 +32,7 @@ from repro.flare.filters import diff_tensors, topk_gaps
 from repro.flare.shareable import from_dxo
 
 CTX = FLContext(identity="server")
-CONFIGS = [CompressionConfig(delta=True, float16=fp16, top_k=top_k)
+CONFIGS = [CompressionConfig(float16=fp16, top_k=top_k)
            for fp16 in (False, True) for top_k in (None, 0.1, 0.5)]
 # steps of the global between waves: signed zeros, values that flush to
 # fp16 zero (< 2**-25) or land on fp16 subnormals, and repeated magnitudes

@@ -22,8 +22,6 @@ from repro.flare import (
     InTimeAccumulateWeightedAggregator,
     MetaKey,
     SimulatorRunner,
-    get_wire_codec,
-    set_wire_codec,
 )
 
 from repro.flare.filters import topk_gaps
@@ -55,18 +53,10 @@ def max_abs_diff(a: dict, b: dict) -> float:
 def test_delta_only_run_is_bit_exact(tmp_path):
     plain = run_sim(tmp_path, "plain")
     delta = run_sim(tmp_path, "delta",
-                    compression=CompressionConfig(delta=True, float16=False))
+                    compression=CompressionConfig(float16=False))
     assert max_abs_diff(plain.final_weights, delta.final_weights) == 0.0
     for key in plain.final_weights:
         assert delta.final_weights[key].dtype == plain.final_weights[key].dtype
-
-
-def test_deflate_run_is_bit_exact(tmp_path):
-    plain = run_sim(tmp_path, "plain")
-    packed = run_sim(tmp_path, "deflate",
-                     compression=CompressionConfig(delta=True, float16=False,
-                                                   deflate=True))
-    assert max_abs_diff(plain.final_weights, packed.final_weights) == 0.0
 
 
 def test_fp16_run_stays_within_quantization_tolerance(tmp_path):
@@ -80,33 +70,10 @@ def test_fp16_run_stays_within_quantization_tolerance(tmp_path):
     assert quantized.stats.failed_rounds == 0
 
 
-def test_npz_codec_matches_raw_codec_bit_exactly(tmp_path):
-    raw = run_sim(tmp_path, "raw-codec", wire_codec="raw")
-    npz = run_sim(tmp_path, "npz-codec", wire_codec="npz")
-    assert max_abs_diff(raw.final_weights, npz.final_weights) == 0.0
-    # the process-wide codec is restored after each run
-    assert get_wire_codec() == "raw"
-
-
-@pytest.mark.parametrize("transport", ["memory", "socket", "shm"])
-def test_npz_codec_finishes_rounds_on_every_fabric(tmp_path, transport):
-    """Socket and shm deliver bodies as views (shm past 4 KiB inline), and
-    the npz decode must take them like the memory bus's buffers."""
-    job = FLJob(name=f"npz-{transport}",
-                initial_weights={"w": np.zeros((64, 64), dtype=np.float32)},
-                learner_factory=ToyLearner, num_rounds=2, result_timeout=8.0)
-    result = SimulatorRunner(replace(job, transport=transport), n_clients=2, seed=0,
-                             wire_codec="npz", run_dir=tmp_path / transport,
-                             capture_log=False).run()
-    assert result.stats.failed_rounds == 0
-    np.testing.assert_array_equal(result.final_weights["w"], 2.0)
-
-
 def test_topk_run_converges_with_bounded_distortion(tmp_path):
     plain = run_sim(tmp_path, "plain", rounds=3)
     sparse = run_sim(tmp_path, "topk", rounds=3,
-                     compression=CompressionConfig(delta=True, float16=False,
-                                                   top_k=0.5))
+                     compression=CompressionConfig(float16=False, top_k=0.5))
     # toy tensors are below TopKSparsify's min_size, so they stay dense and
     # the run is exact — the point is the whole chain stays consistent
     assert max_abs_diff(plain.final_weights, sparse.final_weights) == 0.0
@@ -127,7 +94,8 @@ def test_run_stats_carry_wire_byte_totals(tmp_path):
 
 def test_compression_reduces_tensor_bytes_on_wire(tmp_path):
     """With a model large enough that manifests don't dominate, delta+fp16
-    more than halves the raw tensor traffic and deflate shrinks the blobs."""
+    halves the tensor bytes exactly, and the blobs and envelopes to within
+    their headers."""
     big = {"weight": np.zeros((128, 128), dtype=np.float32),
            "bias": np.zeros(128, dtype=np.float32)}
 
@@ -139,10 +107,10 @@ def test_compression_reduces_tensor_bytes_on_wire(tmp_path):
                                run_dir=tmp_path / sub, capture_log=False).run()
 
     plain = run("plain")
-    packed = run("packed", compression="delta+fp16+deflate")
-    assert packed.stats.bytes_delivered < plain.stats.bytes_delivered / 2
-    # deflate makes encoded blobs smaller than their tensor payload
-    assert packed.stats.wire_bytes_encoded < packed.stats.wire_bytes_raw
+    packed = run("packed", compression="delta+fp16")
+    assert 2 * packed.stats.wire_bytes_raw == plain.stats.wire_bytes_raw
+    assert packed.stats.wire_bytes_encoded < 0.51 * plain.stats.wire_bytes_encoded
+    assert packed.stats.bytes_delivered < 0.51 * plain.stats.bytes_delivered
     assert max_abs_diff(plain.final_weights, packed.final_weights) < 1e-2
 
 
@@ -176,7 +144,6 @@ def test_job_level_compression_spec_is_honoured(tmp_path):
     runner = SimulatorRunner(job, n_clients=2, seed=0,
                              run_dir=tmp_path / "jobspec", capture_log=False)
     assert runner.compression is job.compression
-    assert runner.wire_codec == "raw"
     result = runner.run()
     assert result.stats.wire_bytes_raw > 0
 
@@ -184,15 +151,15 @@ def test_job_level_compression_spec_is_honoured(tmp_path):
 def test_sequential_mode_supports_compression(tmp_path):
     plain = run_sim(tmp_path, "seq-plain", threads=False)
     packed = run_sim(tmp_path, "seq-packed", threads=False,
-                     compression=CompressionConfig(delta=True, float16=False))
+                     compression=CompressionConfig(float16=False))
     assert max_abs_diff(plain.final_weights, packed.final_weights) == 0.0
 
 
 @pytest.mark.parametrize("config", [
-    CompressionConfig(delta=True, float16=False),
-    CompressionConfig(delta=True, float16=True),
-    CompressionConfig(delta=True, float16=False, top_k=0.2),
-    CompressionConfig(delta=True, float16=True, top_k=0.2),
+    CompressionConfig(float16=False),
+    CompressionConfig(float16=True),
+    CompressionConfig(float16=False, top_k=0.2),
+    CompressionConfig(float16=True, top_k=0.2),
 ], ids=["delta", "delta+fp16", "delta+topk", "delta+fp16+topk"])
 def test_downlink_keeps_server_and_clients_bit_identical(config):
     """The sync invariant the whole delta protocol rests on: after every

@@ -72,14 +72,12 @@ def assert_payload_structure(result: DXO, reference: dict) -> None:
         assert decoded.shape == original.shape, key
 
 
-@pytest.mark.parametrize("codec", ["raw", "raw+deflate", "npz"])
-def test_wire_codecs_preserve_key_order(codec):
+def test_wire_codecs_preserve_key_order():
     """Consumers iterate state dicts in order (e.g. drawing per-tensor RNG
-    streams), so every codec must reconstruct the insertion order — the
-    legacy npz path used to sort keys, silently desyncing such consumers
-    from raw-codec runs."""
+    streams), so the codec must reconstruct the insertion order — a codec
+    that sorted keys would silently desync such consumers."""
     dxo = make_dxo()
-    decoded = DXO.from_bytes(dxo.to_bytes(codec=codec))
+    decoded = DXO.from_bytes(dxo.to_bytes())
     arrays = [k for k in dxo.data if isinstance(dxo.data[k], np.ndarray)]
     assert [k for k in decoded.data if k in arrays] == arrays
 
@@ -351,7 +349,7 @@ def test_full_uplink_chain_composes():
     """delta → top-k → fp16 uplink vs fp16-dequant server side; the server
     keeps top-k sparse, so densify explicitly to inspect the update."""
     ctx = FLContext(identity="site-1")
-    config = CompressionConfig(delta=True, float16=True, top_k=0.5)
+    config = CompressionConfig(float16=True, top_k=0.5)
     base = {"w": np.zeros(512, dtype=np.float32)}
     ctx.set_prop(ReservedKey.GLOBAL_MODEL, base)
     trained = DXO(DataKind.WEIGHTS,
@@ -377,43 +375,38 @@ def test_full_uplink_chain_composes():
 # CompressionConfig.from_spec
 # ---------------------------------------------------------------------------
 def test_from_spec_tokens():
-    config = CompressionConfig.from_spec("delta+fp16+topk:0.05+deflate")
-    assert config.delta and config.float16 and config.deflate
-    assert config.top_k == 0.05
-    assert config.wire_codec == "raw+deflate"
+    config = CompressionConfig.from_spec("delta+fp16+topk:0.05")
+    assert config.float16 and config.top_k == 0.05
 
-    config = CompressionConfig.from_spec("fp16+no-downlink-delta")
-    assert config.float16 and not config.delta and not config.downlink_delta
-    assert config.wire_codec == "raw"
+    config = CompressionConfig.from_spec("delta")
+    assert not config.float16 and config.top_k is None
+    assert CompressionConfig.from_spec("delta+topk").top_k == 0.1
 
     assert CompressionConfig.from_spec(None) is None
-    passthrough = CompressionConfig(delta=False, float16=True)
+    passthrough = CompressionConfig(float16=True)
     assert CompressionConfig.from_spec(passthrough) is passthrough
 
 
-@pytest.mark.parametrize("bad", ["", "lz4", "delta+bogus"])
+# every compressed job is a delta job: a spec without ``delta`` is rejected,
+# and so are ``deflate`` and ``no-downlink-delta``
+@pytest.mark.parametrize("bad", ["", "lz4", "delta+bogus", "deflate",
+                                 "delta+no-downlink-delta", "fp16", "topk:0.1"])
 def test_from_spec_rejects_unknown_tokens(bad):
     with pytest.raises(ValueError):
         CompressionConfig.from_spec(bad)
 
 
 def test_filter_chain_layout_matches_config():
-    config = CompressionConfig(delta=True, float16=True, top_k=0.1)
-    # with delta a site runs one filter each way, and it runs every stage
+    config = CompressionConfig(float16=True, top_k=0.1)
+    # a site runs one filter each way, and it runs every stage
     [encode] = config.client_result_filters()
     assert type(encode) is DeltaEncode
     assert (encode.top_k, encode.float16) == (0.1, True)
     assert [type(f).__name__ for f in config.client_task_filters()] == ["DeltaDecode"]
-    no_topk = CompressionConfig(delta=True, float16=True)
+    no_topk = CompressionConfig(float16=True)
     assert [type(f).__name__ for f in no_topk.client_task_filters()] == ["DeltaDecode"]
     assert (no_topk.client_result_filters()[0].top_k,
             no_topk.client_result_filters()[0].float16) == (None, True)
-    # without delta the whole-model stages run, in uplink order
-    no_delta = CompressionConfig(delta=False, float16=True, top_k=0.1)
-    assert [type(f).__name__ for f in no_delta.client_result_filters()] == \
-        ["TopKSparsify", "Float16Quantize"]
-    assert [type(f).__name__ for f in no_delta.client_task_filters()] == \
-        ["Float16Dequantize"]
     # top-k updates reach the aggregator sparse: no densify on the server
     assert [type(f).__name__ for f in config.server_result_filters()] == \
         ["Float16Dequantize"]
@@ -426,9 +419,11 @@ def test_adapt_aggregator_flips_expected_kind():
         expected_data_kind = DataKind.WEIGHTS
 
     aggregator = FakeAggregator()
-    CompressionConfig(delta=True).adapt_aggregator(aggregator)
+    CompressionConfig().adapt_aggregator(aggregator)
     assert aggregator.expected_data_kind == DataKind.WEIGHT_DIFF
 
+    # only a WEIGHTS expectation is rewritten
     untouched = FakeAggregator()
-    CompressionConfig(delta=False, float16=True).adapt_aggregator(untouched)
-    assert untouched.expected_data_kind == DataKind.WEIGHTS
+    untouched.expected_data_kind = DataKind.METRICS
+    CompressionConfig().adapt_aggregator(untouched)
+    assert untouched.expected_data_kind == DataKind.METRICS

@@ -1,9 +1,13 @@
-"""Every path and ``python -m`` module the docs name exists."""
+"""Every path, ``python -m`` module, class and call the docs name exists."""
 
 from __future__ import annotations
 
+import ast
+import builtins
+import functools
 import importlib
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -14,6 +18,16 @@ DOCS = [ROOT / "README.md", *sorted((ROOT / "docs").glob("*.md")),
         ROOT / ".claude" / "skills" / "verify" / "SKILL.md"]
 PATH = re.compile(r"`((?:src|scripts|benchmarks|tests|examples|docs)/[^`\s]*)`")
 MODULE = re.compile(r"python3? -m (repro(?:\.\w+)*)")
+FENCE = re.compile(r"```.*?```", re.S)
+SPAN = re.compile(r"`([^`]+)`")
+# ``name(`` not preceded by a word or a dot (``.copy()`` is not checked),
+# with its dotted qualifier
+CALL = re.compile(r"(?<![\w.])((?:\w+\.)*)(\w+)\(")
+DOTTED = re.compile(r"\w+(?:\.\w+)*")
+# two humps at least: ``FaultyMessageBus``, ``MetaKey``; not ``DXO`` or ``Barrier``
+CAMEL = re.compile(r"[A-Z][a-z0-9]+[A-Z]\w*")
+# calls qualified by these are the stdlib's or numpy's, not the project's
+FOREIGN = set(sys.stdlib_module_names) | {"np", "numpy"}
 
 
 def expand_braces(pattern: str) -> list[str]:
@@ -37,6 +51,62 @@ def missing_paths(text: str) -> list[str]:
     return missing
 
 
+def defined_names(paths) -> set[str]:
+    """Every class and function (methods too) defined in ``paths``."""
+    names = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                names.add(node.name)
+    return names
+
+
+@functools.cache
+def project_names() -> frozenset[str]:
+    """Names a doc may use bare: the project's definitions and builtins."""
+    sources = [path for top in ("src/repro", "benchmarks", "scripts")
+               for path in (ROOT / top).rglob("*.py")]
+    return frozenset(defined_names(sources) | set(dir(builtins)))
+
+
+@functools.cache
+def module_names(stem: str) -> frozenset[str] | None:
+    """What the repository's ``<stem>.py`` modules define, or ``None`` when
+    no module has that name (then the qualifier is an object, not a module)."""
+    paths = [path for top in ("src", "benchmarks", "scripts", "tests", "examples")
+             for path in (ROOT / top).rglob(f"{stem}.py")]
+    return frozenset(defined_names(paths)) if paths else None
+
+
+def known(qualifier: str, name: str) -> bool:
+    """``qualifier.name`` is defined: in the module the qualifier names when
+    it names a repository module, else anywhere in the project; a stdlib or
+    numpy qualifier is not checked."""
+    parts = qualifier.split(".") if qualifier else []
+    if parts and parts[0] in FOREIGN:
+        return True
+    in_module = module_names(parts[-1]) if parts else None
+    return name in (in_module if in_module is not None else project_names())
+
+
+def unknown_names(text: str) -> list[str]:
+    """Backticked CamelCase names and ``name(...)`` calls that nothing in
+    the project defines and that are not builtins."""
+    unknown = []
+    for span in SPAN.findall(FENCE.sub("", text)):
+        span = " ".join(span.split())
+        # one-letter calls are math notation: ``f(1-f)``
+        bad = [name for qualifier, name in CALL.findall(span)
+               if len(name) > 1 and not known(qualifier.rstrip("."), name)]
+        if DOTTED.fullmatch(span):
+            parts = span.split(".")
+            bad += [part for index, part in enumerate(parts)
+                    if CAMEL.fullmatch(part) and not known(".".join(parts[:index]), part)]
+        if bad:
+            unknown.append(span)
+    return unknown
+
+
 @pytest.mark.parametrize("doc", DOCS, ids=lambda p: str(p.relative_to(ROOT)))
 def test_documented_paths_exist(doc):
     assert missing_paths(doc.read_text()) == []
@@ -48,7 +118,20 @@ def test_documented_modules_import(doc):
         importlib.import_module(module)
 
 
+@pytest.mark.parametrize("doc", DOCS, ids=lambda p: str(p.relative_to(ROOT)))
+def test_documented_names_are_defined(doc):
+    assert unknown_names(doc.read_text()) == []
+
+
 def test_checker_sees_a_missing_path():
     assert missing_paths("run `scripts/gone.py` then `src/repro/{smoke,gone}.py`, "
                          "`examples/*.py`, `tests/test_docs.py::test_x`") == [
         "scripts/gone.py", "src/repro/{smoke,gone}.py"]
+
+
+def test_checker_sees_an_undefined_name():
+    assert unknown_names(
+        "call `set_wire_codec()` on a `FaultyMessageBus`, not `SimulatorRunner`, "
+        "`len(x)`, `gc.collect()`, `np.zeros(3)`, `MetaKey.TOPK_SPEC`, "
+        "`test_site_memory_budget.measure_site()` or `f(1-f)`") == [
+        "set_wire_codec()", "FaultyMessageBus"]
