@@ -308,7 +308,7 @@ class ScatterAndGather(FLComponent):
         self.fire_event(EventType.START_RUN, fl_ctx)
         for window in range(self.num_rounds):
             # One span name under every policy, so round-oriented consumers
-            # (tail, dashboard, trace export) need no mode switch.
+            # (tail, report, trace export) need no mode switch.
             with obs_trace.span("round", round=window,
                                 **self.policy.span_attrs) as span:
                 self._run_window(window, fl_ctx, span)

@@ -27,7 +27,8 @@ The instrument panel every other subsystem reports into:
   ``python -m repro.obs report <run_dir>``.
 - :mod:`repro.obs.chrome` — Chrome/Perfetto trace-event export
   (``python -m repro.obs trace export <run_dir>``).
-- :mod:`repro.obs.tail` — live trace follower for streaming runs
+- :mod:`repro.obs.tail` — the live follower for streaming runs: round
+  progress, alerts and quarantine changes, appended line by line
   (``python -m repro.obs tail <run_dir>``).
 - :mod:`repro.obs.sysmon` — :class:`SysMonitor`, the background resource
   sampler (RSS, CPU, fds, /dev/shm, GC) feeding ``sys.*`` gauges into the
@@ -35,15 +36,12 @@ The instrument panel every other subsystem reports into:
 - :mod:`repro.obs.exporter` — :class:`MetricsExporter`, the loopback
   Prometheus/OpenMetrics ``/metrics`` + ``/healthz`` endpoint
   (``SimulatorRunner(metrics_port=...)``).
-- :mod:`repro.obs.dashboard` — the live terminal dashboard
-  (``python -m repro.obs watch <run_dir|url>``).
 
 See ``docs/OBSERVABILITY.md`` for the full API and artifact schemas.
 """
 
 from . import metrics, trace
 from .chrome import export_chrome_trace, to_chrome_trace
-from .dashboard import Dashboard, watch
 from .exporter import (
     MetricsExporter,
     parse_prometheus_text,
@@ -103,5 +101,4 @@ __all__ = [
     "RunRegistry", "summarize_run", "diff_runs",
     "SysMonitor", "read_proc_sample",
     "MetricsExporter", "render_prometheus", "parse_prometheus_text",
-    "Dashboard", "watch",
 ]

@@ -1,4 +1,4 @@
-"""Entry point: ``python -m repro.obs report|runs ...``."""
+"""Entry point: ``python -m repro.obs report|tail|trace|runs ...``."""
 
 from __future__ import annotations
 

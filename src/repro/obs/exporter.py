@@ -19,7 +19,7 @@ established <3% telemetry overhead budget.
 
 Metric names are sanitized Prometheus-style (``sys.rss_bytes`` becomes
 ``sys_rss_bytes``); :func:`parse_prometheus_text` is the matching
-minimal parser used by the dashboard and the ``live`` smoke scenario.
+minimal parser the ``live`` smoke scenario and the tests read scrapes with.
 """
 
 from __future__ import annotations

@@ -306,25 +306,13 @@ def main(argv: list[str] | None = None) -> int:
                         help="text report (default) or Chrome trace-event "
                              "JSON on stdout")
     tail_cmd = sub.add_parser(
-        "tail", help="follow a live run's trace.jsonl, printing round progress")
+        "tail", help="follow a live run's trace.jsonl and health.jsonl, "
+                     "printing round progress and alerts")
     tail_cmd.add_argument("run_dir", help="run directory being written by a "
                                           "streaming TelemetrySession")
     tail_cmd.add_argument("--idle-timeout", type=float, default=30.0,
                           help="exit after this many seconds without new "
                                "trace data (default 30)")
-    watch_cmd = sub.add_parser(
-        "watch", help="live terminal dashboard over a run dir or exporter URL")
-    watch_cmd.add_argument("target", help=f"run directory (follows {TRACE_FILE} "
-                                          f"+ {HEALTH_FILE}) or an exporter "
-                                          "http://host:port URL")
-    watch_cmd.add_argument("--refresh", type=float, default=1.0,
-                           help="seconds between frames (default 1)")
-    watch_cmd.add_argument("--idle-timeout", type=float, default=None,
-                           help="exit after this many seconds without "
-                                "progress (default: run until quit)")
-    watch_cmd.add_argument("--frames", type=int, default=None,
-                           help="render at most N frames then exit "
-                                "(useful non-interactively)")
     trace_cmd = sub.add_parser("trace", help="trace-file operations")
     trace_sub = trace_cmd.add_subparsers(dest="trace_command", required=True)
     export = trace_sub.add_parser(
@@ -345,13 +333,6 @@ def main(argv: list[str] | None = None) -> int:
             print(f"error: no trace records appeared in {trace_path}")
             return 1
         return 0
-    if args.command == "watch":
-        from .dashboard import watch
-
-        frames = watch(args.target, refresh=args.refresh,
-                       max_frames=args.frames,
-                       idle_timeout=args.idle_timeout)
-        return 0 if frames else 1
     if args.command == "trace":
         from .chrome import export_chrome_trace
 

@@ -2,9 +2,9 @@
 
 Every artifact a telemetry-armed run writes is named here once, and
 :class:`JsonlReader` is the only code that turns ``trace.jsonl`` /
-``health.jsonl`` lines into records.  ``report``, ``tail``, ``watch``,
-``runs`` and the Chrome export all read through it, so they agree on what a
-run directory holds.
+``health.jsonl`` lines into records.  ``report``, ``tail``, ``runs`` and
+the Chrome export all read through it, so they agree on what a run
+directory holds.
 
 The reader contract:
 

@@ -406,7 +406,7 @@ class TelemetrySession:
         if self.health is not None:
             self.health.finalize()
         if self.exporter is not None:
-            # last so a dashboard can scrape right through the run's tail
+            # last so a scraper can read right through the run's tail
             self.exporter.stop()
         return self.artifact_paths()
 

@@ -33,7 +33,8 @@ and budgets are constants of this module, not options.
     mid-run: every scrape parses as Prometheus text, one scrape carries
     ``sys_rss_bytes`` for the server and every site, the core federation
     and transport series appear, ``/healthz`` is JSON with a status, and
-    one ``repro.obs watch`` frame renders.
+    ``repro.obs tail`` follows the finished run to its footer with one line
+    per round and one per site task.
 ``cohort``
     Two same-seed 1,000-site FedBuff-style runs of 2 commits: at most 2
     updates materialized at once, peak RSS within 1024 MiB, identical
@@ -51,6 +52,7 @@ import argparse
 import contextlib
 import io
 import json
+import re
 import shutil
 import sys
 import threading
@@ -483,9 +485,15 @@ def live(run_dir: Path) -> None:
     check(result.stats.num_rounds == LIVE_ROUNDS,
           f"expected {LIVE_ROUNDS} rounds, got {result.stats.num_rounds}")
 
-    code = obs("watch", run_dir / "run", "--frames", 2, "--refresh", 0.2,
-               "--idle-timeout", 10)
-    check(code == 0, "repro.obs watch rendered no frame of the finished run")
+    code, text = obs_output("tail", run_dir / "run", "--idle-timeout", 10)
+    check(code == 0, f"repro.obs tail exited {code} on the finished run")
+    rounds = len(re.findall(r"^round \d+ complete in ", text, re.M))
+    check(rounds == LIVE_ROUNDS,
+          f"repro.obs tail printed {rounds} round line(s), not {LIVE_ROUNDS}")
+    done = text.count(" done in ")
+    check(done == LIVE_ROUNDS * LIVE_SITES,
+          f"repro.obs tail printed {done} task line(s), not one per site "
+          f"task ({LIVE_ROUNDS * LIVE_SITES})")
 
 
 # ---------------------------------------------------------------------------

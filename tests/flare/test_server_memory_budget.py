@@ -222,8 +222,11 @@ def socket_round_peaks(n_sites: int, monkeypatch) -> tuple[int, list[int]]:
         peaks.append(tracemalloc.get_traced_memory()[1] - start)
 
     monkeypatch.setattr(ScatterAndGather, "_run_window", traced)
+    # a worker that hangs after its fork fails the round in 30 s, not the
+    # default 600 s per round
     job = FLJob(name="socket-budget", initial_weights=weights,
-                learner_factory=ToyLearner, num_rounds=ROUNDS, transport="socket")
+                learner_factory=ToyLearner, num_rounds=ROUNDS, transport="socket",
+                result_timeout=30)
     tracemalloc.start()
     try:
         stats = SimulatorRunner(job, n_clients=n_sites, seed=0, key_bits=128,

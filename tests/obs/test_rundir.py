@@ -13,7 +13,6 @@ import pytest
 
 from repro.flare import FLJob, SimulatorRunner
 from repro.obs.chrome import export_chrome_trace
-from repro.obs.dashboard import watch
 from repro.obs.registry import summarize_run
 from repro.obs.report import render_report
 from repro.obs.rundir import HEALTH_FILE, TRACE_FILE, JsonlReader, read_records
@@ -97,27 +96,25 @@ def test_consumers_skip_non_object_lines(tmp_path):
     assert summary["health"]["alerts"]["warning"] == 1
     out = io.StringIO()
     assert tail_run(tmp_path, stream=out, poll=0.01, idle_timeout=1.0) == 3
-    assert "round 0 complete" in out.getvalue()
-    frame = io.StringIO()
-    watch(str(tmp_path), refresh=0.01, stream=frame, max_frames=3, clear=False)
-    assert "rounds: 1 complete" in frame.getvalue()
-    assert "straggler" in frame.getvalue()
+    lines = out.getvalue().splitlines()
+    assert "round 0 complete in 100.0ms (0 task(s) streamed so far)" in lines
+    assert [line for line in lines if line.startswith("  alert ")] == [
+        "  alert r0 warning straggler site-1: slow"]
+    assert lines[-1] == "sites: site-1 0 task(s); quarantined: none"
 
 
-def test_watch_leaves_no_thread_behind(tmp_path):
+def test_tail_leaves_no_thread_behind(tmp_path):
     finished_run(tmp_path)
     before = set(threading.enumerate())
-    frames = watch(str(tmp_path), refresh=0.01, stream=io.StringIO(),
-                   max_frames=5, clear=False)
-    assert frames >= 1
+    assert tail_run(tmp_path, stream=io.StringIO(), poll=0.01) == 3
     time.sleep(0.2)
     assert [t.name for t in threading.enumerate()
             if t not in before and t.is_alive()] == []
 
 
 def test_every_consumer_agrees_on_one_socket_run(tmp_path):
-    """report, runs, tail, watch and the Chrome export read one run dir the
-    same way, including a half-written final line."""
+    """report, runs, tail and the Chrome export read one run dir the same
+    way, including a half-written final line."""
     job = FLJob(name="agree", initial_weights=toy_weights(0.0), num_rounds=2,
                 learner_factory=lambda name: ToyLearner(
                     name, delta=-40.0 if name == "site-2" else 1.0))
@@ -148,16 +145,14 @@ def test_every_consumer_agrees_on_one_socket_run(tmp_path):
 
     out = io.StringIO()
     assert tail_run(tmp_path, stream=out, poll=0.01, idle_timeout=1.0) == len(events)
-    assert len(re.findall(r"^round \d+ complete", out.getvalue(), re.M)) == 2
-    assert out.getvalue().count(" done in ") == len(tasks)
-
-    frame = io.StringIO()
-    assert watch(str(tmp_path), stream=frame, max_frames=1, clear=False) == 1
-    text = frame.getvalue()
-    assert "rounds: 2 complete" in text
-    assert sum(int(n) for n in re.findall(r"^  site-\d+ +\S+ ago +(\d+)", text, re.M)) \
+    text = out.getvalue()
+    assert len(re.findall(r"^round \d+ complete", text, re.M)) == 2
+    assert text.count(" done in ") == len(tasks)
+    assert len(re.findall(r"^  alert r\d+ ", text, re.M)) == n_alerts
+    footer = text.splitlines()[-1]
+    assert footer.startswith("sites: ")
+    assert sum(int(n) for n in re.findall(r"site-\d+ (\d+) task\(s\)", footer)) \
         == len(tasks)
-    assert len(re.findall(r"^  r\d+ ", text, re.M)) == min(n_alerts, 6)
 
     chrome = json.loads(export_chrome_trace(tmp_path / TRACE_FILE).read_text())
     complete = [e for e in chrome["traceEvents"] if e["ph"] == "X"]

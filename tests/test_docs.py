@@ -1,11 +1,14 @@
-"""Every path, ``python -m`` module, class and call the docs name exists."""
+"""Every path, ``python -m`` module and subcommand, class and call the docs
+name exists."""
 
 from __future__ import annotations
 
 import ast
 import builtins
+import contextlib
 import functools
 import importlib
+import io
 import re
 import sys
 from pathlib import Path
@@ -13,11 +16,13 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-DOCS = [ROOT / "README.md", *sorted((ROOT / "docs").glob("*.md")),
+DOCS = [ROOT / "README.md", ROOT / "DESIGN.md", ROOT / "EXPERIMENTS.md",
+        *sorted((ROOT / "docs").glob("*.md")),
         ROOT / "benchmarks" / "baselines" / "README.md",
         ROOT / ".claude" / "skills" / "verify" / "SKILL.md"]
 PATH = re.compile(r"`((?:src|scripts|benchmarks|tests|examples|docs)/[^`\s]*)`")
 MODULE = re.compile(r"python3? -m (repro(?:\.\w+)*)")
+OBS_SUBCOMMAND = re.compile(r"python3? -m repro\.obs ([a-z][\w-]*)")
 FENCE = re.compile(r"```.*?```", re.S)
 SPAN = re.compile(r"`([^`]+)`")
 # ``name(`` not preceded by a word or a dot (``.copy()`` is not checked),
@@ -107,6 +112,21 @@ def unknown_names(text: str) -> list[str]:
     return unknown
 
 
+def unknown_obs_subcommands(text: str) -> list[str]:
+    """``python -m repro.obs <sub>`` subcommands the CLI does not accept."""
+    from repro.obs.report import main
+
+    unknown = []
+    for sub in sorted(set(OBS_SUBCOMMAND.findall(text))):
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()), \
+                pytest.raises(SystemExit) as exit_info:
+            main([sub, "--help"])
+        if exit_info.value.code != 0:
+            unknown.append(sub)
+    return unknown
+
+
 @pytest.mark.parametrize("doc", DOCS, ids=lambda p: str(p.relative_to(ROOT)))
 def test_documented_paths_exist(doc):
     assert missing_paths(doc.read_text()) == []
@@ -116,6 +136,11 @@ def test_documented_paths_exist(doc):
 def test_documented_modules_import(doc):
     for module in set(MODULE.findall(doc.read_text())):
         importlib.import_module(module)
+
+
+@pytest.mark.parametrize("doc", DOCS, ids=lambda p: str(p.relative_to(ROOT)))
+def test_documented_obs_subcommands_exist(doc):
+    assert unknown_obs_subcommands(doc.read_text()) == []
 
 
 @pytest.mark.parametrize("doc", DOCS, ids=lambda p: str(p.relative_to(ROOT)))
@@ -135,3 +160,10 @@ def test_checker_sees_an_undefined_name():
         "`len(x)`, `gc.collect()`, `np.zeros(3)`, `MetaKey.TOPK_SPEC`, "
         "`test_site_memory_budget.measure_site()` or `f(1-f)`") == [
         "set_wire_codec()", "FaultyMessageBus"]
+
+
+def test_checker_sees_an_unknown_subcommand():
+    assert unknown_obs_subcommands(
+        "follow with `python -m repro.obs tail runs/x`, not "
+        "`python -m repro.obs watch runs/x`; `python3 -m repro.obs runs list`") == [
+        "watch"]
