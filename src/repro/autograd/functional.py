@@ -20,12 +20,14 @@ as ``bool`` and applied as ``x * kept * dtype(1/(1-p))``
 attention rebuilds ``probs * keep`` from ``probs`` and the mask; GELU keeps
 the pre-activation and its tanh term and rebuilds ``x**2`` and its output
 (``ArrayBackend.gelu_recompute``); the LSTM takes ``tanh(c)`` of the stored
-cell states again in one pass.  GEMM outputs are kept, never recomputed.
+cell states again in one pass, and its BPTT writes the gate derivatives into
+the gate stash it consumes.  GEMM outputs are kept, never recomputed.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 
 import numpy as np
 
@@ -62,6 +64,8 @@ __all__ = [
 
 _GELU_COEFF = math.sqrt(2.0 / math.pi)
 _GELU_CUBIC = 0.044715
+# Rows of (batch * steps, 4H) gates an LSTM backward pass works on at once.
+_BPTT_BLOCK_ROWS = 256
 
 
 def _as_tensor(x) -> Tensor:
@@ -1007,6 +1011,42 @@ def lstm_step(gates_x: Tensor, h_prev: Tensor, c_prev: Tensor, weight_hh: Tensor
     return h_out, c_out
 
 
+def _lstm_gate_factors(gates: np.ndarray, tanh_c: np.ndarray, f_copy: np.ndarray,
+                       c_prev: np.ndarray) -> None:
+    """Overwrite activated LSTM gates ``(rows, 4, H)`` with each gate's
+    derivative times its partner in the cell update, and ``tanh_c`` with
+    ``o (1 - tanh^2 c)``, by the float ops of a separate derivative buffer.
+
+    ``f_copy`` is a copy of the forget gate.  i and g (o and tanh c) read
+    each other, so one product waits in a block-sized scratch; blocks of rows
+    keep a block's gates in cache across the dozen passes.
+    """
+    partial = np.empty((min(len(f_copy), _BPTT_BLOCK_ROWS), f_copy.shape[1]),
+                       dtype=f_copy.dtype)
+    for a in range(0, len(f_copy), _BPTT_BLOCK_ROWS):
+        block = slice(a, a + _BPTT_BLOCK_ROWS)
+        i, f, g, o = (gates[block, k] for k in range(4))
+        tc, fk = tanh_c[block], f_copy[block]
+        part = partial[:len(fk)]
+        np.subtract(1.0, i, out=part)
+        part *= i
+        part *= g                             # s(1-s) g for i
+        np.multiply(g, g, out=g)
+        np.subtract(1.0, g, out=g)
+        g *= i                                # (1 - g^2) i
+        i[...] = part
+        np.subtract(1.0, o, out=part)
+        part *= o
+        part *= tc                            # s(1-s) tanh(c) for o
+        np.multiply(tc, tc, out=tc)
+        np.subtract(1.0, tc, out=tc)
+        tc *= o                               # o (1 - tanh^2 c)
+        o[...] = part
+        np.subtract(1.0, fk, out=f)
+        f *= fk
+        f *= c_prev[block]                    # s(1-s) c_prev for f
+
+
 def lstm_layer(x: Tensor, weight_ih: Tensor, weight_hh: Tensor, bias: Tensor,
                mask: np.ndarray | None = None, reverse: bool = False
                ) -> tuple[Tensor, Tensor, Tensor]:
@@ -1038,9 +1078,13 @@ def lstm_layer(x: Tensor, weight_ih: Tensor, weight_hh: Tensor, bias: Tensor,
     Under grad the activated gates and every ``h``/``c`` stay stashed
     (time-major, one buffer each); under ``no_grad`` only the output
     sequence outlives the call.  Backward: ``tanh(c)`` and the
-    gate-derivative factors are formed in bulk, the loop carries ``dh``/``dc`` as plain arrays with one
-    ``dgates @ W_hh`` GEMM per step, and the three parameter gradients and
-    ``dx`` are one ``(seq*batch)``-deep GEMM each after the loop.
+    gate-derivative factors are formed in bulk and overwrite the stashed
+    ``gates`` in place (one ``(seq, batch, hidden)`` copy of the forget gate
+    survives for the loop), the loop carries ``dh``/``dc`` as plain arrays
+    with one ``dgates @ W_hh`` GEMM per step, the real tokens are compacted
+    to the front of the same buffer, and the three parameter gradients and
+    ``dx`` are one GEMM each over them.  The out-node and ``c_last`` share
+    the stash: while the other one can still run, backward works on a copy.
     """
     x = _as_tensor(x)
     batch, seq, in_dim = x.shape
@@ -1109,35 +1153,30 @@ def lstm_layer(x: Tensor, weight_ih: Tensor, weight_hh: Tensor, bias: Tensor,
             np.copyto(h_new, h_prev, where=pad[t])
             np.copyto(c_new, c_prev, where=pad[t])
 
-    def bptt(dout: np.ndarray | None, dc_last: np.ndarray | None) -> None:
-        # Everything that is not the recurrence, in bulk: ``dgates`` starts
-        # as d(gate)/d(pre-activation) times the gate's partner in the cell
-        # update, and the loop scales each step's rows by dc / dh in place.
+    def bptt(dout: np.ndarray | None, dc_last: np.ndarray | None,
+             sibling: weakref.ref) -> None:
+        # BPTT overwrites the activated gates with their derivatives.  The
+        # out-node and ``c_last`` share the stash, so while the other one can
+        # still run this pass works on a copy of it.
+        other = sibling()
         live = gates[window]
-        i, f, g, o = (live[:, :, k] for k in range(4))
+        if other is not None and other._backward is not None:
+            live = live.copy()
         prev = slice(lo + 1 - new, hi + 1 - new)
+        # Everything that is not the recurrence, in bulk; the loop scales
+        # each step's rows by dc / dh in place and reads a copy of f.
         # tanh(c) over the window in one pass instead of a per-step stash.
         # A padding row's stored c is the carried-over state, not the c the
         # forward took tanh of, so its value differs there; the loop below
-        # never reads a padding row's dh_to_dc or keeps its dgates row.
+        # never reads a padding row's dh_to_dc or keeps its gate rows.
+        n_rows = (hi - lo) * batch
+        f_kept = live[:, :, 1].copy()
         dh_to_dc = bk.tanh(c_all[lo + new:hi + new])
-        dgates = np.empty_like(gates)
-        d_live = dgates[window]
-        di, df, dg, do = (d_live[:, :, k] for k in range(4))
-        np.subtract(1.0, live, out=d_live)
-        d_live *= live                        # s(1-s) for i, f, o
-        np.multiply(g, g, out=dg)
-        np.subtract(1.0, dg, out=dg)          # 1 - g^2
-        di *= g
-        df *= c_all[prev]
-        dg *= i
-        do *= dh_to_dc                        # tanh(c)
-        np.multiply(dh_to_dc, dh_to_dc, out=dh_to_dc)
-        np.subtract(1.0, dh_to_dc, out=dh_to_dc)
-        dh_to_dc *= o                         # o (1 - tanh^2 c)
+        _lstm_gate_factors(live.reshape(n_rows, 4, hd), dh_to_dc.reshape(n_rows, hd),
+                           f_kept.reshape(n_rows, hd), c_all[prev].reshape(n_rows, hd))
 
         dout_t = None if dout is None else dout.transpose(1, 0, 2)
-        dh = np.zeros((batch, hd), dtype=dgates.dtype)
+        dh = np.zeros((batch, hd), dtype=live.dtype)
         dh_prev = np.empty_like(dh)
         dc = np.zeros_like(dh) if dc_last is None else dc_last.astype(dh.dtype)
         w_hh = weight_hh.data
@@ -1147,35 +1186,48 @@ def lstm_layer(x: Tensor, weight_ih: Tensor, weight_hh: Tensor, bias: Tensor,
             if not lo <= t < hi:
                 continue
             # Padding rows pass dh / dc through; what the step leaves in
-            # their ``dgates`` rows is dropped after the loop.
+            # their gate rows is dropped after the loop.
             rows_in = real[t] if ragged[t] else True
             np.multiply(dh, dh_to_dc[t - lo], out=scratch)
             np.add(dc, scratch, out=dc, where=rows_in)
-            step = dgates[t]
+            step = live[t - lo]
             step[:, :3] *= dc[:, None, :]
             step[:, 3] *= dh
             np.matmul(step.reshape(batch, 4 * hd), w_hh, out=dh_prev)
-            np.multiply(dc, gates[t, :, 1], out=dc, where=rows_in)
+            np.multiply(dc, f_kept[t - lo], out=dc, where=rows_in)
             if ragged[t]:
                 np.copyto(dh_prev, dh, where=pad[t])
             dh, dh_prev = dh_prev, dh
+        del dh_to_dc, f_kept
 
         # One GEMM per gradient, over every real (step, row) pair at once.
-        tokens = np.flatnonzero(real[window]) if ragged.any() else slice(None)
-        dgates2d = d_live.reshape(-1, 4 * hd)[tokens]
+        # The real rows move up inside the stash in ascending blocks: row j
+        # comes from row tokens[j] >= j, so a block never reads a row that an
+        # earlier block wrote.
+        dgates2d = live.reshape(n_rows, 4 * hd)
+        tokens = slice(None)
+        if ragged.any():
+            tokens = np.flatnonzero(real[window])
+            moved = tokens != np.arange(tokens.size)
+            for a in range(moved.argmax() if moved.any() else tokens.size,
+                           tokens.size, _BPTT_BLOCK_ROWS):
+                src = tokens[a:a + _BPTT_BLOCK_ROWS]
+                dgates2d[a:a + src.size] = dgates2d[src]
+            dgates2d = dgates2d[:tokens.size]
         weight_hh._accumulate_owned(dgates2d.T @ h_all[prev].reshape(-1, hd)[tokens])
         weight_ih._accumulate_owned(dgates2d.T @ x2d[rows][tokens])
         bias._accumulate_owned(dgates2d.sum(axis=0))
         if x.requires_grad:
-            dx = np.zeros((seq * batch, in_dim), dtype=dgates.dtype)
+            dx = np.zeros((seq * batch, in_dim), dtype=live.dtype)
             dx[rows][tokens] = dgates2d @ weight_ih.data
             x._accumulate_owned(dx.reshape(seq, batch, in_dim).transpose(1, 0, 2))
 
     out_rows = h_all[:seq] if reverse else h_all[1:]
     out = Tensor._make(out_rows.transpose(1, 0, 2), parents, "lstm_layer",
-                       lambda grad: bptt(grad, None))
+                       lambda grad: bptt(grad, None, c_ref))
     c_last = Tensor._make(c_all[(seq - first) % c_rows].copy(), parents,
-                          "lstm_layer_c", lambda grad: bptt(None, grad))
+                          "lstm_layer_c", lambda grad: bptt(None, grad, out_ref))
+    out_ref, c_ref = weakref.ref(out), weakref.ref(c_last)
     return out, out[:, 0 if reverse else -1], c_last
 
 
@@ -1203,10 +1255,13 @@ def dropout(x: Tensor, p: float, training: bool, rng: np.random.Generator | None
     x = _as_tensor(x)
     kept = _dropout_mask(rng or np.random.default_rng(), x.shape, p, x.dtype)
 
+    # The output keeps the input's layout: a time-major LSTM output stays
+    # time-major, so the next layer's time-major input is a view of it.
     def backward(grad: np.ndarray) -> None:
-        x._accumulate_owned(_dropout_into(grad, kept, p))
+        x._accumulate_owned(_dropout_into(grad, kept, p, out=np.empty_like(grad)))
 
-    return Tensor._make(_dropout_into(x.data, kept, p), (x,), "dropout", backward)
+    return Tensor._make(_dropout_into(x.data, kept, p, out=np.empty_like(x.data)),
+                        (x,), "dropout", backward)
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:

@@ -137,6 +137,9 @@ class SimulatorRunner:
         capture = LogCapture().attach() if self.capture_log else None
         if isinstance(self.health, HealthMonitor):
             monitor: HealthMonitor | None = self.health
+            # A monitor built without a run dir writes this run's health.jsonl.
+            if monitor.run_dir is None:
+                monitor.run_dir = self.run_dir
         elif self.health:
             monitor = HealthMonitor(run_dir=self.run_dir)
         else:

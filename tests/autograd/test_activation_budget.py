@@ -87,15 +87,18 @@ class TestBudgets:
 
     def test_lstm(self):
         hidden, in_dim, layers = 128, 128, 3
-        # lstm_layer: gates (4H), every h and c (2H) and the time-major input
-        # copy; between layers the dropout output (float) and mask (bool).
-        per_layer = TOKENS * F32 * (6 * hidden + in_dim)
+        # lstm_layer: gates (4H) and every h and c (2H); the first layer also
+        # keeps a time-major copy of the embedding, while the layers above
+        # read the time-major dropout output as it is.  Between layers the
+        # dropout output (float) and mask (bool).
+        per_layer = TOKENS * F32 * 6 * hidden
         between = TOKENS * (F32 * hidden + hidden)
         stash_budget = 1.1 * (layers * per_layer + (layers - 1) * between
-                              + TOKENS * F32 * in_dim)
-        # BPTT's temporaries: dgates and its real-token gather (8H), dx and
-        # the rebuilt o * (1 - tanh^2 c) (H + in)
-        peak_budget = stash_budget + 1.2 * TOKENS * F32 * (9 * hidden + in_dim)
+                              + 2 * TOKENS * F32 * in_dim)
+        # BPTT writes the gate derivatives into the gates it consumes; its
+        # temporaries are the forget-gate copy and tanh(c) (2H) during the
+        # loop, then the real-token gathers of h and x and dx (H + 2 in)
+        peak_budget = stash_budget + 1.2 * TOKENS * F32 * (3 * hidden + 2 * in_dim)
 
         ids, mask, labels = _batch()
         model = build_classifier("lstm", vocab_size=120, seed=0)
@@ -133,6 +136,73 @@ def test_bool_mask_dropout_equals_float_mask_bit_for_bit(dtype, p, seed, data):
         np.testing.assert_array_equal(_bits(out.data), _bits(x * keep))
         out.backward(grad)
         np.testing.assert_array_equal(_bits(tensor.grad), _bits(grad * keep))
+
+
+def _closed_over(fn, name: str):
+    cells = dict(zip(fn.__code__.co_freevars, fn.__closure__))
+    return cells[name].cell_contents
+
+
+def _lstm_stash(out: Tensor, name: str):
+    """A buffer the backward of ``lstm_layer``'s out-node reads."""
+    return _closed_over(_closed_over(out._backward, "bptt"), name)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("reverse", [False, True])
+def test_lstm_bptt_in_place_equals_copy_bit_for_bit(dtype, reverse):
+    """With ``c_last`` dropped BPTT overwrites the stashed gates; with it held
+    (it could still run) BPTT works on a copy.  Both give the same bits."""
+    rng = np.random.default_rng(11)
+    batch, seq, in_dim, hd = 5, 9, 6, 7
+    mask = rng.random((batch, seq)) > 0.35
+    mask[0] = True
+    mask[:, 0] = mask[:, -1] = False  # steps outside the real window
+    arrays = [rng.normal(size=shape).astype(dtype) for shape in
+              ((batch, seq, in_dim), (4 * hd, in_dim), (4 * hd, hd), (4 * hd,))]
+    upstream = rng.normal(size=(batch, seq, hd)).astype(dtype)
+
+    def step(hold_c: bool):
+        params = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+        out, h_last, c_last = F.lstm_layer(*params, mask=mask, reverse=reverse)
+        gates = _lstm_stash(out, "gates")
+        before = gates.copy()
+        held = c_last if hold_c else None
+        del h_last, c_last
+        out.backward(upstream)
+        assert held is None or held._backward is not None
+        consumed = not np.array_equal(_bits(gates), _bits(before))
+        return [p.grad for p in params], consumed
+
+    in_place, consumed = step(hold_c=False)
+    copied, untouched = step(hold_c=True)
+    assert consumed and not untouched
+    for a, b in zip(in_place, copied):
+        assert a.dtype == dtype
+        np.testing.assert_array_equal(_bits(a), _bits(b))
+
+
+def test_dropout_keeps_its_input_layout():
+    """A time-major (batch, seq, hidden) view comes out time-major, so the
+    next LSTM layer reads it without a copy; C order stays C order."""
+    p, shape = 0.3, (34, 6, 16)
+    base = np.random.default_rng(4).normal(size=shape).astype(np.float32)
+    x = Tensor(base.transpose(1, 0, 2), requires_grad=True)
+    out = F.dropout(x, p, training=True, rng=np.random.default_rng(9))
+    assert out.data.strides == x.data.strides
+    keep = _dropout_keep(np.random.default_rng(9), x.shape, p, np.float32)
+    np.testing.assert_array_equal(_bits(out.data), _bits(x.data * keep))
+
+    rng = np.random.default_rng(5)
+    hd, in_dim = 8, shape[-1]
+    weights = [Tensor(rng.normal(size=s).astype(np.float32), requires_grad=True)
+               for s in ((4 * hd, in_dim), (4 * hd, hd), (4 * hd,))]
+    layer_out = F.lstm_layer(out, *weights)[0]
+    assert np.shares_memory(_lstm_stash(layer_out, "x2d"), out.data)
+
+    flat = F.dropout(Tensor(base, requires_grad=True), p, training=True,
+                     rng=np.random.default_rng(9))
+    assert flat.data.flags.c_contiguous
 
 
 @pytest.mark.parametrize("name", available_backends())

@@ -501,6 +501,21 @@ class TestLstmLayer:
         assert_parity(rng, fused, ref, fused_params, ref_params)
 
 
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_lstm_layer_in_place_bptt_spans_blocks(rng, reverse):
+    """More (step, row) pairs than one BPTT block, on the in-place path
+    (``c_last`` dropped): the block-wise gate factors and the compaction of
+    the real tokens against the reference."""
+    batch, seq = 37, 15
+    params = TestLstmLayer._params(rng, batch=batch, seq=seq)
+    mask = _lstm_masks(batch, seq)["scattered"]
+    assert mask.sum() > 256
+    refs = clones(params)
+    fused = F.lstm_layer(*params, mask=mask, reverse=reverse)[0]
+    ref = R.lstm_layer(*refs, mask=mask, reverse=reverse)[0]
+    assert_parity(rng, fused, ref, params, refs)
+
 class TestSmallOps:
     def test_linear_gradcheck(self, rng):
         x, w, b = t(rng, 3, 4, 5), t(rng, 6, 5), t(rng, 6)

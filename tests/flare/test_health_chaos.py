@@ -14,6 +14,7 @@ from repro.flare.faults import FaultPlan
 from repro.flare.stats import RunStats
 from repro.obs import HealthMonitor
 from repro.obs.health import DivergingClientDetector, StragglerDetector
+from repro.obs.rundir import HEALTH_FILE, read_records
 
 from .helpers import ToyLearner, toy_weights
 
@@ -137,3 +138,19 @@ class TestQuarantineRoundTrip:
         assert monitor.quarantined_clients == []
         last_round = result.stats.rounds[-1]
         assert "site-3" not in last_round.quarantined_clients
+
+
+def test_monitor_without_run_dir_writes_the_runners_health_file(tmp_path):
+    """A monitor passed in without a run dir adopts the runner's, so
+    ``repro.obs tail`` / ``report`` see its rounds and alerts."""
+    monitor = HealthMonitor(quarantine_after=1)
+    result = run_job(lambda name: DivergingLearner(name), monitor=monitor,
+                     run_dir=tmp_path)
+    assert monitor.run_dir == tmp_path
+    records = read_records(tmp_path / HEALTH_FILE)
+    events = [record.get("event") for record in records]
+    assert events.count("round") == 3
+    alerts = [record for record in records if record.get("event") == "alert"]
+    assert alerts and len(alerts) == len(result.stats.alerts)
+    assert any(a["detector"] == "quarantine" and a["client"] == "site-3"
+               for a in alerts)
