@@ -148,7 +148,7 @@ def test_cohort_round(benchmark, tmp_path, scale, mode):
     weights = {"dense.weight": np.zeros((64, 64), dtype=np.float32)}
     common = dict(name=f"cohort-{mode}", initial_weights=weights,
                   learner_factory=DeltaLearner, num_rounds=commits,
-                  sampler="uniform", sampling_seed=0)
+                  sampling_seed=0)
     if mode == "sync":
         job = FLJob(clients_per_round=8, **common)
     else:

@@ -7,7 +7,6 @@ message transport.  One round engine runs every job; a ``CommitPolicy``
 for the mapping to NVFlare concepts.
 """
 
-from .admin import AdminAPI, ClientInfo, JobStatus
 from .aggregators import (
     Aggregator,
     CoordinateMedianAggregator,
@@ -64,13 +63,7 @@ from .provision import (
     default_project,
     make_join_token,
 )
-from .sampling import (
-    ClientSampler,
-    StratifiedSampler,
-    UniformSampler,
-    WeightedSampler,
-    make_sampler,
-)
+from .sampling import UniformSampler
 from .security import (
     Certificate,
     CertificateAuthority,
@@ -103,7 +96,6 @@ from .transport import (
 
 __all__ = [
     "DataKind", "ReturnCode", "EventType", "ReservedKey", "TaskName", "FLRole",
-    "AdminAPI", "ClientInfo", "JobStatus",
     "FLContext", "FLComponent", "LogCapture", "get_fl_logger", "set_console_level",
     "DXO", "MetaKey", "Shareable", "from_dxo", "to_dxo", "make_reply",
     "encode_tensors", "decode_tensors", "wire_totals", "reset_wire_metrics",
@@ -119,8 +111,7 @@ __all__ = [
     "Aggregator", "InTimeAccumulateWeightedAggregator", "FedOptAggregator",
     "CoordinateMedianAggregator", "TrimmedMeanAggregator",
     "TreeAggregator", "MaterializationTracker",
-    "ClientSampler", "UniformSampler", "WeightedSampler", "StratifiedSampler",
-    "make_sampler",
+    "UniformSampler",
     "FullModelShareableGenerator", "ModelPersistor",
     "DXOFilter", "FilterChain", "ExcludeVars", "GaussianPrivacy",
     "PercentilePrivacy", "NormClipPrivacy",

@@ -100,15 +100,14 @@ class FederatedClient(FLComponent):
 
     def __init__(self, kit: StartupKit, learner: Learner, bus: Transport,
                  task_result_filters: list[DXOFilter] | None = None,
-                 task_data_filters: list[DXOFilter] | None = None,
-                 retry_policy: RetryPolicy | None = None) -> None:
+                 task_data_filters: list[DXOFilter] | None = None) -> None:
         super().__init__(name=kit.participant.name)
         self.kit = kit
         self.learner = learner
         self.bus = bus
         self.task_result_filters = list(task_result_filters or [])
         self.task_data_filters = list(task_data_filters or [])
-        self.retry_policy = retry_policy or RetryPolicy()
+        self.retry_policy = RetryPolicy()
         self.retries = 0
         self.token: str | None = None
         self.server_name: str | None = None
@@ -307,9 +306,9 @@ class FederatedClient(FLComponent):
             self._stopping.wait(timeout)
         return True
 
-    def serve(self, poll_timeout: float = 1.0) -> None:
+    def serve(self) -> None:
         """Serve tasks until the server's stop message or :meth:`stop`."""
-        while not self._stopping.is_set() and self.serve_once(poll_timeout):
+        while not self._stopping.is_set() and self.serve_once():
             pass
 
     def serve_in_thread(self) -> threading.Thread:

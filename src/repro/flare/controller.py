@@ -31,7 +31,7 @@ from .events import FLComponent, format_names
 from .filters import CompressionConfig, DXOFilter, dense_tensors
 from .fl_context import FLContext
 from .persistor import ModelPersistor
-from .sampling import ClientSampler, UniformSampler
+from .sampling import UniformSampler
 from .server import FLServer
 from .shareable import Shareable, to_dxo
 from .shareable_generator import FullModelShareableGenerator
@@ -66,17 +66,17 @@ class CommitPolicy:
     overrides the ones it takes differently from these neutral defaults.
 
     A policy belongs to one controller, which binds it to the federation's
-    sites and sampler before the first window.
+    sites and cohort draw before the first window.
     """
 
     span_attrs: dict = {}    # extra attributes of the ``round`` trace span
     carries_tasks = False    # decision 3: do unanswered tasks survive a close?
 
-    def bind(self, sites: list[str], sampler: ClientSampler,
+    def bind(self, sites: list[str], sampling_seed: int,
              min_clients: int | None) -> int:
         """Validate against the federation; returns the quorum to enforce
         (by default, every update a window can accept)."""
-        self.sites, self.sampler = sites, sampler
+        self.sites, self.sampler = sites, UniformSampler(seed=sampling_seed)
         capacity = self.capacity(len(sites))
         if min_clients is None:
             return capacity
@@ -216,8 +216,8 @@ class ScatterAndGather(FLComponent):
     max_failed_rounds:
         *Consecutive* under-quorum rounds tolerated (each keeps the previous
         global model and moves on) before the next one aborts the run.
-    sampler, sampling_seed:
-        Site selection (repro.flare.sampling); default: seeded uniform draw.
+    sampling_seed:
+        Seed of the uniform cohort draw (:class:`UniformSampler`).
     compression:
         Optional :class:`CompressionConfig`: its server-side decompression
         filters are prepended to ``result_filters``, the aggregator is
@@ -248,7 +248,6 @@ class ScatterAndGather(FLComponent):
                  result_timeout: float = 600.0,
                  max_failed_rounds: int = 0,
                  sampling_seed: int = 0,
-                 sampler: ClientSampler | None = None,
                  compression: CompressionConfig | None = None,
                  health: HealthMonitor | None = None,
                  policy: CommitPolicy | None = None,
@@ -273,10 +272,8 @@ class ScatterAndGather(FLComponent):
         self.result_timeout = result_timeout
         self.max_failed_rounds = max_failed_rounds
         self.policy = policy if policy is not None else Barrier()
-        self.min_clients = self.policy.bind(
-            self.client_names,
-            sampler if sampler is not None else UniformSampler(seed=sampling_seed),
-            min_clients)
+        self.min_clients = self.policy.bind(self.client_names, sampling_seed,
+                                            min_clients)
         self.listeners = list(listeners or [])
         if compression is not None:
             self.result_filters = (compression.server_result_filters()

@@ -16,7 +16,6 @@ from .aggregators import Aggregator, InTimeAccumulateWeightedAggregator
 from .constants import DataKind
 from .filters import CompressionConfig, DXOFilter
 from .learner import Learner
-from .sampling import ClientSampler
 
 __all__ = ["FLJob"]
 
@@ -75,16 +74,9 @@ class FLJob:
         ``compression`` setting works under both.
     clients_per_round:
         Sync mode: how many sites to task per round (``None`` = all).
-    sampler:
-        Cohort-selection policy: a :class:`~repro.flare.sampling
-        .ClientSampler` instance or a spec string (``"uniform"``,
-        ``"weighted"``, ``"stratified[:n]"``); ``None`` = seeded uniform.
-    site_sizes:
-        Per-site data sizes for the weighted/stratified samplers (sites
-        not listed count as size 1).
     sampling_seed:
-        Seed for spec-string samplers (ignored when ``sampler`` is an
-        instance, which carries its own seed).
+        Seed of the uniform cohort draw (sync mode with
+        ``clients_per_round``, and every async refill).
     buffer_size / concurrency / staleness_alpha / max_staleness:
         Async-mode knobs, passed to :class:`Buffered`.
     """
@@ -106,8 +98,6 @@ class FLJob:
     transport: str | None = None
     mode: str = "sync"
     clients_per_round: int | None = None
-    sampler: ClientSampler | str | None = None
-    site_sizes: dict[str, float] | None = None
     sampling_seed: int = 0
     buffer_size: int = 4
     concurrency: int | None = None

@@ -27,9 +27,9 @@ only its startup kit, its join token and the server's session key, from
 which both ends derive the HMAC channel; every task/result/heartbeat byte
 after that crosses the fabric.
 
-The default start method is ``fork`` (the only one that does not require
-picklable learner factories); jobs whose factories pickle cleanly may pass
-``start_method="spawn"``.
+Workers are always forked (shm queues are inherited, and a learner
+factory need not pickle), after every handshake and before the socket hub
+accepts, so no thread of the fabric's runs in the parent at a fork.
 
 Telemetry mechanics live in :mod:`repro.obs.session`: a worker whose
 runtime carries a :class:`~repro.obs.session.WorkerTelemetry` runs a
@@ -64,6 +64,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["ProcessClientRunner", "ClientProcessConfig", "WorkerRuntime",
            "client_process_main", "TELEMETRY_TOPIC"]
+
+# Seconds ``launch`` waits for every worker's endpoint announcement.
+_CONNECT_TIMEOUT = 30.0
 
 
 @dataclass
@@ -130,7 +133,6 @@ class ClientProcessConfig:
     compression: CompressionConfig | None = None
     extra_result_filters: list = field(default_factory=list)
     heartbeat_interval: float | None = 2.0
-    poll_timeout: float = 1.0
 
 
 def client_process_main(config: ClientProcessConfig,
@@ -173,7 +175,7 @@ def client_process_main(config: ClientProcessConfig,
             session.registries.append(bus.metrics)
             session.start()
         try:
-            site.serve(config.poll_timeout)
+            site.serve()
         finally:
             site.stop()
         if session is not None:
@@ -196,9 +198,9 @@ class ProcessClientRunner:
         runner.join()
 
     ``launch`` performs the registration handshake for every site in the
-    parent (installing the client session keys on the hub), forks the
-    client processes, and blocks until each spoke's endpoint announcement
-    reaches the hub — so the first broadcast never races the connects.
+    parent (installing the client session keys on the hub), then forks the
+    client processes, and only then lets a socket hub accept (in
+    ``wait_for_endpoints``).
     """
 
     def __init__(self, learner_factory: Callable[[str], "Learner"],
@@ -207,9 +209,6 @@ class ProcessClientRunner:
                  extra_result_filters: list | None = None,
                  max_parallel: int | None = None,
                  heartbeat_interval: float | None = 2.0,
-                 poll_timeout: float = 1.0,
-                 start_method: str = "fork",
-                 connect_timeout: float = 30.0,
                  runtime: WorkerRuntime | None = None,
                  collector: TelemetryCollector | None = None) -> None:
         hub = server.bus
@@ -217,13 +216,6 @@ class ProcessClientRunner:
             raise TypeError("ProcessClientRunner needs the server on a "
                             "SocketMessageBus or ShmMessageBus hub; got "
                             f"{type(hub).__name__}")
-        if isinstance(hub, ShmMessageBus) and start_method != "fork":
-            raise ValueError("the shm fabric requires start_method='fork' "
-                             "(its queues are inherited, not pickled)")
-        if start_method not in multiprocessing.get_all_start_methods():
-            raise ValueError(
-                f"start method {start_method!r} unavailable on this platform "
-                f"(have: {multiprocessing.get_all_start_methods()})")
         self.learner_factory = learner_factory
         self.kits = kits
         self.server = server
@@ -232,13 +224,11 @@ class ProcessClientRunner:
         self.extra_result_filters = list(extra_result_filters or [])
         self.max_parallel = max_parallel
         self.heartbeat_interval = heartbeat_interval
-        self.poll_timeout = poll_timeout
-        self.connect_timeout = connect_timeout
         self.runtime = runtime
         # Shared with the server's telemetry_sink so mid-round deltas and
         # the final drain land in one place; created lazily when absent.
         self.collector = collector
-        self._ctx = multiprocessing.get_context(start_method)
+        self._ctx = multiprocessing.get_context("fork")
         self._processes: dict[str, multiprocessing.process.BaseProcess] = {}
         self.tokens: dict[str, str] = {}
 
@@ -256,7 +246,7 @@ class ProcessClientRunner:
             for name in client_names:
                 self.hub.register_endpoint(name)
         else:
-            address = self.hub.address
+            address = self.hub.listen_address  # not yet accepting
         # One shared cross-process gate bounds how many sites train at once,
         # mirroring the threaded simulator's max_parallel semaphore.
         gate = (self._ctx.Semaphore(self.max_parallel)
@@ -265,23 +255,24 @@ class ProcessClientRunner:
         # the Event threaded clients share; the server sets it at run end.
         abort_signal = self.server.abort_signal = self._ctx.Event()
         for name in client_names:
-            token = self.tokens[name] = handshake(self.server, self.kits[name])
+            self.tokens[name] = handshake(self.server, self.kits[name])
+        for name in client_names:
             config = ClientProcessConfig(
-                kit=self.kits[name], token=token, server_name=self.server.name,
+                kit=self.kits[name], token=self.tokens[name],
+                server_name=self.server.name,
                 server_key=server_key, address=address,
                 bus=self.hub if shm else None,
                 runtime=self.runtime,
                 fault_plan=self.hub.fault_plan, compression=self.compression,
                 extra_result_filters=self.extra_result_filters,
-                heartbeat_interval=self.heartbeat_interval,
-                poll_timeout=self.poll_timeout)
+                heartbeat_interval=self.heartbeat_interval)
             process = self._ctx.Process(
                 target=client_process_main,
                 args=(config, self.learner_factory, gate, abort_signal),
                 name=f"fl-client-{name}", daemon=True)
             process.start()
             self._processes[name] = process
-        self.hub.wait_for_endpoints(client_names, timeout=self.connect_timeout)
+        self.hub.wait_for_endpoints(client_names, timeout=_CONNECT_TIMEOUT)
         return dict(self.tokens)
 
     # ------------------------------------------------------------------

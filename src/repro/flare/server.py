@@ -37,14 +37,14 @@ class FLServer(FLComponent):
     """Holds registered clients, issues tokens and sends/collects tasks."""
 
     def __init__(self, kit: StartupKit, bus: MessageBus, project_name: str = "",
-                 seed: int = 0, retry_policy: RetryPolicy | None = None) -> None:
+                 seed: int = 0) -> None:
         super().__init__(name=kit.participant.name)
         self.kit = kit
         self.bus = bus
         self.project_name = project_name or kit.project_name
         self.fl_ctx = FLContext(identity=self.name)
         self.tokens: dict[str, str] = {}
-        self.retry_policy = retry_policy or RetryPolicy()
+        self.retry_policy = RetryPolicy()
         self.retries = 0
         # Optional callable fed every streamed worker telemetry delta the
         # moment the result loop dequeues one (process-per-client runs

@@ -64,10 +64,8 @@ __all__ = ["ShmMessageBus", "DEFAULT_INLINE_LIMIT"]
 # costs more than copying a few KiB.
 DEFAULT_INLINE_LIMIT = 4096
 
-
-def _default_segment_root() -> str | None:
-    """Prefer tmpfs so segments never touch a disk."""
-    return "/dev/shm" if os.path.isdir("/dev/shm") else None
+# Segments go to tmpfs where there is one, so they never touch a disk.
+_SEGMENT_ROOT = "/dev/shm" if os.path.isdir("/dev/shm") else None
 
 
 class ShmMessageBus(BaseTransport):
@@ -81,17 +79,12 @@ class ShmMessageBus(BaseTransport):
     """
 
     def __init__(self, *, fault_plan: "FaultPlan | None" = None,
-                 inline_limit: int = DEFAULT_INLINE_LIMIT,
-                 segment_root: str | None = None,
-                 start_method: str = "fork") -> None:
+                 inline_limit: int = DEFAULT_INLINE_LIMIT) -> None:
         super().__init__(fault_plan)
         self.inline_limit = inline_limit
-        self._ctx = multiprocessing.get_context(start_method)
+        self._ctx = multiprocessing.get_context("fork")
         self._queues: dict[str, "multiprocessing.queues.Queue"] = {}
-        self._dir = tempfile.mkdtemp(prefix="repro-shm-",
-                                     dir=(segment_root
-                                          if segment_root is not None
-                                          else _default_segment_root()))
+        self._dir = tempfile.mkdtemp(prefix="repro-shm-", dir=_SEGMENT_ROOT)
         self._owner_pid = os.getpid()
         self._seq = itertools.count()
         self._closed = False

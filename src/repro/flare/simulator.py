@@ -37,7 +37,6 @@ from .job import FLJob
 from .persistor import ModelPersistor
 from .provision import Provisioner, default_project
 from .runner import ProcessClientRunner, WorkerRuntime
-from .sampling import make_sampler
 from .server import FLServer
 from .shm_transport import ShmMessageBus
 from .socket_transport import SocketMessageBus
@@ -286,8 +285,6 @@ class SimulatorRunner:
             result_timeout=job.result_timeout,
             max_failed_rounds=job.max_failed_rounds,
             sampling_seed=job.sampling_seed,
-            sampler=make_sampler(job.sampler, site_sizes=job.site_sizes,
-                                 seed=job.sampling_seed),
             compression=self.compression,
             health=monitor,
             policy=policy,

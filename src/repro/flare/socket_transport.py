@@ -115,8 +115,12 @@ _CREDIT_FLOOR = 64 << 10
 
 # A sender silent this long inside a frame is dropped like a mid-frame disconnect,
 # and a reader that waited this long for a credit reads its frame anyway.
-# The order of connect_timeout: a 9.9 MB body takes ~10 ms over loopback.
+# The order of _CONNECT_TIMEOUT: a 9.9 MB body takes ~10 ms over loopback.
 _STALL_SECONDS = 10.0
+
+# A spoke's uplink: seconds per connect attempt, and the backoff between them.
+_CONNECT_TIMEOUT = 10.0
+_UPLINK_RETRY = RetryPolicy()
 
 
 # ---------------------------------------------------------------------------
@@ -348,17 +352,13 @@ class SocketMessageBus(BaseTransport):
                  listen: bool = True,
                  connect_to: tuple[str, int] | None = None,
                  fault_plan: "FaultPlan | None" = None,
-                 retry_policy: RetryPolicy | None = None,
-                 heartbeat_interval: float | None = None,
-                 connect_timeout: float = 10.0) -> None:
+                 heartbeat_interval: float | None = None) -> None:
         if listen and connect_to is not None:
             raise ValueError("a node either listens (hub) or connects (spoke)")
         super().__init__(fault_plan)
         self._log = logging.LoggerAdapter(get_fl_logger(),
                                           {"component": type(self).__name__})
-        self.retry_policy = retry_policy or RetryPolicy()
         self.heartbeat_interval = heartbeat_interval
-        self.connect_timeout = connect_timeout
         self._queues: dict[str, queue.Queue] = {}  # of (message, its credit or None)
         self._links: dict[str, _Link] = {}  # endpoint name -> claiming link
         self._credits = _RECEIVE_CREDITS  # free ones; guarded by _budget
@@ -371,7 +371,6 @@ class SocketMessageBus(BaseTransport):
         self._uplink: _Link | None = None
         self._uplink_lock = threading.Lock()
         self._connect_addr = connect_to
-        self._last_pong: float | None = None
         self._routing_drops = self.metrics.counter("transport.routing_drops")
         self._reconnects = self.metrics.counter("transport.reconnects")
         self._frame_errors = self.metrics.counter("transport.frame_errors")
@@ -379,9 +378,9 @@ class SocketMessageBus(BaseTransport):
         self._heartbeats = {kind: self.metrics.counter("transport.heartbeats",
                                                        kind=kind)
                             for kind in ("ping", "pong")}
-        if listen:
+        self._accepting = False
+        if listen:  # binds now, accepts later (see _accept)
             self._listener = socket.create_server((host, port), backlog=64)
-            self._spawn(self._accept_loop, name="bus-accept")
         if connect_to is not None:
             self._ensure_uplink()
             if self.heartbeat_interval is not None:
@@ -395,20 +394,30 @@ class SocketMessageBus(BaseTransport):
 
     @property
     def address(self) -> tuple[str, int]:
-        """The hub's bound ``(host, port)``."""
+        """The hub's bound ``(host, port)``; reading it starts accepting."""
+        self._accept()
+        return self.listen_address
+
+    @property
+    def listen_address(self) -> tuple[str, int]:
+        """The hub's bound ``(host, port)``, read without accepting."""
         if self._listener is None:
             raise TransportError("node is not listening")
         host, port = self._listener.getsockname()[:2]
         return host, port
 
-    @property
-    def last_pong(self) -> float | None:
-        """``time.monotonic()`` of the most recent heartbeat reply."""
-        return self._last_pong
-
-    def heartbeat_counts(self) -> dict[str, int]:
-        return {kind: int(counter.value)
-                for kind, counter in self._heartbeats.items()}
+    def _accept(self) -> None:
+        """Start the accept loop, and so every reader, once: a hub listens from
+        ``__init__`` (the backlog holds connects) but accepts only from the
+        first :attr:`address`, ``receive`` or :meth:`wait_for_endpoints`, so
+        ``ProcessClientRunner`` reads :attr:`listen_address` and forks with
+        no hub thread alive."""
+        if self._listener is None or self._accepting:
+            return  # a spoke, or accepting already: no lock per receive
+        with self._lock:
+            if not (self._accepting or self._closed.is_set()):
+                self._accepting = True
+                self._spawn(self._accept_loop, name="bus-accept")
 
     def _spawn(self, target, name: str) -> None:
         thread = threading.Thread(target=target, name=name, daemon=True)
@@ -437,6 +446,7 @@ class SocketMessageBus(BaseTransport):
             return self._queues[name].qsize() if name in self._queues else 0
 
     def _next_message(self, name: str, remaining: float | None) -> Message | None:
+        self._accept()
         with self._lock:
             q = self._queues[name]
             # asking for the next frame lets go of the last one's credit, so a
@@ -490,14 +500,12 @@ class SocketMessageBus(BaseTransport):
     def _dispatch(self, message: Message) -> None:
         recipient = message.recipient
         with self._lock:
-            link = self._links.get(recipient)
-            local = link is None and recipient in self._queues
-        if link is not None:
-            link_frame = encode_data_frame(message)
-            self._send_link(link, link_frame, recipient)
-            self._count_delivery(message)
-        elif local:
-            self._deliver_local(message)
+            known = recipient in self._links or recipient in self._queues
+        if known:
+            link = self._deliver_local(message)
+            if link is not None:
+                self._send_link(link, encode_data_frame(message), recipient)
+                self._count_delivery(message)
         elif self._connect_addr is not None:
             # Spoke: everything non-local goes through the hub, which owns
             # the routing table; deliverability is the hub's judgement.
@@ -506,16 +514,26 @@ class SocketMessageBus(BaseTransport):
         else:
             raise TransportError(f"unknown recipient {recipient!r}")
 
-    def _deliver_local(self, message: Message, credit=None) -> None:
+    def _deliver_local(self, message: Message, credit=None,
+                       source: _Link | None = None) -> "_Link | None":
+        """Queue ``message`` in its recipient's inbox, or return the link that
+        claims the recipient unless it is ``source`` (the frame's way in).  One
+        hold of the lock ``_claim_endpoints`` drains under, so no claim lands
+        between check and put."""
         with self._lock:
-            q = self._queues.get(message.recipient)
-        if q is None:
+            link = self._links.get(message.recipient)
+            if link is source:
+                link = None
+            q = self._queues.get(message.recipient) if link is None else None
+            if q is not None:
+                q.put((message, credit))
+        if q is not None:
+            self._count_delivery(message)
+        elif link is None:
             self._routing_drops.inc()
             self._log.warning("dropping %r for unknown local endpoint %r",
                               message.topic, message.recipient)
-            return
-        q.put((message, credit))
-        self._count_delivery(message)
+        return link
 
     def _send_link(self, link: _Link, frame: list, recipient: str) -> None:
         try:
@@ -596,23 +614,19 @@ class SocketMessageBus(BaseTransport):
             self._heartbeats["pong"].inc()
             link.send_frame(encode_frame(FRAME_PONG))
         elif frame_type == FRAME_PONG:
-            self._last_pong = time.monotonic()
             self._heartbeats["pong"].inc()
         elif frame_type == FRAME_BYE:
             raise _PeerClosed
         else:  # FRAME_DATA
             message = decode_data_frame(rest)
-            with self._lock:
-                forward = self._links.get(message.recipient)
-            if forward is not None and forward is not link:
+            forward = self._deliver_local(message, rest.obj.credit, source=link)
+            if forward is not None:
                 try:
                     forward.send_frame(encode_frame(FRAME_DATA, body=rest))
                     self._count_delivery(message)
                 except TransportError:
                     self._forget_link(forward)
                     self._routing_drops.inc()
-            else:
-                self._deliver_local(message, rest.obj.credit)
 
     # ------------------------------------------------------------------
     # spoke side
@@ -629,12 +643,12 @@ class SocketMessageBus(BaseTransport):
                 return self._uplink
             reconnecting = self._uplink is not None
             last_error: Exception | None = None
-            for attempt in range(self.retry_policy.max_attempts):
+            for attempt in range(_UPLINK_RETRY.max_attempts):
                 if self._closed.is_set():
                     raise TransportError("node is closed")
                 try:
                     sock = socket.create_connection(self._connect_addr,
-                                                    timeout=self.connect_timeout)
+                                                    timeout=_CONNECT_TIMEOUT)
                     sock.settimeout(None)
                     link = _Link(sock)
                     self._send_hello(link)
@@ -646,11 +660,11 @@ class SocketMessageBus(BaseTransport):
                     return link
                 except (OSError, TransportError) as error:
                     last_error = error
-                    if attempt + 1 < self.retry_policy.max_attempts:
-                        time.sleep(self.retry_policy.delay_for(attempt))
+                    if attempt + 1 < _UPLINK_RETRY.max_attempts:
+                        time.sleep(_UPLINK_RETRY.delay_for(attempt))
             raise TransportError(
                 f"cannot reach hub at {self._connect_addr} after "
-                f"{self.retry_policy.max_attempts} attempt(s): {last_error}"
+                f"{_UPLINK_RETRY.max_attempts} attempt(s): {last_error}"
             ) from last_error
 
     def _send_uplink(self, frame: list) -> None:
@@ -674,6 +688,7 @@ class SocketMessageBus(BaseTransport):
     # ------------------------------------------------------------------
     def wait_for_endpoints(self, names: list[str], timeout: float = 30.0) -> None:
         """Block until every name is routable (local or claimed by a link)."""
+        self._accept()
         deadline = time.monotonic() + timeout
         while True:
             with self._lock:

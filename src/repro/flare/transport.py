@@ -387,14 +387,6 @@ class BaseTransport(Transport):
     injected_corruptions = property(lambda self: self._injected("corrupt"))
     injected_delays = property(lambda self: self._injected("delay"))
 
-    def fault_counts(self) -> dict[str, int]:
-        """JSON-safe summary of everything injected so far (zeros unarmed)."""
-        return {"drops": self.injected_drops,
-                "crash_drops": self.injected_crash_drops,
-                "duplicates": self.injected_duplicates,
-                "corruptions": self.injected_corruptions,
-                "delays": self.injected_delays}
-
     # ------------------------------------------------------------------
     def register_endpoint(self, name: str) -> None:
         with self._lock:

@@ -518,7 +518,7 @@ def cohort_run(run_dir: Path, monitor: SysMonitor):
         initial_weights={"dense.weight": np.zeros((COHORT_DIM, COHORT_DIM),
                                                   dtype=np.float32)},
         learner_factory=learner, num_rounds=COHORT_COMMITS, mode="async",
-        buffer_size=32, concurrency=64, staleness_alpha=0.5, sampler="uniform",
+        buffer_size=32, concurrency=64, staleness_alpha=0.5,
         evaluator=lambda weights: {"mean_weight": mean_weight(weights)})
     started = time.perf_counter()
     result = SimulatorRunner(job, n_clients=COHORT_SITES, seed=11,

@@ -1,20 +1,11 @@
-"""Client-sampling schedulers: determinism, bias, strata and quorum interplay."""
+"""The uniform cohort draw: determinism, pinned cohorts and quorum interplay."""
 
 from __future__ import annotations
-
-from collections import Counter
 
 import numpy as np
 import pytest
 
-from repro.flare import (
-    FLJob,
-    SimulatorRunner,
-    StratifiedSampler,
-    UniformSampler,
-    WeightedSampler,
-    make_sampler,
-)
+from repro.flare import FLJob, SimulatorRunner, UniformSampler
 
 from .helpers import ToyLearner, toy_weights
 
@@ -56,76 +47,21 @@ class TestUniformSampler:
         with pytest.raises(ValueError, match="positive"):
             UniformSampler().sample(CLIENTS, 0, 0)
 
-
-class TestWeightedSampler:
-    def test_large_sites_sampled_more_often(self):
-        sizes = {name: 1.0 for name in CLIENTS}
-        sizes["site-1"] = 50.0
-        sampler = WeightedSampler(site_sizes=sizes, seed=0)
-        counts = Counter()
-        for r in range(200):
-            counts.update(sampler.sample(CLIENTS, 3, r))
-        assert counts["site-1"] > max(
-            counts[name] for name in CLIENTS if name != "site-1")
-
-    def test_unknown_sites_default_to_size_one(self):
-        sampler = WeightedSampler(site_sizes={"site-1": 2.0}, seed=0)
-        assert len(sampler.sample(CLIENTS, 4, 0)) == 4
-
-    def test_rejects_non_positive_sizes(self):
-        with pytest.raises(ValueError, match="positive"):
-            WeightedSampler(site_sizes={"site-1": 0.0})
-
-
-class TestStratifiedSampler:
-    SIZES = {name: float(i) for i, name in enumerate(CLIENTS, start=1)}
-
-    def test_no_empty_stratum_when_budget_allows(self):
-        # satellite pin: every non-empty stratum draws at least one site
-        # whenever n >= number of strata
-        sampler = StratifiedSampler(site_sizes=self.SIZES, n_strata=4, seed=0)
-        for r in range(20):
-            picks = sampler.sample(CLIENTS, 4, r)
-            strata = sampler._strata(CLIENTS)
-            assert all(any(name in stratum for name in picks)
-                       for stratum in strata), f"empty stratum at round {r}"
-
-    def test_allocation_is_proportional_and_exact(self):
-        quotas = StratifiedSampler._allocate(6, [3, 3, 3, 3])
-        assert sum(quotas) == 6
-        assert all(q >= 1 for q in quotas)
-        quotas = StratifiedSampler._allocate(10, [1, 1, 1, 17])
-        assert sum(quotas) == 10
-        assert all(q <= pop for q, pop in zip(quotas, [1, 1, 1, 17]))
-
-    def test_more_strata_than_clients_degrades_gracefully(self):
-        sampler = StratifiedSampler(site_sizes=self.SIZES, n_strata=50, seed=0)
-        picks = sampler.sample(CLIENTS, 5, 0)
-        assert len(set(picks)) == 5
-
-    def test_deterministic_per_round(self):
-        a = StratifiedSampler(site_sizes=self.SIZES, n_strata=3, seed=9)
-        b = StratifiedSampler(site_sizes=self.SIZES, n_strata=3, seed=9)
-        assert a.sample(CLIENTS, 7, 5) == b.sample(CLIENTS, 7, 5)
-
-
-class TestMakeSampler:
-    def test_spec_strings(self):
-        assert isinstance(make_sampler("uniform"), UniformSampler)
-        assert isinstance(make_sampler("weighted"), WeightedSampler)
-        stratified = make_sampler("stratified:6", seed=2)
-        assert isinstance(stratified, StratifiedSampler)
-        assert stratified.n_strata == 6
-        assert make_sampler("stratified").n_strata == 4
-
-    def test_none_and_instance_pass_through(self):
-        assert make_sampler(None) is None
-        sampler = UniformSampler(seed=5)
-        assert make_sampler(sampler) is sampler
-
-    def test_unknown_spec_raises(self):
-        with pytest.raises(ValueError, match="unknown sampler"):
-            make_sampler("roulette")
+    @pytest.mark.parametrize("seed, n, wave, cohort", [
+        (0, 3, 0, [5, 6, 8]),
+        (0, 3, 1, [4, 7, 8]),
+        (0, 5, 7, [1, 2, 4, 5, 6]),
+        (7, 4, 3, [4, 6, 7, 8]),
+        (42, 2, 11, [1, 4]),
+        (3, 6, 0, [1, 2, 3, 5, 7, 8]),
+        (1, 1, 5, [7]),
+    ])
+    def test_draw_is_pinned(self, seed, n, wave, cohort):
+        # literal cohorts on 8 sites: Buffered refills draw through this, so
+        # a different draw would change every async job's checkpoints
+        sites = [f"site-{i}" for i in range(1, 9)]
+        assert UniformSampler(seed=seed).sample(sites, n, wave) == \
+            [f"site-{i}" for i in cohort]
 
 
 class TestSamplingQuorumInterplay:
@@ -147,7 +83,7 @@ class TestSamplingQuorumInterplay:
                     learner_factory=lambda name: ToyLearner(
                         name, delta=1.0, fail_on_round=1),
                     num_rounds=3, clients_per_round=3, min_clients=2,
-                    max_failed_rounds=1, sampler="uniform")
+                    max_failed_rounds=1)
         result = SimulatorRunner(job, n_clients=8, seed=0, threads=False,
                                  key_bits=128).run()
         quorum = [r.quorum_met for r in result.stats.rounds]
@@ -160,8 +96,7 @@ class TestSamplingQuorumInterplay:
     def test_sampled_run_tasks_exactly_clients_per_round(self):
         job = FLJob(name="q", initial_weights=toy_weights(),
                     learner_factory=lambda name: ToyLearner(name),
-                    num_rounds=4, clients_per_round=3, sampler="stratified",
-                    site_sizes={f"site-{i}": float(i) for i in range(1, 9)})
+                    num_rounds=4, clients_per_round=3)
         result = SimulatorRunner(job, n_clients=8, seed=0, threads=False,
                                  key_bits=128).run()
         for record in result.stats.rounds:

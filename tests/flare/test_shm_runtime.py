@@ -268,16 +268,6 @@ class TestRunnerOnShm:
         runner.join(timeout=20.0)
         hub.close()
 
-    def test_shm_requires_fork(self):
-        kits, hub, server = self._provision()
-        try:
-            if "spawn" in __import__("multiprocessing").get_all_start_methods():
-                with pytest.raises(ValueError, match="fork"):
-                    ProcessClientRunner(lambda name: ToyLearner(name), kits,
-                                        server, start_method="spawn")
-        finally:
-            hub.close()
-
     def test_child_side_registration_after_fork_fails_loudly(self):
         bus = ShmMessageBus()
         bus.register_endpoint("server")

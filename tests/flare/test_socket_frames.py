@@ -245,3 +245,67 @@ class TestTeardown:
         assert len(threads) >= 1 + 8 + 8  # accept + 8 hub readers + 8 uplink readers
         assert all(thread.name.startswith("bus-") for thread in threads)
         assert not [thread.name for thread in threads if thread.is_alive()]
+
+
+class TestRouting:
+    def test_a_claim_racing_a_dispatch_never_strands_the_message(self):
+        """The hub queues a task for a site whose spoke has not announced
+        itself yet (``FLServer.register_client`` made the inbox), and the
+        spoke's claim flushes that inbox onto its link.  A claim landing
+        between the dispatch's look-up and its put must still carry the task
+        out: an inbox nobody reads would lose it with hub and spoke alive."""
+        hub = SocketMessageBus()
+        for name in ("server", "site-1"):
+            hub.register_endpoint(name)
+            hub.install_session_key(name, name.encode() * 4)
+        ours, theirs = socket.socketpair()
+        link = socket_transport._Link(ours)
+        inbox = hub._queues["site-1"]
+        put = inbox.put
+        claim = threading.Thread(target=hub._claim_endpoints,
+                                 args=(link, ["site-1"]))
+
+        def put_while_claiming(item, *args, **kwargs):
+            inbox.put = put
+            claim.start()
+            claim.join(timeout=0.5)  # it waits here unless put and look-up share a lock
+            put(item, *args, **kwargs)
+
+        inbox.put = put_while_claiming
+        try:
+            hub.send_shareable("server", "site-1", "task", from_dxo(
+                DXO(DataKind.WEIGHTS, data={"w": np.ones(3, np.float32)})))
+            claim.join(timeout=5.0)
+            theirs.settimeout(5.0)
+            frame_type, rest = read_frame(theirs)
+            assert frame_type == FRAME_DATA
+            assert decode_data_frame(rest).recipient == "site-1"
+            assert hub.pending("site-1") == 0
+        finally:
+            link.close()
+            theirs.close()
+            hub.close()
+
+    def test_a_frame_never_goes_back_over_the_link_it_came_on(self):
+        """A spoke that sends a frame to an endpoint it claims itself gets
+        nothing back: with no local inbox for it the hub drops the frame
+        instead of echoing it over the link it arrived on."""
+        hub = SocketMessageBus()
+        spoke = socket.create_connection(hub.address, timeout=5.0)
+        try:
+            write_frame(spoke, socket_transport.encode_frame(
+                socket_transport.FRAME_HELLO, b'{"endpoints": ["site-1"]}'))
+            hub.wait_for_endpoints(["site-1"], timeout=5.0)
+            write_frame(spoke, encode_data_frame(Message(
+                sender="site-1", recipient="site-1", topic="task", body=b"x",
+                signature="", headers={})))
+            deadline = time.monotonic() + 5.0
+            while hub._routing_drops.value == 0 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert hub._routing_drops.value == 1
+            spoke.settimeout(0.2)
+            with pytest.raises(TimeoutError):
+                spoke.recv(1)
+        finally:
+            spoke.close()
+            hub.close()

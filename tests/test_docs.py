@@ -24,7 +24,9 @@ PATH = re.compile(r"`((?:src|scripts|benchmarks|tests|examples|docs)/[^`\s]*)`")
 MODULE = re.compile(r"python3? -m (repro(?:\.\w+)*)")
 OBS_SUBCOMMAND = re.compile(r"python3? -m repro\.obs ([a-z][\w-]*)")
 FENCE = re.compile(r"```.*?```", re.S)
-SPAN = re.compile(r"`([^`]+)`")
+# a span closes on as many backticks as opened it: ``x`` is one span, and
+# reading it as two would pair every later backtick with the wrong partner
+SPAN = re.compile(r"(`+)([^`]+)\1(?!`)")
 # ``name(`` not preceded by a word or a dot (``.copy()`` is not checked),
 # with its dotted qualifier
 CALL = re.compile(r"(?<![\w.])((?:\w+\.)*)(\w+)\(")
@@ -98,7 +100,7 @@ def unknown_names(text: str) -> list[str]:
     """Backticked CamelCase names and ``name(...)`` calls that nothing in
     the project defines and that are not builtins."""
     unknown = []
-    for span in SPAN.findall(FENCE.sub("", text)):
+    for _, span in SPAN.findall(FENCE.sub("", text)):
         span = " ".join(span.split())
         # one-letter calls are math notation: ``f(1-f)``
         bad = [name for qualifier, name in CALL.findall(span)
@@ -160,6 +162,10 @@ def test_checker_sees_an_undefined_name():
         "`len(x)`, `gc.collect()`, `np.zeros(3)`, `MetaKey.TOPK_SPEC`, "
         "`test_site_memory_budget.measure_site()` or `f(1-f)`") == [
         "set_wire_codec()", "FaultyMessageBus"]
+
+
+def test_checker_pairs_double_backticks():
+    assert unknown_names("set ``fedprox_mu`` but not `GoneSampler`") == ["GoneSampler"]
 
 
 def test_checker_sees_an_unknown_subcommand():
