@@ -21,11 +21,8 @@ Subpackages
 ``repro.obs``
     Federation-wide telemetry: metrics registry, trace spans, op profiler
     and the ``python -m repro.obs report`` CLI.
+
+``import repro`` loads none of them: a process imports the subpackages it uses.
 """
 
-from . import autograd, data, experiments, flare, models, nn, obs, training
-
 __version__ = "1.0.0"
-
-__all__ = ["autograd", "nn", "models", "data", "flare", "training",
-           "experiments", "obs", "__version__"]

@@ -65,7 +65,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["ProcessClientRunner", "ClientProcessConfig", "WorkerRuntime",
            "client_process_main", "TELEMETRY_TOPIC"]
 
-# Seconds ``launch`` waits for every worker's endpoint announcement.
+# Seconds ``launch`` waits for every worker's endpoint claim.
 _CONNECT_TIMEOUT = 30.0
 
 
@@ -200,7 +200,10 @@ class ProcessClientRunner:
     ``launch`` performs the registration handshake for every site in the
     parent (installing the client session keys on the hub), then forks the
     client processes, and only then lets a socket hub accept (in
-    ``wait_for_endpoints``).
+    ``wait_for_endpoints``). It returns once every worker is reachable
+    (on socket: its HELLO has claimed the site's endpoint), or raises
+    :class:`TransportError` naming the sites still missing after
+    ``_CONNECT_TIMEOUT``.
     """
 
     def __init__(self, learner_factory: Callable[[str], "Learner"],

@@ -687,13 +687,16 @@ class SocketMessageBus(BaseTransport):
 
     # ------------------------------------------------------------------
     def wait_for_endpoints(self, names: list[str], timeout: float = 30.0) -> None:
-        """Block until every name is routable (local or claimed by a link)."""
+        """Block until a link has claimed every name (its spoke's HELLO).
+
+        A local inbox does not count: the hub queues for every registered
+        site until its spoke claims it, so only the claim says it connected.
+        """
         self._accept()
         deadline = time.monotonic() + timeout
         while True:
             with self._lock:
-                missing = [name for name in names
-                           if name not in self._links and name not in self._queues]
+                missing = [name for name in names if name not in self._links]
             if not missing:
                 return
             if time.monotonic() > deadline:

@@ -21,32 +21,22 @@ The instrument panel every other subsystem reports into:
   :class:`Detector` rules: per-client drift diagnostics, severity-ranked
   :class:`Alert` events and optional quarantine, streamed to
   ``health.jsonl``.
-- :mod:`repro.obs.registry` — the run registry and run-over-run comparison
-  behind ``python -m repro.obs runs list|show|diff``.
-- :mod:`repro.obs.report` — the run-report renderer behind
-  ``python -m repro.obs report <run_dir>``.
-- :mod:`repro.obs.chrome` — Chrome/Perfetto trace-event export
-  (``python -m repro.obs trace export <run_dir>``).
-- :mod:`repro.obs.tail` — the live follower for streaming runs: round
-  progress, alerts and quarantine changes, appended line by line
-  (``python -m repro.obs tail <run_dir>``).
 - :mod:`repro.obs.sysmon` — :class:`SysMonitor`, the background resource
   sampler (RSS, CPU, fds, /dev/shm, GC) feeding ``sys.*`` gauges into the
   registry, armed per process.
-- :mod:`repro.obs.exporter` — :class:`MetricsExporter`, the loopback
-  Prometheus/OpenMetrics ``/metrics`` + ``/healthz`` endpoint
-  (``SimulatorRunner(metrics_port=...)``).
+
+The package imports only what every run uses.  The CLI's modules are
+imported where they are used, never from here:
+:mod:`~repro.obs.report` (``python -m repro.obs report``),
+:mod:`~repro.obs.registry` (``runs list|show|diff``),
+:mod:`~repro.obs.chrome` (``trace export``), :mod:`~repro.obs.tail`
+(``tail``) and :mod:`~repro.obs.exporter`, the loopback ``/metrics`` +
+``/healthz`` endpoint a session starts for ``SimulatorRunner(metrics_port=...)``.
 
 See ``docs/OBSERVABILITY.md`` for the full API and artifact schemas.
 """
 
 from . import metrics, trace
-from .chrome import export_chrome_trace, to_chrome_trace
-from .exporter import (
-    MetricsExporter,
-    parse_prometheus_text,
-    render_prometheus,
-)
 from .health import (
     Alert,
     Detector,
@@ -68,11 +58,7 @@ from .metrics import (
     set_registry,
 )
 from .profiler import OpProfiler, get_profiler
-from .registry import RunRegistry, diff_runs, summarize_run
-from .report import load_trace, load_trace_events, render_report
 from .session import TelemetrySession, TraceStreamWriter
-from .sysmon import SysMonitor, read_proc_sample
-from .tail import iter_trace_records, tail_run
 from .trace import (
     Span,
     Tracer,
@@ -91,14 +77,8 @@ __all__ = [
     "Tracer", "Span", "span", "get_tracer", "set_tracer",
     "current_context", "format_traceparent", "parse_traceparent",
     "OpProfiler", "get_profiler",
-    "TelemetrySession", "TraceStreamWriter", "render_report",
-    "load_trace", "load_trace_events",
-    "to_chrome_trace", "export_chrome_trace",
-    "iter_trace_records", "tail_run",
+    "TelemetrySession", "TraceStreamWriter",
     "HealthMonitor", "Alert", "Detector", "default_detectors",
     "NonFiniteUpdateDetector", "DivergingClientDetector", "StragglerDetector",
     "StalledConvergenceDetector", "WireBlowupDetector",
-    "RunRegistry", "summarize_run", "diff_runs",
-    "SysMonitor", "read_proc_sample",
-    "MetricsExporter", "render_prometheus", "parse_prometheus_text",
 ]

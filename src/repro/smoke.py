@@ -69,8 +69,9 @@ from .data import (CohortSpec, EhrTokenizer, MlmCollator, SequenceDataset,
                    encode_cohort, generate_cohort, partition_balanced)
 from .flare import DXO, DataKind, FLJob, Learner, MetaKey, SimulatorRunner
 from .models import build_mlm_model
-from .obs import HealthMonitor, export_chrome_trace
+from .obs import HealthMonitor
 from .obs import trace as obs_trace
+from .obs.chrome import export_chrome_trace
 from .obs.exporter import parse_prometheus_text
 from .obs.metrics import MetricsRegistry
 from .obs.report import load_health, load_trace, load_trace_events

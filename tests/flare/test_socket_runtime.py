@@ -172,6 +172,52 @@ class TestRunnerAndConfig:
         assert exit_codes == {"site-1": 0, "site-2": 0}
         hub.close()
 
+    def test_launch_returns_with_every_spoke_claimed(self):
+        """``launch`` waits for each worker's HELLO claim, not for the hub's
+        own inbox of the site, which ``register_client`` made before any fork."""
+        from repro.flare.socket_transport import SocketMessageBus
+
+        names = [f"site-{index}" for index in range(1, 5)]
+        kits = Provisioner(default_project(n_clients=4, name="t"), seed=0,
+                           key_bits=512).provision()
+        hub = SocketMessageBus()
+        server = FLServer(kits["server"], hub, seed=0)
+        runner = ProcessClientRunner(lambda name: ToyLearner(name), kits, server)
+        try:
+            runner.launch(names)
+            assert set(names) <= set(hub._links)
+        finally:
+            server.stop_clients(names)
+            runner.join(timeout=20.0)
+            hub.close()
+
+    def test_worker_exiting_before_it_connects_fails_launch(self, monkeypatch):
+        import os
+
+        from repro.flare import runner as runner_module
+        from repro.flare.socket_transport import SocketMessageBus
+        from repro.flare.transport import TransportError
+
+        def learner_factory(name):
+            if name == "site-2":
+                os._exit(3)  # before the site claims its endpoint
+            return ToyLearner(name)
+
+        monkeypatch.setattr(runner_module, "_CONNECT_TIMEOUT", 3.0)
+        names = ["site-1", "site-2"]
+        kits = Provisioner(default_project(n_clients=2, name="t"), seed=0,
+                           key_bits=512).provision()
+        hub = SocketMessageBus()
+        server = FLServer(kits["server"], hub, seed=0)
+        runner = ProcessClientRunner(learner_factory, kits, server)
+        try:
+            with pytest.raises(TransportError, match=r"within 3.0s: site-2$"):
+                runner.launch(names)
+        finally:
+            server.stop_clients(names)
+            assert runner.join(timeout=20.0)["site-2"] == 3
+            hub.close()
+
     def test_poll_once_timeout_names_the_stalled_wait(self):
         """Regression: a client's idle receive names topic and server peer."""
         project = default_project(n_clients=1, name="t")

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import json
 
-from repro.obs import Tracer, to_chrome_trace
+from repro.obs import Tracer
+from repro.obs.chrome import to_chrome_trace
 from repro.obs.chrome import export_chrome_trace
 from repro.obs.report import load_trace_events
 from repro.obs.session import TelemetrySession
