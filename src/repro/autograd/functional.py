@@ -18,7 +18,7 @@ and cannot rebuild bit for bit from what it keeps.  Dropout masks are kept
 as ``bool`` and applied as ``x * kept * dtype(1/(1-p))``
 (:func:`_dropout_into`), which equals the float-mask product bit for bit;
 attention rebuilds ``probs * keep`` from ``probs`` and the mask; GELU keeps
-the pre-activation and its tanh term and rebuilds ``x**2`` and its output
+only the pre-activation and rebuilds its tanh term, ``x**2`` and its output
 (``ArrayBackend.gelu_recompute``); the LSTM takes ``tanh(c)`` of the stored
 cell states again in one pass, and its BPTT writes the gate derivatives into
 the gate stash it consumes.  GEMM outputs are kept, never recomputed.
@@ -318,20 +318,21 @@ def binary_cross_entropy_with_logits(logits: Tensor, targets: np.ndarray,
     return Tensor._make(out_data, (logits,), "bce_logits", backward)
 
 
-def _gelu_forward(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Tanh-approximation GELU: ``(out, tanh_term)``.
+def _gelu_forward(data: np.ndarray) -> np.ndarray:
+    """Tanh-approximation GELU output.
 
     The kernel body lives on the active array backend
     (:meth:`~repro.autograd.backend.ArrayBackend.gelu_forward`).  Callers
-    keep only ``data`` and the tanh term; backward rebuilds ``x**2`` and the
+    keep only ``data``; backward rebuilds the tanh term, ``x**2`` and the
     output with :func:`_gelu_recompute`.
     """
     return _backend._ACTIVE.gelu_forward(data)
 
 
-def _gelu_recompute(data: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(out, x_squared)`` exactly as :func:`_gelu_forward` produced them."""
-    return _backend._ACTIVE.gelu_recompute(data, t)
+def _gelu_recompute(data: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(out, tanh_term, x_squared)``, the output exactly as
+    :func:`_gelu_forward` produced it."""
+    return _backend._ACTIVE.gelu_recompute(data)
 
 
 def _gelu_backward(grad: np.ndarray, data: np.ndarray, t: np.ndarray,
@@ -344,10 +345,11 @@ def gelu(x: Tensor) -> Tensor:
     """GELU activation (tanh approximation, as in the original BERT code)."""
     x = _as_tensor(x)
     data = x.data
-    out, t = _gelu_forward(data)
+    out = _gelu_forward(data)
 
     def backward(grad: np.ndarray) -> None:
-        x._accumulate(_gelu_backward(grad, data, t, data * data))
+        _, t, sq = _gelu_recompute(data)
+        x._accumulate(_gelu_backward(grad, data, t, sq))
 
     return Tensor._make(out, (x,), "gelu", backward)
 
@@ -795,7 +797,7 @@ def ffn(x: Tensor, in_weight: Tensor, in_bias: Tensor,
     x2d = data.reshape(-1, data.shape[-1])
     hidden = x2d @ in_weight.data.T
     hidden += in_bias.data
-    activated, t = _gelu_forward(hidden)
+    activated = _gelu_forward(hidden)
     out2d = activated @ out_weight.data.T
     out2d += out_bias.data
     out_kept = _train_mask(out2d, dropout_p, training, rng)
@@ -806,7 +808,7 @@ def ffn(x: Tensor, in_weight: Tensor, in_bias: Tensor,
 
     def backward(grad: np.ndarray) -> None:
         g2d = _dropout_into(grad.reshape(-1, grad.shape[-1]), out_kept, dropout_p)
-        activated, sq = _gelu_recompute(hidden, t)
+        activated, t, sq = _gelu_recompute(hidden)
         out_weight._accumulate_owned(g2d.T @ activated)
         del activated  # only the weight gradient reads the GELU output
         out_bias._accumulate_owned(g2d.sum(axis=0))
@@ -838,7 +840,7 @@ def ffn_layer(x: Tensor, in_weight: Tensor, in_bias: Tensor,
     x2d = data.reshape(-1, dim)
     hidden = x2d @ in_weight.data.T
     hidden += in_bias.data
-    activated, t = _gelu_forward(hidden)
+    activated = _gelu_forward(hidden)
     sub2d = activated @ out_weight.data.T
     sub2d += out_bias.data
     out_kept = _train_mask(sub2d, dropout_p, training, rng)
@@ -870,7 +872,7 @@ def ffn_layer(x: Tensor, in_weight: Tensor, in_bias: Tensor,
         dsum *= inv_std  # gradient of x + ffn(x), shape (batch*seq, dim)
 
         gs2d = _dropout_into(dsum, out_kept, dropout_p)
-        activated, sq = _gelu_recompute(hidden, t)
+        activated, t, sq = _gelu_recompute(hidden)
         out_weight._accumulate_owned(gs2d.T @ activated)
         del activated  # only the weight gradient reads the GELU output
         out_bias._accumulate_owned(gs2d.sum(axis=0))

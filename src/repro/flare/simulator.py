@@ -150,7 +150,7 @@ class SimulatorRunner:
         session = (TelemetrySession(self.run_dir, health=monitor or False,
                                     process="server",
                                     sysmon=self.sysmon_interval or False,
-                                    exporter=self.metrics_port).start()
+                                    exporter=self.metrics_port).start(threads=False)
                    if self.telemetry else None)
         self.metrics_exporter = session.exporter if session is not None else None
         # Threaded clients and the server's evaluator share this process's
@@ -221,6 +221,10 @@ class SimulatorRunner:
                 # forks before the controller copies the initial weights, so
                 # no worker inherits a model copy
                 workers.launch(client_names)
+            if session is not None:
+                # after the last fork: no worker inherits a telemetry thread
+                # that could hold a lock the child then waits on
+                session.start_threads()
             controller = self._controller(server, client_names, monitor, sites)
             wire_before = wire_totals()
             stats = controller.run()

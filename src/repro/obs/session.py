@@ -337,7 +337,10 @@ class TelemetrySession:
             self._flusher_stop.wait(0.05)
 
     # ------------------------------------------------------------------
-    def start(self) -> "TelemetrySession":
+    def start(self, threads: bool = True) -> "TelemetrySession":
+        """Install the session's instruments; ``threads=False`` leaves the
+        flusher, sysmon and exporter threads to :meth:`start_threads` (a
+        runner that forks workers starts them after its last fork)."""
         if self._active:
             return self
         if self.registry is not None:
@@ -347,10 +350,6 @@ class TelemetrySession:
             if self.flush_interval is not None:
                 self._ensure_writer()
                 self.tracer.set_flush_hook(self._flush_kick.set, self.flush_threshold)
-                self._flusher_stop.clear()
-                self._flusher = threading.Thread(
-                    target=self._flush_loop, name="telemetry-flusher", daemon=True)
-                self._flusher.start()
         if self.profiler is not None:
             inherited = get_profiler()
             if self._send is not None and inherited is not None:
@@ -358,12 +357,23 @@ class TelemetrySession:
                 # records into dicts nobody here will read
                 inherited.uninstall()
             self.profiler.install()
+        self._active = True
+        if threads:
+            self.start_threads()
+        return self
+
+    def start_threads(self) -> None:
+        """Start the live flusher, the sysmon sampler and the exporter."""
+        if self.tracer is not None and self.flush_interval is not None \
+                and self._flusher is None:
+            self._flusher_stop.clear()
+            self._flusher = threading.Thread(
+                target=self._flush_loop, name="telemetry-flusher", daemon=True)
+            self._flusher.start()
         if self.sysmon is not None:
             self.sysmon.start()
         if self.exporter is not None:
             self.exporter.start()
-        self._active = True
-        return self
 
     def stop(self) -> dict[str, str]:
         """Restore previous instruments and write the artifacts (a worker

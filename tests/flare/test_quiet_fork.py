@@ -1,10 +1,10 @@
 """Workers fork from a quiet parent: no thread the run started is alive at
 any worker fork, so none can hold a lock a child would then wait on forever.
 
-A run without telemetry starts no thread before its last fork: the socket
-hub binds in its constructor and accepts only once every worker is forked.
-(A telemetry-armed run still forks beside its session's flusher and sysmon
-threads.)
+A run starts no thread before its last fork: the socket hub binds in its
+constructor and accepts only once every worker is forked, and a
+telemetry-armed run starts its session's flusher and sysmon threads after
+the launch.
 """
 
 from __future__ import annotations
@@ -34,14 +34,17 @@ def _record_threads() -> None:
 os.register_at_fork(before=_record_threads)
 
 
-@pytest.mark.parametrize("transport", ["socket", "shm"])
-def test_no_thread_of_the_run_is_alive_at_a_worker_fork(transport, tmp_path):
+@pytest.mark.parametrize("transport, telemetry", [
+    pytest.param("socket", False, id="socket"),
+    pytest.param("shm", False, id="shm"),
+    pytest.param("socket", True, id="socket-telemetry")])
+def test_no_thread_of_the_run_is_alive_at_a_worker_fork(transport, telemetry, tmp_path):
     global _at_fork
     job = FLJob(name="quiet-fork", initial_weights=toy_weights(),
                 learner_factory=lambda name: ToyLearner(name), num_rounds=1)
     runner = SimulatorRunner(replace(job, transport=transport),
                              n_clients=N_CLIENTS, seed=0, run_dir=tmp_path,
-                             key_bits=128)
+                             key_bits=128, telemetry=telemetry, sysmon=telemetry)
     before = set(threading.enumerate())
     _at_fork = []
     try:
@@ -50,6 +53,7 @@ def test_no_thread_of_the_run_is_alive_at_a_worker_fork(transport, tmp_path):
     finally:
         _at_fork = None
     assert result.stats.num_rounds == 1
+    assert (result.stats.peak_rss_bytes > 0) == telemetry  # sysmon sampled
     assert len(at_fork) >= N_CLIENTS
     for alive in at_fork:
         # equal, unless a thread left over from an earlier test ended meanwhile
