@@ -261,7 +261,8 @@ class FastmathBackend(ArrayBackend):
     - GELU forward/backward run cache-blocked on large contiguous inputs:
       the same in-place op sequence, applied per 32k-element block so all
       eight passes hit L2 instead of streaming from DRAM eight times
-      (same float ops in the same order => bit-identical values).
+      (same float ops in the same order => bit-identical values, so the
+      inherited unblocked :meth:`gelu_recompute` rebuilds the same output).
     """
 
     name = "fastmath"
@@ -279,12 +280,8 @@ class FastmathBackend(ArrayBackend):
         y *= 0.5
         return y
 
-    def _blocked(self, *arrays: np.ndarray) -> bool:
-        return arrays[0].size >= self._min_blocked \
-            and all(a.flags.c_contiguous for a in arrays)
-
     def gelu_forward(self, data: np.ndarray) -> np.ndarray:
-        if not self._blocked(data):
+        if data.size < self._min_blocked or not data.flags.c_contiguous:
             return super().gelu_forward(data)
         flat = data.reshape(-1)
         out = np.empty_like(flat)
@@ -301,30 +298,11 @@ class FastmathBackend(ArrayBackend):
             out_b *= 0.5
         return out.reshape(data.shape)
 
-    def gelu_recompute(self, data: np.ndarray
-                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        if not self._blocked(data):
-            return super().gelu_recompute(data)
-        flat = data.reshape(-1)
-        out, t, sq = (np.empty_like(flat) for _ in range(3))
-        for start in range(0, flat.size, self.block_elems):
-            stop = start + self.block_elems
-            d = flat[start:stop]
-            out_b, t_b, sq_b = out[start:stop], t[start:stop], sq[start:stop]
-            np.multiply(d, d, out=sq_b)
-            np.multiply(sq_b, _GELU_COEFF * _GELU_CUBIC, out=t_b)
-            t_b += _GELU_COEFF
-            t_b *= d
-            self.tanh(t_b, out=t_b)
-            np.add(t_b, 1.0, out=out_b)
-            out_b *= d
-            out_b *= 0.5
-        shape = data.shape
-        return out.reshape(shape), t.reshape(shape), sq.reshape(shape)
-
     def gelu_backward(self, grad: np.ndarray, data: np.ndarray,
                       t: np.ndarray, sq: np.ndarray) -> np.ndarray:
-        if not self._blocked(grad, data, t, sq):
+        if grad.size < self._min_blocked \
+                or not (grad.flags.c_contiguous and data.flags.c_contiguous
+                        and t.flags.c_contiguous and sq.flags.c_contiguous):
             return super().gelu_backward(grad, data, t, sq)
         g_flat = grad.reshape(-1)
         d_flat = data.reshape(-1)

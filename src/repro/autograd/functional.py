@@ -348,7 +348,7 @@ def gelu(x: Tensor) -> Tensor:
     out = _gelu_forward(data)
 
     def backward(grad: np.ndarray) -> None:
-        _, t, sq = _gelu_recompute(data)
+        t, sq = _gelu_recompute(data)[1:]  # the output is freed at once
         x._accumulate(_gelu_backward(grad, data, t, sq))
 
     return Tensor._make(out, (x,), "gelu", backward)
