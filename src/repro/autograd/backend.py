@@ -90,10 +90,10 @@ class ArrayBackend:
     The base class *is* the numpy reference implementation; subclasses
     override individual kernels (everything composes through ``self`` so
     overriding ``exp`` changes every softmax, overriding ``tanh`` changes
-    GELU).  Contract: ``out`` may alias the input, inputs not named ``out``
-    or ``owned`` must not be mutated, and results must stay within the
-    tolerance the backend declares in :meth:`describe` of the ``numpy``
-    backend (0.0 means bit-identical).
+    GELU).  Contract: ``out`` may alias the input, inputs not named ``out``,
+    ``owned`` or ``owned_*`` must not be mutated, and results must stay
+    within the tolerance the backend declares in :meth:`describe` of the
+    ``numpy`` backend (0.0 means bit-identical).
     """
 
     name = "abstract"
@@ -107,8 +107,12 @@ class ArrayBackend:
     def tanh(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         return np.tanh(x, out=out)
 
-    def sigmoid(self, x: np.ndarray) -> np.ndarray:
-        return 1.0 / (1.0 + self.exp(-x))
+    def sigmoid(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """``1 / (1 + exp(-x))``, every pass in ``out`` (which may be
+        ``x``) or in one fresh buffer."""
+        out = self.exp(np.negative(x, out=out), out=out)
+        out += 1.0
+        return np.divide(1.0, out, out=out)
 
     # ------------------------------------------------------------------
     # fused blocks
@@ -147,9 +151,11 @@ class ArrayBackend:
         return out, t, sq
 
     def gelu_backward(self, grad: np.ndarray, data: np.ndarray,
-                      t: np.ndarray, sq: np.ndarray) -> np.ndarray:
-        """d GELU(x)/dx from the saved tanh/square terms, applied to ``grad``."""
-        dinner = sq * (3.0 * _GELU_CUBIC * _GELU_COEFF)
+                      t: np.ndarray, owned_sq: np.ndarray) -> np.ndarray:
+        """d GELU(x)/dx from the rebuilt tanh/square terms, applied to
+        ``grad``; the caller's ``x²`` buffer becomes the inner derivative."""
+        dinner = owned_sq
+        dinner *= 3.0 * _GELU_CUBIC * _GELU_COEFF
         dinner += _GELU_COEFF
         dinner *= data  # dinner = x * d/dx of the tanh argument
         deriv = t * t
@@ -273,8 +279,8 @@ class FastmathBackend(ArrayBackend):
     # Blocking has per-block call overhead; only engage well past L2 sizes.
     _min_blocked = 4 * block_elems
 
-    def sigmoid(self, x: np.ndarray) -> np.ndarray:
-        y = x * 0.5
+    def sigmoid(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        y = np.multiply(x, 0.5, out=out)
         np.tanh(y, out=y)
         y += 1.0
         y *= 0.5
@@ -299,24 +305,21 @@ class FastmathBackend(ArrayBackend):
         return out.reshape(data.shape)
 
     def gelu_backward(self, grad: np.ndarray, data: np.ndarray,
-                      t: np.ndarray, sq: np.ndarray) -> np.ndarray:
+                      t: np.ndarray, owned_sq: np.ndarray) -> np.ndarray:
         if grad.size < self._min_blocked \
                 or not (grad.flags.c_contiguous and data.flags.c_contiguous
-                        and t.flags.c_contiguous and sq.flags.c_contiguous):
-            return super().gelu_backward(grad, data, t, sq)
+                        and t.flags.c_contiguous and owned_sq.flags.c_contiguous):
+            return super().gelu_backward(grad, data, t, owned_sq)
         g_flat = grad.reshape(-1)
         d_flat = data.reshape(-1)
         t_flat = t.reshape(-1)
-        sq_flat = sq.reshape(-1)
+        dinner = owned_sq.reshape(-1)
         deriv = np.empty_like(g_flat)
-        dinner = np.empty_like(g_flat[:self.block_elems])
         for start in range(0, g_flat.size, self.block_elems):
             stop = start + self.block_elems
-            d = d_flat[start:stop]
-            t_b, sq_b = t_flat[start:stop], sq_flat[start:stop]
+            d, t_b, di = d_flat[start:stop], t_flat[start:stop], dinner[start:stop]
             out_b = deriv[start:stop]
-            di = dinner[:d.size]
-            np.multiply(sq_b, 3.0 * _GELU_CUBIC * _GELU_COEFF, out=di)
+            di *= 3.0 * _GELU_CUBIC * _GELU_COEFF
             di += _GELU_COEFF
             di *= d
             np.multiply(t_b, t_b, out=out_b)

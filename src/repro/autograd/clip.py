@@ -17,7 +17,9 @@ def grad_global_norm(params: Iterable[Parameter]) -> float:
     total = 0.0
     for param in params:
         if param.grad is not None:
-            total += float(np.sum(param.grad.astype(np.float64) ** 2))
+            # squared straight into one float64 buffer: the same values as
+            # squaring a float64 copy of the gradient, without the copy
+            total += float(np.square(param.grad, dtype=np.float64).sum())
     return math.sqrt(total)
 
 

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import backend as _backend
 from .backend import _mean_cols, _red_vec, _red_vec_cache, _sum_cols  # noqa: F401
-from .tensor import Tensor, get_default_dtype, is_grad_enabled
+from .tensor import Tensor, get_default_dtype, is_grad_enabled, scatter_add_rows
 
 __all__ = [
     "softmax",
@@ -336,9 +336,10 @@ def _gelu_recompute(data: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
 
 
 def _gelu_backward(grad: np.ndarray, data: np.ndarray, t: np.ndarray,
-                   sq: np.ndarray) -> np.ndarray:
-    """d GELU(x) / dx from the tanh and square terms, applied to ``grad``."""
-    return _backend._ACTIVE.gelu_backward(grad, data, t, sq)
+                   owned_sq: np.ndarray) -> np.ndarray:
+    """d GELU(x) / dx from the tanh and square terms, applied to ``grad``;
+    ``owned_sq`` (from :func:`_gelu_recompute`) is overwritten."""
+    return _backend._ACTIVE.gelu_backward(grad, data, t, owned_sq)
 
 
 def gelu(x: Tensor) -> Tensor:
@@ -489,7 +490,7 @@ def embed_layer_norm(token_weight: Tensor, position_weight: Tensor,
         dxhat = dxhat.reshape(batch, seq, dim)
         if token_weight.requires_grad:
             dtable = np.zeros_like(token_weight.data)
-            np.add.at(dtable, idx, dxhat)
+            scatter_add_rows(dtable, idx, dxhat)
             token_weight._accumulate_owned(dtable)
         if position_weight.requires_grad:
             dpos = np.zeros_like(position_weight.data)
@@ -1019,34 +1020,44 @@ def _lstm_gate_factors(gates: np.ndarray, tanh_c: np.ndarray, f_copy: np.ndarray
     derivative times its partner in the cell update, and ``tanh_c`` with
     ``o (1 - tanh^2 c)``, by the float ops of a separate derivative buffer.
 
-    ``f_copy`` is a copy of the forget gate.  i and g (o and tanh c) read
-    each other, so one product waits in a block-sized scratch; blocks of rows
-    keep a block's gates in cache across the dozen passes.
+    ``f_copy`` is a copy of the forget gate.  Each block of rows works on
+    contiguous memory that stays in cache across the dozen passes: i, g and
+    o are copied gate-major into a ``(3, block, H)`` slab, each factor is
+    built there or in a block-sized scratch (f's straight from ``f_copy``),
+    and is copied back once.  i and g (o and tanh c) read each other, so one
+    product waits in the scratch.
     """
-    partial = np.empty((min(len(f_copy), _BPTT_BLOCK_ROWS), f_copy.shape[1]),
-                       dtype=f_copy.dtype)
+    n_max = min(len(f_copy), _BPTT_BLOCK_ROWS)
+    slab = np.empty((3, n_max, gates.shape[2]), dtype=gates.dtype)
+    partial = np.empty((n_max, f_copy.shape[1]), dtype=f_copy.dtype)
     for a in range(0, len(f_copy), _BPTT_BLOCK_ROWS):
         block = slice(a, a + _BPTT_BLOCK_ROWS)
-        i, f, g, o = (gates[block, k] for k in range(4))
         tc, fk = tanh_c[block], f_copy[block]
-        part = partial[:len(fk)]
+        n = len(fk)
+        by_gate, here = gates[block].transpose(1, 0, 2), slab[:, :n]
+        np.copyto(here[0], by_gate[0])
+        np.copyto(here[1:], by_gate[2:])
+        i, g, o = here
+        part = partial[:n]
         np.subtract(1.0, i, out=part)
         part *= i
         part *= g                             # s(1-s) g for i
+        np.copyto(by_gate[0], part)
         np.multiply(g, g, out=g)
         np.subtract(1.0, g, out=g)
         g *= i                                # (1 - g^2) i
-        i[...] = part
+        np.copyto(by_gate[2], g)
         np.subtract(1.0, o, out=part)
         part *= o
         part *= tc                            # s(1-s) tanh(c) for o
+        np.copyto(by_gate[3], part)
         np.multiply(tc, tc, out=tc)
         np.subtract(1.0, tc, out=tc)
         tc *= o                               # o (1 - tanh^2 c)
-        o[...] = part
-        np.subtract(1.0, fk, out=f)
-        f *= fk
-        f *= c_prev[block]                    # s(1-s) c_prev for f
+        np.subtract(1.0, fk, out=part)
+        part *= fk
+        part *= c_prev[block]                 # s(1-s) c_prev for f
+        np.copyto(by_gate[1], part)
 
 
 def lstm_layer(x: Tensor, weight_ih: Tensor, weight_hh: Tensor, bias: Tensor,
@@ -1131,6 +1142,7 @@ def lstm_layer(x: Tensor, weight_ih: Tensor, weight_hh: Tensor, bias: Tensor,
     w_hh_t = np.ascontiguousarray(weight_hh.data.T)  # ~1.5x the strided GEMM
     recurrent = np.empty((batch, 4, hd), dtype=gates.dtype)
     recurrent2d = recurrent.reshape(batch, 4 * hd)
+    g_act = np.empty((batch, hd), dtype=gates.dtype)
     scratch = np.empty((batch, hd), dtype=dtype)
     order = range(seq - 1, -1, -1) if reverse else range(seq)
     for t in order:
@@ -1143,11 +1155,14 @@ def lstm_layer(x: Tensor, weight_ih: Tensor, weight_hh: Tensor, bias: Tensor,
         gate = gates[t]
         np.matmul(h_prev, w_hh_t, out=recurrent2d)
         gate += recurrent
-        gate[:, :2] = bk.sigmoid(gate[:, :2])
-        bk.tanh(gate[:, 2], out=gate[:, 2])
-        gate[:, 3] = bk.sigmoid(gate[:, 3])
+        # Gate math on the whole contiguous step block, never on strided
+        # (batch, 4, H) gate views: tanh(g) waits in ``g_act`` while one
+        # in-place sigmoid covers all four slots, then g is put back.
+        bk.tanh(gate[:, 2], out=g_act)
+        bk.sigmoid(gate, out=gate)
+        gate[:, 2] = g_act
         np.multiply(gate[:, 1], c_prev, out=c_new)
-        np.multiply(gate[:, 0], gate[:, 2], out=scratch)
+        np.multiply(gate[:, 0], g_act, out=scratch)
         c_new += scratch
         bk.tanh(c_new, out=tanh_c)
         np.multiply(gate[:, 3], tanh_c, out=h_new)
@@ -1180,6 +1195,9 @@ def lstm_layer(x: Tensor, weight_ih: Tensor, weight_hh: Tensor, bias: Tensor,
         dout_t = None if dout is None else dout.transpose(1, 0, 2)
         dh = np.zeros((batch, hd), dtype=live.dtype)
         dh_prev = np.empty_like(dh)
+        # Each step's gate rows are scaled by (dc, dc, dc, dh) in one
+        # contiguous multiply, not per strided gate view.
+        scale = np.empty((batch, 4, hd), dtype=live.dtype)
         dc = np.zeros_like(dh) if dc_last is None else dc_last.astype(dh.dtype)
         w_hh = weight_hh.data
         for t in reversed(order):
@@ -1193,8 +1211,9 @@ def lstm_layer(x: Tensor, weight_ih: Tensor, weight_hh: Tensor, bias: Tensor,
             np.multiply(dh, dh_to_dc[t - lo], out=scratch)
             np.add(dc, scratch, out=dc, where=rows_in)
             step = live[t - lo]
-            step[:, :3] *= dc[:, None, :]
-            step[:, 3] *= dh
+            np.copyto(scale[:, :3], dc[:, None, :])
+            np.copyto(scale[:, 3], dh)
+            step *= scale
             np.matmul(step.reshape(batch, 4 * hd), w_hh, out=dh_prev)
             np.multiply(dc, f_kept[t - lo], out=dc, where=rows_in)
             if ragged[t]:

@@ -126,6 +126,33 @@ def _as_array(value: Any, dtype=None) -> np.ndarray:
     return arr
 
 
+# Positions one flat-index chunk of ``scatter_add_rows`` covers: the int64
+# indices of 256 positions of a 128-wide table are 256 KB.
+_SCATTER_POSITIONS = 256
+
+
+def scatter_add_rows(table: np.ndarray, index: np.ndarray, rows: np.ndarray) -> None:
+    """``np.add.at(table, index, rows)`` for a 2-d ``table`` and an integer
+    ``index``, bit for bit.
+
+    numpy's row-wise ``add.at`` walks every (position, column) pair through
+    its slow indexed path; scalar indices ``index * width + column`` into the
+    flattened table do the same adds in the same order about three times
+    faster.  The flat indices are built a chunk of positions at a time.
+    """
+    if table.ndim != 2 or not table.flags.c_contiguous:
+        np.add.at(table, index, rows)
+        return
+    width = table.shape[1]
+    flat = table.reshape(-1)
+    positions = index.reshape(-1).astype(np.intp, copy=False)
+    rows = rows.reshape(-1, width)
+    columns = np.arange(width)
+    for a in range(0, positions.size, _SCATTER_POSITIONS):
+        chunk = positions[a:a + _SCATTER_POSITIONS, None] * width + columns
+        np.add.at(flat, chunk.reshape(-1), rows[a:a + _SCATTER_POSITIONS].reshape(-1))
+
+
 class Tensor:
     """A numpy array with reverse-mode autodiff support.
 
@@ -549,7 +576,10 @@ class Tensor:
 
         def backward(grad: np.ndarray) -> None:
             full = np.zeros_like(self.data)
-            np.add.at(full, index, grad)
+            if isinstance(index, np.ndarray) and index.dtype.kind in "iu":
+                scatter_add_rows(full, index, grad)
+            else:
+                np.add.at(full, index, grad)
             self._accumulate(full)
 
         return Tensor._make(out_data, (self,), "getitem", backward)
