@@ -11,8 +11,8 @@ one layer of the stack onto the reference implementations (e.g. via
 monkeypatching ``repro.autograd.functional``) and re-run a fixed-seed
 training run for bitwise-level comparison.
 
-Do not use these in the training path — they are 2-10x slower; that gap is
-tracked by ``benchmarks/test_fused_ops_microbench.py``.
+Do not use these in the training path — they are 2-10x slower (measured
+when the fused kernels landed; ``docs/PERFORMANCE.md``).
 """
 
 from __future__ import annotations

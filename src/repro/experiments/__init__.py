@@ -1,5 +1,7 @@
-"""``repro.experiments`` — one module per paper artifact (tables & figures)."""
+"""``repro.experiments`` — one module per paper artifact (tables & figures)
+and one for the ablations beyond the paper."""
 
+from .ablations import AblationsResult, run_ablations
 from .configs import (
     PAPER_PARAMETERS,
     SCALES,
@@ -19,5 +21,6 @@ __all__ = [
     "Table3Result", "run_table3", "run_table3_cell", "prepare_table3_data",
     "Fig2Result", "run_fig2", "REGIMES", "prepare_fig2_data",
     "Fig3Result", "run_fig3", "TRANSCRIPT_STAGES",
+    "AblationsResult", "run_ablations",
     "format_table", "format_series", "ascii_plot",
 ]

@@ -5,7 +5,8 @@ Usage::
     python -m repro.experiments table3 [--scale smoke|bench|paper]
     python -m repro.experiments fig2   [--scale ...]
     python -m repro.experiments fig3   [--scale ...]
-    python -m repro.experiments all    [--scale ...]
+    python -m repro.experiments all    [--scale ...]   # table3, fig2 and fig3
+    python -m repro.experiments ablations [--scale ...]
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import argparse
 import sys
 import time
 
+from .ablations import run_ablations
 from .configs import SCALES, get_scale
 from .fig2 import run_fig2
 from .fig3 import run_fig3
@@ -29,7 +31,7 @@ def _print_checks(checks: dict[str, bool]) -> bool:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(prog="python -m repro.experiments",
                                      description=__doc__)
-    parser.add_argument("artifact", choices=["table3", "fig2", "fig3", "all"])
+    parser.add_argument("artifact", choices=["table3", "fig2", "fig3", "all", "ablations"])
     parser.add_argument("--scale", choices=sorted(SCALES), default=None,
                         help="workload size (default: $REPRO_SCALE or 'bench')")
     parser.add_argument("--seed", type=int, default=7)
@@ -50,6 +52,10 @@ def main(argv: list[str] | None = None) -> int:
         result = run_fig3(scale=scale, seed=args.seed)
         print(result.to_text())
         ok &= result.all_stages_present()
+    if args.artifact == "ablations":
+        result = run_ablations(scale=scale, seed=args.seed)
+        print(result.to_text())
+        ok &= _print_checks(result.shape_checks())
 
     print(f"\ndone in {time.time() - started:.0f}s "
           f"({'all shape checks passed' if ok else 'SHAPE CHECKS FAILED'})")

@@ -34,18 +34,9 @@ from ..training import run_centralized_mlm, run_federated_mlm
 from .configs import ExperimentScale, get_scale
 from .report import ascii_plot, format_series
 
-__all__ = ["Fig2Result", "run_fig2", "REGIMES", "prepare_fig2_data",
-           "clear_fig2_cache"]
+__all__ = ["Fig2Result", "run_fig2", "REGIMES", "prepare_fig2_data"]
 
 REGIMES = ("centralized", "small", "fl-imbalanced", "fl-balanced")
-
-# (regime, scale-name, model, seed) -> loss curve (same role as the
-# table3 cell cache: lets benches time each regime once)
-_CURVE_CACHE: dict[tuple[str, str, str, int], list[float]] = {}
-
-
-def clear_fig2_cache() -> None:
-    _CURVE_CACHE.clear()
 
 
 @dataclass
@@ -96,8 +87,13 @@ def prepare_fig2_data(scale: ExperimentScale, seed: int = 11):
     ids, mask = tokenizer.encode_batch(corpus)
     train = SequenceDataset(ids[:scale.pretrain_sequences], mask[:scale.pretrain_sequences])
     valid = SequenceDataset(ids[scale.pretrain_sequences:], mask[scale.pretrain_sequences:])
-    collator = MlmCollator(vocab, mask_prob=0.15, seed=seed)
-    return train, valid, vocab, collator
+    return train, valid, vocab, _collator(vocab, seed)
+
+
+def _collator(vocab, seed: int) -> MlmCollator:
+    # the masking RNG advances on every batch, so each regime starts a fresh
+    # one: a regime's curve must not depend on the regimes run before it
+    return MlmCollator(vocab, mask_prob=0.15, seed=seed)
 
 
 def run_fig2(scale: ExperimentScale | None = None, seed: int = 11,
@@ -108,7 +104,7 @@ def run_fig2(scale: ExperimentScale | None = None, seed: int = 11,
     model_name = model_name or scale.mlm_model
     if quiet:
         set_console_level(logging.WARNING)
-    train, valid, vocab, collator = prepare_fig2_data(scale, seed=seed)
+    train, valid, vocab, _ = prepare_fig2_data(scale, seed=seed)
     result = Fig2Result(scale_name=scale.name)
 
     def factory():
@@ -116,10 +112,7 @@ def run_fig2(scale: ExperimentScale | None = None, seed: int = 11,
                                max_seq_len=scale.max_seq_len)
 
     for regime in regimes:
-        cache_key = (regime, scale.name, model_name, seed)
-        if cache_key in _CURVE_CACHE:
-            result.curves[regime] = list(_CURVE_CACHE[cache_key])
-            continue
+        collator = _collator(vocab, seed)
         if regime == "centralized":
             history = run_centralized_mlm(factory, train, valid, collator,
                                           epochs=scale.mlm_epochs,
@@ -152,5 +145,4 @@ def run_fig2(scale: ExperimentScale | None = None, seed: int = 11,
             result.curves[regime] = losses
         else:
             raise ValueError(f"unknown regime {regime!r}")
-        _CURVE_CACHE[cache_key] = list(result.curves[regime])
     return result

@@ -17,10 +17,9 @@ import re
 from dataclasses import dataclass, field
 
 from ..flare import set_console_level
-from ..models import build_classifier
 from ..training import run_federated
 from .configs import ExperimentScale, get_scale
-from .table3 import prepare_table3_data
+from .table3 import classifier_factory, prepare_table3_data
 
 __all__ = ["Fig3Result", "run_fig3", "TRANSCRIPT_STAGES"]
 
@@ -74,10 +73,7 @@ def run_fig3(scale: ExperimentScale | None = None, seed: int = 7,
         # table3 shards always use the paper's 8 ratios; re-label defensively
         shards = dict(sorted(shards.items())[:n_clients])
 
-    def factory():
-        overrides = {"max_seq_len": scale.max_seq_len} if model_name.startswith("bert") else {}
-        return build_classifier(model_name, vocab_size=vocab_size, seed=seed, **overrides)
-
+    factory = classifier_factory(model_name, vocab_size, scale, seed)
     fed = run_federated(factory, shards, valid, num_rounds=scale.num_rounds,
                         local_epochs=scale.local_epochs, batch_size=scale.batch_size,
                         lr=scale.lr, seed=seed, job_name="fig3-demo")

@@ -2,8 +2,7 @@
 centralized, standalone and federated training.
 
 One call to :func:`run_table3` regenerates the whole table on the synthetic
-clopidogrel cohort; per-cell entry points exist so the benchmark harness can
-time each scheme separately.
+clopidogrel cohort; :func:`run_table3_cell` runs one (scheme, model) cell.
 """
 
 from __future__ import annotations
@@ -28,18 +27,9 @@ from ..training import run_centralized, run_federated, run_standalone
 from .configs import ExperimentScale, TABLE3_PAPER_ACCURACY, get_scale
 from .report import format_table
 
-__all__ = ["Table3Result", "run_table3", "run_table3_cell", "prepare_table3_data",
-           "clear_table3_cache"]
+__all__ = ["Table3Result", "run_table3", "run_table3_cell", "prepare_table3_data"]
 
 SCHEMES = ("centralized", "standalone", "fl")
-
-# (scheme, model, scale-name, seed) -> accuracy; lets the benchmark harness
-# time each cell once and assemble the full table without recomputation.
-_CELL_CACHE: dict[tuple[str, str, str, int], float] = {}
-
-
-def clear_table3_cache() -> None:
-    _CELL_CACHE.clear()
 
 
 @dataclass
@@ -108,20 +98,21 @@ def prepare_table3_data(scale: ExperimentScale, seed: int = 7):
     return train, valid, shards, len(cohort.vocab)
 
 
+def classifier_factory(model_name: str, vocab_size: int, scale: ExperimentScale,
+                       seed: int):
+    """A zero-argument builder of the named classifier at this scale."""
+    overrides = {"max_seq_len": scale.max_seq_len} if model_name.startswith("bert") else {}
+    return lambda: build_classifier(model_name, vocab_size=vocab_size, seed=seed,
+                                    **overrides)
+
+
 def run_table3_cell(scheme: str, model_name: str,
                     scale: ExperimentScale | None = None, seed: int = 7,
-                    quiet: bool = True, use_cache: bool = True) -> float:
-    """Run one (scheme, model) cell; returns top-1 accuracy in percent.
-
-    Results are memoised per (scheme, model, scale, seed) so that assembling
-    the full table after per-cell benchmarks does not recompute everything.
-    """
+                    quiet: bool = True) -> float:
+    """Run one (scheme, model) cell; returns top-1 accuracy in percent."""
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
     scale = scale or get_scale()
-    cache_key = (scheme, model_name, scale.name, seed)
-    if use_cache and cache_key in _CELL_CACHE:
-        return _CELL_CACHE[cache_key]
     if quiet:
         set_console_level(logging.WARNING)
     train, valid, shards, vocab_size = prepare_table3_data(scale, seed=seed)
@@ -129,32 +120,26 @@ def run_table3_cell(scheme: str, model_name: str,
     # in every scheme so the Table III comparison stays apples-to-apples
     positive = max(train.positive_rate, 1e-6)
     class_weights = np.array([1.0, (1.0 - positive) / positive])
-
-    def factory():
-        overrides = {"max_seq_len": scale.max_seq_len} if model_name.startswith("bert") else {}
-        return build_classifier(model_name, vocab_size=vocab_size, seed=seed, **overrides)
+    factory = classifier_factory(model_name, vocab_size, scale, seed)
 
     if scheme == "centralized":
         result = run_centralized(factory, train, valid,
                                  epochs=scale.centralized_epochs,
                                  batch_size=scale.batch_size, lr=scale.lr, seed=seed,
                                  class_weights=class_weights)
-        accuracy = 100.0 * result.best_acc
-    elif scheme == "standalone":
+        return 100.0 * result.best_acc
+    if scheme == "standalone":
         result = run_standalone(factory, shards, valid,
                                 epochs=scale.centralized_epochs,
                                 batch_size=scale.batch_size, lr=scale.lr, seed=seed,
                                 class_weights=class_weights)
-        accuracy = 100.0 * result.mean_acc
-    else:
-        fed = run_federated(factory, shards, valid, num_rounds=scale.num_rounds,
-                            local_epochs=scale.local_epochs,
-                            batch_size=scale.batch_size, lr=scale.lr, seed=seed,
-                            job_name=f"table3-{model_name}",
-                            class_weights=class_weights)
-        accuracy = 100.0 * fed.best_acc
-    _CELL_CACHE[cache_key] = accuracy
-    return accuracy
+        return 100.0 * result.mean_acc
+    fed = run_federated(factory, shards, valid, num_rounds=scale.num_rounds,
+                        local_epochs=scale.local_epochs,
+                        batch_size=scale.batch_size, lr=scale.lr, seed=seed,
+                        job_name=f"table3-{model_name}",
+                        class_weights=class_weights)
+    return 100.0 * fed.best_acc
 
 
 def run_table3(scale: ExperimentScale | None = None, seed: int = 7,

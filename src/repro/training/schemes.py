@@ -166,21 +166,31 @@ def run_federated_mlm(model_factory: ModelFactory,
                       job_name: str = "mlm-fl", threads: bool = True,
                       transport: str | None = None
                       ) -> tuple[list[float], SimulationResult]:
-    """Federated MLM pretraining; returns per-round global MLM loss."""
+    """Federated MLM pretraining; returns per-round global MLM loss.
+
+    ``collator`` gives the masking settings only: the evaluator and every
+    site mask with their own copy, seeded from ``seed`` (and the site's
+    place in the sorted site list). A masking RNG advances on every batch,
+    so one shared by threaded sites would draw its masks in scheduling
+    order, not seed order.
+    """
     site_names = sorted(shards)
     eval_model = model_factory()
+    eval_collator = _reseeded(collator, seed)
 
     def evaluator(weights: dict[str, np.ndarray]) -> dict[str, float]:
         eval_model.load_state_dict({k: np.asarray(v) for k, v in weights.items()},
                                    strict=False)
-        return {"mlm_loss": evaluate_mlm(eval_model, valid, collator, batch_size)}
+        return {"mlm_loss": evaluate_mlm(eval_model, valid, eval_collator, batch_size)}
 
     def learner_factory(client_name: str) -> MlmPretrainLearner:
+        index = site_names.index(client_name)
         return MlmPretrainLearner(
             site_name=client_name, model_factory=model_factory,
-            train_data=shards[client_name], collator=collator,
+            train_data=shards[client_name],
+            collator=_reseeded(collator, seed + 1 + index),
             local_epochs=local_epochs, batch_size=batch_size, lr=lr,
-            seed=seed + site_names.index(client_name))
+            seed=seed + index)
 
     job = FLJob(name=job_name,
                 initial_weights=model_factory().state_dict(),
@@ -192,3 +202,10 @@ def run_federated_mlm(model_factory: ModelFactory,
                              threads=threads)
     simulation = runner.run()
     return simulation.stats.global_metric_history("mlm_loss"), simulation
+
+
+def _reseeded(collator: MlmCollator, seed: int) -> MlmCollator:
+    """A collator with ``collator``'s masking settings and its own RNG."""
+    return MlmCollator(collator.vocab, mask_prob=collator.mask_prob,
+                       replace_mask_frac=collator.replace_mask_frac,
+                       replace_random_frac=collator.replace_random_frac, seed=seed)

@@ -1,4 +1,5 @@
-"""Smoke-scale runs of the three paper artifacts (Table III, Fig. 2, Fig. 3)."""
+"""Smoke-scale runs of the three paper artifacts (Table III, Fig. 2, Fig. 3)
+and the logic of the ablations' shape checks."""
 
 from __future__ import annotations
 
@@ -7,6 +8,7 @@ import pytest
 
 from repro.experiments import (
     REGIMES,
+    AblationsResult,
     SCALES,
     Table3Result,
     TRANSCRIPT_STAGES,
@@ -86,6 +88,11 @@ class TestFig2:
         with pytest.raises(ValueError):
             run_fig2(scale=SMOKE, regimes=("quantum",))
 
+    def test_regime_does_not_depend_on_regimes_before_it(self):
+        alone = run_fig2(scale=SMOKE, regimes=("small",))
+        after_centralized = run_fig2(scale=SMOKE)
+        assert alone.curves["small"] == after_centralized.curves["small"]
+
     def test_to_text_renders(self):
         result = run_fig2(scale=SMOKE, regimes=("centralized", "small"))
         text = result.to_text()
@@ -127,3 +134,21 @@ class TestFig3:
     def test_to_text(self, fig3):
         text = fig3.to_text()
         assert "sec/local epoch" in text
+
+
+class TestAblations:
+    def test_shape_checks_logic(self):
+        result = AblationsResult(
+            privacy={"none": 85.0, "gaussian-0.3": 80.0},
+            corrupted={"fedavg": 22.0, "median": 84.0},
+            size={"lstm": {0.1: 70.0, 0.3: 80.0, 1.0: 84.0},
+                  "bert-mini": {0.1: 78.0, 0.3: 82.0, 1.0: 79.0}})
+        checks = result.shape_checks()
+        assert all(checks.values()), checks
+
+        result.corrupted["median"] = 50.0
+        result.size["lstm"][1.0] = 74.9
+        checks = result.shape_checks()
+        assert [name for name, ok in checks.items() if not ok] == [
+            "median above 50% with site-8 corrupted",
+            "lstm: full data within 5pts of best fraction"]

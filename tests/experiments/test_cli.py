@@ -21,6 +21,14 @@ def test_fig3_smoke(capsys):
     assert code == 0  # transcript stages must always be present
 
 
+def test_ablations_smoke(capsys):
+    code = main(["ablations", "--scale", "smoke"])
+    out = capsys.readouterr().out
+    for table in ("privacy filters", "site-8 corrupted", "dataset size"):
+        assert f"Ablation — {table}" in out
+    assert code in (0, 1)  # like table3, the checks need not hold at smoke scale
+
+
 def test_unknown_artifact_rejected():
     with pytest.raises(SystemExit):
         main(["fig9"])

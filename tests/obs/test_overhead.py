@@ -1,11 +1,10 @@
 """Telemetry must be cheap: disabled is free-ish, enabled stays in budget.
 
-The precise < 3% acceptance number is measured by
-``benchmarks/test_obs_overhead.py`` under pytest-benchmark's calibrated
-timer.  Here the same A/B runs interleaved with a deliberately loose bound
-so tier-1 stays stable on noisy shared machines while still catching
-accidental O(n) instrumentation (e.g. a span per element, an enabled-path
-allocation storm).
+The A/B runs interleaved with a deliberately loose bound so tier-1 stays
+stable on noisy shared machines while still catching accidental O(n)
+instrumentation (e.g. a span per element, an enabled-path allocation
+storm).  Inside a whole federated job, the e2e benchmark's
+``trace.overhead_ratio`` (traced / untraced ``job_s``) is gated at 1.05.
 """
 
 from __future__ import annotations
@@ -83,8 +82,7 @@ def test_disabled_instruments_record_nothing(tmp_path):
 
 def test_health_armed_overhead_is_bounded(tmp_path):
     """Health monitoring hooks aggregation, not the step: steps between
-    monitored rounds must cost the same (loose bound; the precise < 3%
-    number lives in benchmarks/test_obs_overhead.py)."""
+    monitored rounds must cost the same (loose bound)."""
     off, on = _interleaved_medians(
         _make_step(), lambda: TelemetrySession(tmp_path, health=True))
     assert on <= max(off * 1.5, off + 0.01), (

@@ -89,6 +89,28 @@ class TestMlmSchemes:
         assert all(np.isfinite(losses))
         assert simulation.stats.num_rounds == 2
 
+    def test_federated_mlm_threaded_equals_sequential(self, tiny_sequences,
+                                                      tiny_collator, vocab_size):
+        """Each site masks with its own seeded collator, so the thread
+        schedule cannot reorder the mask draws."""
+        def factory():
+            return build_mlm_model("bert-tiny", vocab_size=vocab_size, seed=0,
+                                   max_seq_len=24)
+
+        shards = {f"site-{i + 1}": tiny_sequences.subset(s)
+                  for i, s in enumerate(partition_balanced(len(tiny_sequences), 4,
+                                                           seed=0))}
+        runs = [run_federated_mlm(factory, shards, tiny_sequences, tiny_collator,
+                                  num_rounds=2, batch_size=16, seed=3,
+                                  threads=threads)
+                for threads in (True, False)]
+        (threaded, threaded_sim), (sequential, sequential_sim) = runs
+        assert threaded == sequential
+        weights = threaded_sim.final_weights
+        assert set(weights) == set(sequential_sim.final_weights)
+        for key, value in weights.items():
+            assert np.array_equal(value, sequential_sim.final_weights[key]), key
+
 
 HASH_SEED_SCRIPT = """
 import hashlib
